@@ -1,9 +1,8 @@
 """Square-root spectral branches attached to a soliton channel.
 
 Each channel (i, j) carries gamma(eta) = sqrt(c_ij + i eta) on the principal
-branch, the two spectral points beta = a_ij +/- gamma, and the eigenvalue
-arcs i eta (gamma(+/-eta) +/- (3 a_ij - b2)).  Everything accepts real or
-complex eta, scalar or array.
+branch and the two spectral points beta = a_ij +/- gamma.  Everything
+accepts real or complex eta, scalar or array.
 """
 from __future__ import annotations
 
@@ -18,6 +17,11 @@ from .errors import BranchCutCrossing
 class Branch:
     a: float   # half sum of the channel's phase speeds
     c: float   # quarter squared gap, the sech^2 amplitude scale
+
+    @property
+    def omega(self) -> float:
+        """kappa_i^2 + kappa_i kappa_j + kappa_j^2; the crest runs along x + 2a y = omega t."""
+        return 3.0 * self.a * self.a + self.c
 
     def gamma(self, eta):
         """Principal sqrt(c + i eta); rejects points on the cut."""
@@ -34,14 +38,6 @@ class Branch:
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         out = self.a + sign * self.gamma(eta)
         return out if np.asarray(out).shape else complex(out)
-
-    def lam_raw(self, eta, sign: int, b2: float):
-        """i eta (gamma(eta) + sign (3a - b2)), the raw channel arc."""
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        eta = np.asarray(eta, dtype=complex)
-        out = 1j * eta * (self.gamma(eta) + sign * (3.0 * self.a - b2))
-        return out if out.shape else complex(out)
 
 
 def branch_of(config, pair: tuple[int, int]) -> Branch:

@@ -36,9 +36,10 @@ from .errors import (
     PoleAtKappa,
     RegionViolation,
 )
-from .expsum import Carried, ExpSum, Rational
+from .expsum import Carried, ExpSum, Rational, sum_residual
 from .jost import JostFamily, pair_product
-from .solitons import SolitonConfig, build_tau, theta_gens, wronskian_tau
+from .solitons import (SolitonConfig, build_tau, potential, potential_yprim, theta_gens,
+                       wronskian_tau)
 from .tanhexp import PanelGrid, Profile1D, TanhExp, based_cumulative, exp_cumulative
 
 
@@ -52,18 +53,14 @@ def sample_points(seed: int = 7, n: int = 20,
     return tuple(rng.uniform(-s, s, n) for s in spread)
 
 
-def _parts_residual(parts, x, y, t) -> float:
-    """Worst pointwise |sum of parts| over the largest single part."""
-    vals = [np.asarray(p.eval(x, y, t)) for p in parts]
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    scale = np.maximum.reduce([np.abs(v) for v in vals])
-    return float(np.max(np.abs(total) / np.maximum(scale, 1e-300)))
+def _parts_residual(parts, *pts) -> float:
+    """Worst pointwise |sum of parts| over the largest part; pts is (x, y, t) or z."""
+    res, scale = sum_residual(p.eval(*pts) for p in parts)
+    return float(np.max(res / scale))
 
 
-def _identity_residual(lhs, rhs, x, y, t) -> float:
-    return _parts_residual(list(lhs) + [-1.0 * p for p in rhs], x, y, t)
+def _identity_residual(lhs, rhs, *pts) -> float:
+    return _parts_residual(list(lhs) + [-1.0 * p for p in rhs], *pts)
 
 
 def _check_poles(kappa: tuple[float, ...], *betas) -> None:
@@ -189,16 +186,6 @@ def backlund_catalog() -> list[tuple[str, ExpSum, ExpSum]]:
 # ----- pair potentials -----
 
 
-def _curvature(tau: ExpSum) -> Rational:
-    tx = tau.dx()
-    return Rational.from_quotient(2.0 * (tx.dx() * tau - tx * tx), tau, tau)
-
-
-def _mixed_curvature(tau: ExpSum) -> Rational:
-    return Rational.from_quotient(
-        2.0 * (tau.dx().dy() * tau - tau.dx() * tau.dy()), tau, tau)
-
-
 class MiuraData:
     """Exact potentials and log-gradients of a coupled tau pair.
 
@@ -230,10 +217,10 @@ class MiuraData:
         self.v1 = Rational.from_quotient(t1.dx(), t1)
         self.v1y = Rational.from_quotient(t1.dy(), t1)
         self.v1t = Rational.from_quotient(t1.dt(), t1)
-        self.u1 = _curvature(t1)
-        self.u2 = _curvature(t2)
-        self.u1y = _mixed_curvature(t1)
-        self.u2y = _mixed_curvature(t2)
+        self.u1 = potential(t1)
+        self.u2 = potential(t2)
+        self.u1y = potential_yprim(t1)
+        self.u2y = potential_yprim(t2)
 
     def invariant_residuals(self, x, y, t) -> dict[str, float]:
         """Every pointwise identity the pair's potentials must satisfy.
@@ -409,7 +396,7 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
 
     res_a = _identity_residual(lhs, rhs_a, x, y, t)
     res_b = _identity_residual([p.dx() for p in lhs], rhs_b, x, y, t)
-    return max(res_a, res_b)
+    return float(np.max([res_a, res_b]))
 
 
 # ----- linearized flow intertwining -----
@@ -779,9 +766,7 @@ def kernel_membership(c: float, eta: complex, reflected: bool = False,
     psi = kink_profile(c)
     parts = [-1.0 * f.value.d(), (1j * complex(eta)) * f.prim(),
              -2.0 * (psi * f.value)]
-    total = parts[0] + parts[1] + parts[2]
-    scale = parts[0].scale(zs) + parts[1].scale(zs) + parts[2].scale(zs)
-    return float(np.max(np.abs(total.eval(zs)) / np.maximum(scale, 1e-300)))
+    return _parts_residual(parts, zs)
 
 
 class OneDimDarboux:
@@ -889,12 +874,8 @@ def factorization_residuals(c: float, eta: complex, f: Profile1D,
         "minus_direct": (minus.d(), sech * ((gp * gp) * couter - couter.d().d()
                                             - u1 * couter)),
     }
-    out = {}
-    for name, (lhs, rhs) in checks.items():
-        diff = lhs - rhs
-        scale = lhs.scale(zs) + rhs.scale(zs)
-        out[name] = float(np.max(np.abs(diff.eval(zs)) / np.maximum(scale, 1e-300)))
-    return out
+    return {name: _identity_residual([lhs], [rhs], zs)
+            for name, (lhs, rhs) in checks.items()}
 
 
 def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
@@ -937,13 +918,8 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
     lhs_minus = dressed(g_minus, False)
     rhs_minus = -1.0 * h.d().d() + (1j * eta) * h - 2.0 * (psi * h).d()
 
-    out = {}
-    for name, lhs, rhs in (("plus", lhs_plus, rhs_plus),
-                           ("minus", lhs_minus, rhs_minus)):
-        diff = lhs - rhs
-        scale = lhs.scale(zs) + rhs.scale(zs)
-        out[name] = float(np.max(np.abs(diff.eval(zs)) / np.maximum(scale, 1e-300)))
-    return out
+    return {"plus": _identity_residual([lhs_plus], [rhs_plus], zs),
+            "minus": _identity_residual([lhs_minus], [rhs_minus], zs)}
 
 
 def _edge_guard(logmass: np.ndarray, open_left: bool, label: str) -> None:
@@ -1057,6 +1033,7 @@ def t1_roundtrip(op: OneDimDarboux, sign: int, f, low: bool = False) -> float:
     v = t1_apply(op, sign, fvals, low=low)
     back = op.m_apply_sampled(sign, v)
     inner = np.abs(op.grid.z) <= op.window - 1.5
+    # against sup |f|: a pointwise scale would inflate truncation error in the tails
     scale = max(float(np.max(np.abs(fvals))), 1e-300)
     return float(np.max(np.abs(back - fvals)[inner]) / scale)
 

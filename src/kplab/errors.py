@@ -54,29 +54,5 @@ class InadmissibleEta(KplabError):
     """Transverse frequency outside the mode's weighted-space window."""
 
 
-class HypothesisViolation(KplabError):
-    """Quantitative hypothesis of the checked statement does not hold."""
-
-
-class ThresholdViolation(KplabError):
-    """A projection band or fit threshold is outside its admissible range."""
-
-
 class CaseMismatch(KplabError):
     """Requested object exists only in the other parameter case."""
-
-
-class ZeroAlphaWithInverse(KplabError):
-    """alpha=0 makes the antiderivative symbol singular on the grid."""
-
-
-class DomainTooSmall(KplabError):
-    """Field mass reaches the boundary of the computational domain."""
-
-
-class UnstableStep(KplabError):
-    """Time step produced growth far beyond the allowed bound."""
-
-
-class ConfigParseError(KplabError):
-    """Scenario file is malformed."""

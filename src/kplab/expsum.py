@@ -4,8 +4,12 @@ An ExpSum is sum_m c_m * exp(p_m . (x, y, t)) where every phase p_m is an
 integer combination of a small set of generator 3-vectors.  Keeping the
 integer keys (instead of floating phase vectors) makes merging of equal
 phases exact no matter how a term was assembled, so products and derivatives
-stay small.  Evaluation factors out the largest real exponent, so fields can
-be sampled anywhere in |x|,|y| up to a few thousand without overflow.
+stay small.  Scaled evaluation factors out the largest real exponent, so the
+(exponent, mantissa) pair never overflows; plain evaluation multiplies the
+two back together and does overflow once the value itself passes about
+1e308.  For the P-type dual wave at beta = 1.7 times its tau ratio that
+happens near x = -200, where `Rational.eval` returns inf + nan*j and the
+level-shift residual dual_step_two reads NaN.
 """
 from __future__ import annotations
 
@@ -95,9 +99,6 @@ class ExpSum:
     def phase_matrix(self) -> np.ndarray:
         """Per-term phase 3-vectors, rows aligned with sorted_items()."""
         return self.key_matrix() @ self.gen_matrix()
-
-    def term_phase(self, key: tuple[int, ...]) -> np.ndarray:
-        return np.asarray(key, dtype=float) @ self.gen_matrix() if self.gens else np.zeros(3, dtype=complex)
 
     # ----- algebra -----
 
@@ -347,9 +348,6 @@ class Rational:
     def constant(c: complex) -> "Rational":
         return Rational(ExpSum.constant(c))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     # -- helpers --
 
     def _den_product(self) -> ExpSum:
@@ -508,5 +506,25 @@ class Carried:
 
     __rmul__ = __mul__
 
-    def eval(self, x, y, t) -> np.ndarray:
-        return self.value.eval(x, y, t)
+
+# ----- relative residuals -----
+
+
+def sum_residual(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise |sum of parts| and the largest |part|, floored at 1e-300.
+
+    The evaluated parts of an identity add to zero; its relative residual
+    is the ratio of the two arrays.  NaN in any part is NaN in both, so an
+    np.max of the ratio reports it.  Parts are accumulated, never stacked.
+
+    Known limit: a part that is itself a small difference of large terms
+    carries rounding error above the scale, so the ratio drifts up with
+    those terms (as sample sets grow or move out) though the identity holds.
+    """
+    parts = iter(parts)
+    total = np.asarray(next(parts))
+    scale = np.abs(total)
+    for part in parts:
+        total = total + part
+        scale = np.maximum(scale, np.abs(part))
+    return np.abs(total), np.maximum(scale, 1e-300)

@@ -15,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .branches import Branch, branch_of
 from .errors import DegenerateFrame, InvalidBranch, RejectedConfig
-from .expsum import ExpSum, Gen, log_derivatives
+from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
 KINDS = ("vacuum", "one_line", "p_type", "o_type")
 
@@ -120,10 +121,6 @@ class SolitonConfig:
     def m_phases(self) -> int:
         return len(self.kappa)
 
-    @property
-    def n_functions(self) -> int:
-        return {"vacuum": self.m_phases, "one_line": 1, "p_type": 2, "o_type": 2}[self.kind]
-
     def amatrix(self) -> np.ndarray:
         m = self.m_phases
         if self.kind == "vacuum":
@@ -136,9 +133,6 @@ class SolitonConfig:
         if self.kind == "p_type":
             return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
         return np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-
-    def gens(self) -> tuple[Gen, ...]:
-        return theta_gens(self.kappa)
 
     def tau(self) -> ExpSum:
         return build_tau(self)
@@ -164,36 +158,29 @@ class SolitonConfig:
         i, j = pair
         return 0.25 * (self.kappa[i - 1] - self.kappa[j - 1]) ** 2
 
-    def omega_of(self, pair: tuple[int, int]) -> float:
-        i, j = pair
-        ki, kj = self.kappa[i - 1], self.kappa[j - 1]
-        return ki * ki + ki * kj + kj * kj
-
 
 @lru_cache(maxsize=None)
 def build_tau(config: SolitonConfig) -> ExpSum:
     return wronskian_tau(config.kappa, config.amatrix())
 
 
-@dataclass(frozen=True)
-class Channel:
-    pair: tuple[int, int]   # 1-based phases
-    a: float                # half sum of the two phase speeds
-    c: float                # quarter squared gap
-    omega: float            # kappa_i^2 + kappa_i kappa_j + kappa_j^2
+def potential(tau: ExpSum) -> Rational:
+    """u = 2 (log tau)_xx as an exact rational object."""
+    tx = tau.dx()
+    return Rational.from_quotient(2.0 * (tx.dx() * tau - tx * tx), tau, tau)
+
+
+def potential_yprim(tau: ExpSum) -> Rational:
+    """2 (log tau)_xy, the fixed dx^{-1} dy of the potential."""
+    return Rational.from_quotient(
+        2.0 * (tau.dx().dy() * tau - tau.dx() * tau.dy()), tau, tau)
 
 
 @dataclass(frozen=True)
 class Frame:
     b1: float
     b2: float
-    channels: tuple[Channel, Channel]
-
-    def channel(self, pair: tuple[int, int]) -> Channel:
-        for ch in self.channels:
-            if ch.pair == pair:
-                return ch
-        raise InvalidBranch(f"no channel {pair} in this frame")
+    channels: tuple[Branch, Branch]
 
 
 def frame_of(config: SolitonConfig) -> Frame:
@@ -205,7 +192,7 @@ def frame_of(config: SolitonConfig) -> Frame:
     pairs = config.channel_pairs()
     if len(pairs) != 2:
         raise DegenerateFrame(f"{config.kind} has {len(pairs)} channel(s), frame needs 2")
-    chans = tuple(Channel(p, config.a_of(p), config.c_of(p), config.omega_of(p)) for p in pairs)
+    chans = tuple(branch_of(config, p) for p in pairs)
     a1, a2 = chans[0].a, chans[1].a
     scale = max(1.0, abs(a1), abs(a2))
     if abs(a1 - a2) <= 1e-12 * scale:
@@ -278,22 +265,12 @@ class SolitonField:
         self.config = config
         self.tau = build_tau(config)
 
-    def log_grid(self, x, y, t, orders: tuple[int, int, int]):
-        return log_derivatives(self.tau, orders, x, y, t)
-
     def u(self, x, y, t) -> np.ndarray:
-        return 2.0 * self.log_grid(x, y, t, (2, 0, 0))[(2, 0, 0)].real
-
-    def u_partial(self, x, y, t, i: int = 0, j: int = 0, k: int = 0) -> np.ndarray:
-        g = self.log_grid(x, y, t, (2 + i, j, k))
-        return 2.0 * g[(2 + i, j, k)].real
-
-    def tau_eval(self, x, y, t) -> np.ndarray:
-        return self.tau.eval(x, y, t).real
+        return 2.0 * log_derivatives(self.tau, (2, 0, 0), x, y, t)[(2, 0, 0)].real
 
     def kpii_residual(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise |4u_xt + u_xxxx + 3(u^2)_xx + 3u_yy| and its term scale."""
-        g = self.log_grid(x, y, t, (6, 2, 1))
+        g = log_derivatives(self.tau, (6, 2, 1), x, y, t)
 
         def d(i, j, k):
             return 2.0 * g[(i + 2, j, k)].real
@@ -303,6 +280,4 @@ class SolitonField:
         term_x4 = d(4, 0, 0)
         term_nl = 3.0 * (2.0 * d(1, 0, 0) ** 2 + 2.0 * u * d(2, 0, 0))
         term_y2 = 3.0 * d(0, 2, 0)
-        res = np.abs(term_t + term_x4 + term_nl + term_y2)
-        scale = np.maximum.reduce([np.abs(term_t), np.abs(term_x4), np.abs(term_nl), np.abs(term_y2)])
-        return res, np.maximum(scale, 1e-30)
+        return sum_residual([term_t, term_x4, term_nl, term_y2])

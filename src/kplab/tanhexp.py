@@ -146,16 +146,12 @@ class TanhExp:
 
     # -- evaluation --
 
-    def _pieces(self, z):
+    def eval(self, z):
         z = np.asarray(z, dtype=float)
         sz = self.rate * z
         t = np.tanh(sz)
         # log sech, stable for large |sz|
         lsech = np.log(2.0) - np.abs(sz) - np.log1p(np.exp(-2.0 * np.abs(sz)))
-        return z, t, lsech
-
-    def eval(self, z):
-        z, t, lsech = self._pieces(z)
         out = np.zeros(z.shape, dtype=complex)
         for (m, p, mu), c in self.terms.items():
             piece = np.exp(p * lsech + mu * z)
@@ -163,24 +159,6 @@ class TanhExp:
                 piece = piece * t
             out += c * piece
         return out
-
-    def scale(self, z):
-        """Sum of term magnitudes; denominator for relative residuals."""
-        z, t, lsech = self._pieces(z)
-        out = np.zeros(z.shape, dtype=float)
-        for (m, p, mu), c in self.terms.items():
-            piece = np.exp(p * lsech + np.real(mu) * z)
-            if m:
-                piece = piece * np.abs(t)
-            out += abs(c) * piece
-        return out
-
-    def __call__(self, z):
-        return self.eval(z)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 # ----- profiles with carried primitives -----
@@ -274,9 +252,6 @@ class PanelGrid:
             xi = (zq[sel] - 0.5 * (self.edges[k] + self.edges[k + 1])) / self.half
             out[sel] = npleg.legval(xi, coef[k])
         return out
-
-    def eval(self, vals, zq):
-        return self.eval_coeffs(self.coeffs(vals), zq)
 
     def derivative(self, vals) -> np.ndarray:
         coef = self.coeffs(vals)

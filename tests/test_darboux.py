@@ -486,5 +486,7 @@ def test_identity_report_is_green_and_stable():
     for key in ("p_raise_two_mixed", "o_lower_wave_ch34", "p_shift_dual_heat_two",
                 "p_branch_transfer_minus", "pair_line_over_vacuum_x"):
         assert key in rep
-    worst = max(rep.values())
+    vals = np.array(list(rep.values()))
+    assert np.all(np.isfinite(vals)), [k for k, v in rep.items() if not np.isfinite(v)]
+    worst = np.max(vals)
     assert worst < 1e-9, f"worst residual {worst:.2e}"

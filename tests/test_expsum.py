@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kplab.expsum import Carried, ExpSum, Rational, log_derivatives
+from kplab.expsum import Carried, ExpSum, Rational, log_derivatives, sum_residual
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
 G2 = (2.0 + 0j, 4.0 + 0j, -8.0 + 0j)
@@ -94,6 +94,30 @@ def test_log_value_entry():
     tau = ExpSum.exponential(3.0, G1) + ExpSum.constant(1.0)
     g = log_derivatives(tau, (0, 0, 0), 0.3, -0.2, 0.1)
     assert abs(np.exp(g[(0, 0, 0)]) - tau.eval(0.3, -0.2, 0.1)) < 1e-12
+
+
+# ----- residual primitive -----
+
+
+def test_sum_residual_propagates_nan_from_any_part():
+    ok = np.array([1.0, -2.0, 3.0])
+    bad = np.array([1.0, np.nan, 3.0])
+    for parts in ([bad, -ok, ok], [ok, -ok, bad]):
+        res, scale = sum_residual(parts)
+        ratio = res / scale
+        assert np.isnan(ratio[1]) and np.isnan(np.max(ratio))
+        assert np.all(np.isfinite(ratio[[0, 2]]))
+
+
+def test_sum_residual_of_zero_parts_is_zero():
+    res, scale = sum_residual([np.zeros(4), np.zeros(4)])
+    assert np.all(res / scale == 0.0)
+    assert np.all(scale == 1e-300)
+
+
+def test_sum_residual_scales_by_largest_part():
+    res, scale = sum_residual(iter([np.array([3.0 + 4j]), np.array([-1.0]), np.array([-2.0])]))
+    assert res[0] == 4.0 and scale[0] == 5.0
 
 
 # ----- Rational layer -----

@@ -58,11 +58,6 @@ def test_far_field_evaluation_is_stable():
     assert abs(far[1]) < 1e-200
 
 
-def test_scale_dominates_value():
-    f = TanhExp.term(0.7, 1.0, 1, 1, 0.4) - TanhExp.term(0.7, 1.0, 0, 1, 0.4)
-    assert np.all(f.scale(ZS) >= np.abs(f.eval(ZS)) - 1e-15)
-
-
 # ----- carried profiles -----
 
 
