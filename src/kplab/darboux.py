@@ -189,12 +189,12 @@ def backlund_catalog() -> list[tuple[str, ExpSum, ExpSum]]:
 class MiuraData:
     """Exact potentials and log-gradients of a coupled tau pair.
 
-    tau1 may be None for a pair over the constant background.  The stored
-    fields are all Rational objects sharing the pair's tau denominators:
+    One instance describes one step between adjacent levels; tau1 may be
+    None for the step up from the constant background.  The stored fields
+    are all Rational objects sharing the pair's tau denominators:
 
     h, hinv      tau2/tau1 and its reciprocal
     v, vy, vt    dx, dy, dt of log(tau2/tau1); vy doubles as dx^{-1}dy v
-    v1, v1y, v1t the same gradients of log tau1 alone
     u1, u2       2 (log tau_i)_xx, the potentials of the two levels
     u1y, u2y     2 (log tau_i)_xy, the fixed dx^{-1}dy of each potential
 
@@ -209,14 +209,9 @@ class MiuraData:
         t1, t2 = self.tau1, self.tau2
         self.h = Rational.from_quotient(t2, t1)
         self.hinv = Rational.from_quotient(t1, t2)
-        self.tau1_r = Rational.from_quotient(t1)
-        self.tau1_inv = Rational.from_quotient(ExpSum.constant(1.0), t1)
         self.v = Rational.from_quotient(t2.dx(), t2) - Rational.from_quotient(t1.dx(), t1)
         self.vy = Rational.from_quotient(t2.dy(), t2) - Rational.from_quotient(t1.dy(), t1)
         self.vt = Rational.from_quotient(t2.dt(), t2) - Rational.from_quotient(t1.dt(), t1)
-        self.v1 = Rational.from_quotient(t1.dx(), t1)
-        self.v1y = Rational.from_quotient(t1.dy(), t1)
-        self.v1t = Rational.from_quotient(t1.dt(), t1)
         self.u1 = potential(t1)
         self.u2 = potential(t2)
         self.u1y = potential_yprim(t1)
@@ -226,7 +221,8 @@ class MiuraData:
         """Every pointwise identity the pair's potentials must satisfy.
 
         map_plus / map_minus     the quadratic maps send v to u2 and u1
-        base_plus / base_minus   the same maps send v1 to u1 and zero
+        base_plus / base_minus   the same maps on the base step (1, tau1)
+                                 send its log-gradient to u1 and zero
         heat_up / heat_down      the ratio and its inverse solve the two
                                  conjugated heat equations
         flow                     v solves the modified flow
@@ -237,15 +233,16 @@ class MiuraData:
                                  potentials, used by the conjugation routes
         """
         v, vy, vt = self.v, self.vy, self.vt
-        v1, v1y = self.v1, self.v1y
         u1, u2 = self.u1, self.u2
         h, hinv = self.h, self.hinv
         vsq = v * v
+        base = MiuraData(None, self.tau1)
+        bsq = base.v * base.v
         out = {
             "map_plus": [v.dx(), vy, -1.0 * vsq, -1.0 * u2],
             "map_minus": [-1.0 * v.dx(), vy, -1.0 * vsq, -1.0 * u1],
-            "base_plus": [v1.dx(), v1y, -1.0 * (v1 * v1), -1.0 * u1],
-            "base_minus": [-1.0 * v1.dx(), v1y, -1.0 * (v1 * v1)],
+            "base_plus": [base.v.dx(), base.vy, -1.0 * bsq, -1.0 * base.u2],
+            "base_minus": [-1.0 * base.v.dx(), base.vy, -1.0 * bsq],
             "heat_up": [h.dy(), -1.0 * h.dx().dx(), -1.0 * (u1 * h)],
             "heat_down": [hinv.dx().dx(), hinv.dy(), u2 * hinv],
             "flow": [4.0 * v.dt(), v.dx().dx().dx(), 3.0 * vy.dy(),
@@ -318,25 +315,22 @@ def _heat_parts(u: Rational | None, g: Rational, star: bool) -> list[Rational]:
     return parts
 
 
-def _flow_parts(u: Rational | None, uy: Rational | None, g: Rational,
-                star: bool) -> list[Rational]:
+def _flow_parts(u: Rational, uy: Rational, g: Rational, star: bool) -> list[Rational]:
     # flow operator 4 dt + 4 dx^3 + 6 u dx + 3 u_x + 3 dx^{-1}dy u; the
     # adjoint negates everything except the nonlocal coefficient
     s = -1.0 if star else 1.0
     gx = g.dx()
-    parts = [(4.0 * s) * g.dt(), (4.0 * s) * gx.dx().dx()]
-    if u is not None:
-        parts.extend([(6.0 * s) * (u * gx), (3.0 * s) * (u.dx() * g), 3.0 * (uy * g)])
-    return parts
+    return [(4.0 * s) * g.dt(), (4.0 * s) * gx.dx().dx(),
+            (6.0 * s) * (u * gx), (3.0 * s) * (u.dx() * g), 3.0 * (uy * g)]
 
 
 def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> float:
     """Residual of one of the eight conjugation routes, checked both ways.
 
     which 1..4 factor the transforms and companion maps of the pair's ratio
-    through the heat and flow operators of the two levels; which 5..8 do the
-    same for the transforms built on tau1 alone, where the lower level is
-    the constant background.  Each route has an undifferentiated form acting
+    through the heat and flow operators of the two levels; which 5..8 are
+    routes 1..4 on the base pair (1, tau1), where the lower level is the
+    constant background.  Each route has an undifferentiated form acting
     on the carried x-primitive and a differentiated form acting on the wave
     itself; the reported residual is the worse of the two, so a pass
     certifies the operator identity and not a lucky cancellation.
@@ -345,13 +339,16 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
     dy.  Routes 5..8 assume tau1 has a single Wronskian entry (or is
     constant), which makes its y-derivative equal its second x-derivative.
     """
+    if which not in range(1, 9):
+        raise ValueError(f"route index must be 1..8, got {which}")
     w = wave.value
     big_w = wave.xprim
     if big_w is None:
         raise MissingPrimitive("conjugation routes need an exact x-primitive")
-    v, v1 = data.v, data.v1
+    if which > 4:
+        data, which = MiuraData(None, data.tau1), which - 4
+    v = data.v
     h, hinv = data.h, data.hinv
-    t1r, t1i = data.tau1_r, data.tau1_inv
     u1, u2, u1y, u2y = data.u1, data.u2, data.u1y, data.u2y
     wx = w.dx()
 
@@ -368,31 +365,11 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
                -12.0 * (v * wx), 12.0 * (v * (v * w))]
         rhs_a = [-1.0 * (h * p) for p in _flow_parts(u2, u2y, hinv * big_w, star=True)]
         rhs_b = [-1.0 * (h * p) for p in _flow_parts(u1, u1y, hinv * w, star=True)]
-    elif which == 4:
+    else:
         lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u2 * w),
                12.0 * (v * wx), 12.0 * (v * (v * w))]
         rhs_a = [hinv * p for p in _flow_parts(u1, u1y, h * big_w, star=False)]
         rhs_b = [hinv * p for p in _flow_parts(u2, u2y, h * w, star=False)]
-    elif which == 5:
-        lhs = LinearDarboux(v1, 1).parts(wave)
-        rhs_a = [t1r * p for p in _heat_parts(u1, t1i * big_w, star=True)]
-        rhs_b = [t1r * p for p in _heat_parts(None, t1i * w, star=True)]
-    elif which == 6:
-        lhs = LinearDarboux(v1, -1).parts(wave)
-        rhs_a = [-1.0 * (t1i * p) for p in _heat_parts(None, t1r * big_w, star=False)]
-        rhs_b = [-1.0 * (t1i * p) for p in _heat_parts(u1, t1r * w, star=False)]
-    elif which == 7:
-        lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), -12.0 * (v1 * wx),
-               12.0 * (v1 * (v1 * w))]
-        rhs_a = [-1.0 * (t1r * p) for p in _flow_parts(u1, u1y, t1i * big_w, star=True)]
-        rhs_b = [-1.0 * (t1r * p) for p in _flow_parts(None, None, t1i * w, star=True)]
-    elif which == 8:
-        lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u1 * w),
-               12.0 * (v1 * wx), 12.0 * (v1 * (v1 * w))]
-        rhs_a = [t1i * p for p in _flow_parts(None, None, t1r * big_w, star=False)]
-        rhs_b = [t1i * p for p in _flow_parts(u1, u1y, t1r * w, star=False)]
-    else:
-        raise ValueError(f"route index must be 1..8, got {which}")
 
     res_a = _identity_residual(lhs, rhs_a, x, y, t)
     res_b = _identity_residual([p.dx() for p in lhs], rhs_b, x, y, t)
@@ -433,11 +410,27 @@ def flow_intertwining_residual(data: MiuraData, sign: int, wave: Carried,
 # ----- level maps on wave-dual products -----
 
 
-def _p_chain(config: SolitonConfig):
-    fam0 = JostFamily(SolitonConfig("vacuum", ()))
-    fam1 = JostFamily(SolitonConfig("one_line", config.kappa, pair=(2, 3)))
-    fam2 = JostFamily(config)
-    return fam0, fam1, fam2
+def _level_steps(config: SolitonConfig) -> list[tuple[str, JostFamily, JostFamily, MiuraData]]:
+    """(label, lower family, upper family, MiuraData) for each adjacent step.
+
+    The p_type chain climbs vacuum -> line (2, 3) -> p_type and lists its
+    top step first; the o_type chain reaches the two-line level from the
+    line of each channel.
+    """
+    if config.kind not in ("p_type", "o_type"):
+        raise ConfigMismatch(
+            f"level chains need a p_type or o_type configuration, got {config.kind}")
+    top = JostFamily(config)
+    if config.kind == "o_type":
+        steps = []
+        for i, j in config.channel_pairs():
+            line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(i, j)))
+            steps.append((f"ch{i}{j}", line, top, MiuraData(line.tau, top.tau)))
+        return steps
+    line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(2, 3)))
+    vacuum = JostFamily(SolitonConfig("vacuum", ()))
+    return [("two", line, top, MiuraData(line.tau, top.tau)),
+            ("one", vacuum, line, MiuraData(None, line.tau))]
 
 
 def darboux_map_products(config: SolitonConfig, direction: str,
@@ -452,124 +445,64 @@ def darboux_map_products(config: SolitonConfig, direction: str,
     statements on discrete-residue products, and the discrete relations at
     the resonant phases.
 
-    Both spectral points must stay away from the discrete phases; for the
-    four-phase types the chain runs through the one-line taus listed by the
-    configuration's channels.  Returned keys name the identity by what it
-    moves; every value is a worst relative residual.
+    Both spectral points must stay away from the discrete phases.  Every
+    adjacent step of the chain (vacuum -> line (2, 3) -> p_type, or the
+    line of each o_type channel -> o_type) gets the mixed and wave maps;
+    the residue identities are checked on the p_type chain only.  Returned
+    keys name the identity by what it moves; every value is a worst
+    relative residual.
     """
     if direction not in ("plus", "minus"):
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
     if x is None:
         x, y, t = sample_points()
     _check_poles(config.kappa, beta, beta_prime)
+    sign = 1 if direction == "plus" else -1
+    verb = "raise" if sign == 1 else "lower"
+
+    def key(label: str, what: str) -> str:
+        return f"{verb}_{label}_{what}" if config.kind == "p_type" else f"{verb}_{what}_{label}"
+
     out: dict[str, float] = {}
-
-    if config.kind == "p_type":
-        fam0, fam1, fam2 = _p_chain(config)
-        upper = MiuraData(fam1.tau, fam2.tau)
-        lower = MiuraData(None, fam1.tau)
-        nplus2 = LinearDarboux(upper.v, 1)
-        nminus2 = LinearDarboux(upper.v, -1)
-        nplus1 = LinearDarboux(lower.v, 1)
-        nminus1 = LinearDarboux(lower.v, -1)
-
-        w12 = fam1.phi(beta=beta) * fam2.phi_star(beta=beta_prime)
-        w01 = fam0.phi(beta=beta) * fam1.phi_star(beta=beta_prime)
-        p11 = pair_product(fam1.phi(beta=beta), fam1.phi_star(beta=beta_prime))
-
-        if direction == "plus":
-            out["raise_two_mixed"] = _identity_residual(
-                nplus2.parts(carried_from_primitive(w12)),
-                [2.0 * (fam2.phi(beta=beta) * fam2.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["raise_one_mixed"] = _identity_residual(
-                nplus1.parts(carried_from_primitive(w01)),
-                [2.0 * (fam1.phi(beta=beta) * fam1.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["raise_two_wave"] = _identity_residual(
-                [p.dx() for p in nplus2.parts(p11)],
-                [2.0 * (fam2.phi(beta=beta) * fam1.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            p00 = pair_product(fam0.phi(beta=beta), fam0.phi_star(beta=beta_prime))
-            out["raise_one_wave"] = _identity_residual(
-                [p.dx() for p in nplus1.parts(p00)],
-                [2.0 * (fam1.phi(beta=beta) * fam0.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["raise_two_discrete_dual"] = _identity_residual(
-                nplus2.parts(pair_product(fam1.phi(beta=beta), fam1.phi_star_residue(2))),
-                [2.0 * (fam2.phi(beta=beta) * fam1.phi_star_residue(2))], x, y, t)
-            out["raise_two_discrete_wave"] = _identity_residual(
-                nplus2.parts(pair_product(fam1.phi_residue(2), fam1.phi_star(beta=beta))),
-                [2.0 * (fam2.phi_residue(2) * fam1.phi_star(beta=beta))], x, y, t)
-        else:
-            out["lower_two_mixed"] = _identity_residual(
-                nminus2.parts(carried_from_primitive(w12)),
-                [2.0 * (fam1.phi(beta=beta) * fam1.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["lower_one_mixed"] = _identity_residual(
-                nminus1.parts(carried_from_primitive(w01)),
-                [2.0 * (fam0.phi(beta=beta) * fam0.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["lower_two_wave"] = _identity_residual(
-                [p.dx() for p in nminus2.parts(
-                    pair_product(fam2.phi(beta=beta), fam2.phi_star(beta=beta_prime)))],
-                [2.0 * (fam2.phi(beta=beta) * fam1.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["lower_one_wave"] = _identity_residual(
-                [p.dx() for p in nminus1.parts(p11)],
-                [2.0 * (fam1.phi(beta=beta) * fam0.phi_star(beta=beta_prime)).dx()],
-                x, y, t)
-            out["kernel_two"] = _identity_residual(
-                nminus2.parts(pair_product(fam2.phi(beta=beta), fam2.phi_star_residue(1))),
-                [], x, y, t)
-            out["kernel_one"] = _identity_residual(
-                nminus1.parts(pair_product(fam1.phi(beta=beta), fam1.phi_star_residue(2))),
-                [], x, y, t)
-            out["lower_two_discrete_dual"] = _identity_residual(
-                nminus2.parts(pair_product(fam2.phi(beta=beta), fam2.phi_star_residue(2))),
-                [2.0 * (fam2.phi(beta=beta) * fam1.phi_star_residue(2))], x, y, t)
-            out["lower_two_discrete_wave"] = _identity_residual(
-                nminus2.parts(pair_product(fam2.phi_residue(2), fam2.phi_star(beta=beta))),
-                [2.0 * (fam2.phi_residue(2) * fam1.phi_star(beta=beta))], x, y, t)
-            out["lower_two_discrete_wave_outer"] = _identity_residual(
-                nminus2.parts(pair_product(fam2.phi_residue(1), fam2.phi_star(beta=beta))),
-                [2.0 * (fam2.phi_residue(1) * fam1.phi_star(beta=beta))], x, y, t)
-            out["lower_one_discrete_wave"] = _identity_residual(
-                nminus1.parts(pair_product(fam1.phi_residue(2), fam1.phi_star(beta=beta))),
-                [2.0 * (fam1.phi_residue(2) * fam0.phi_star(beta=beta))], x, y, t)
-        return out
-
+    ops = {}
+    for label, lo, hi, data in _level_steps(config):
+        op = LinearDarboux(data.v, sign)
+        # the transform acts on products of src and lands on products of dst
+        src, dst = (lo, hi) if sign == 1 else (hi, lo)
+        ops[label] = (lo, hi, op, src)
+        out[key(label, "mixed")] = _identity_residual(
+            op.parts(carried_from_primitive(lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
+            [2.0 * (dst.phi(beta=beta) * dst.phi_star(beta=beta_prime)).dx()], x, y, t)
+        out[key(label, "wave")] = _identity_residual(
+            [p.dx() for p in op.parts(
+                pair_product(src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
+            [2.0 * (hi.phi(beta=beta) * lo.phi_star(beta=beta_prime)).dx()], x, y, t)
     if config.kind == "o_type":
-        fam2 = JostFamily(config)
-        for pair, label in (((1, 2), "ch12"), ((3, 4), "ch34")):
-            fam1j = JostFamily(SolitonConfig("one_line", config.kappa, pair=pair))
-            data = MiuraData(fam1j.tau, fam2.tau)
-            nplus = LinearDarboux(data.v, 1)
-            nminus = LinearDarboux(data.v, -1)
-            wmix = fam1j.phi(beta=beta) * fam2.phi_star(beta=beta_prime)
-            if direction == "plus":
-                out[f"raise_mixed_{label}"] = _identity_residual(
-                    nplus.parts(carried_from_primitive(wmix)),
-                    [2.0 * (fam2.phi(beta=beta) * fam2.phi_star(beta=beta_prime)).dx()],
-                    x, y, t)
-                p11 = pair_product(fam1j.phi(beta=beta), fam1j.phi_star(beta=beta_prime))
-                out[f"raise_wave_{label}"] = _identity_residual(
-                    [p.dx() for p in nplus.parts(p11)],
-                    [2.0 * (fam2.phi(beta=beta) * fam1j.phi_star(beta=beta_prime)).dx()],
-                    x, y, t)
-            else:
-                out[f"lower_mixed_{label}"] = _identity_residual(
-                    nminus.parts(carried_from_primitive(wmix)),
-                    [2.0 * (fam1j.phi(beta=beta) * fam1j.phi_star(beta=beta_prime)).dx()],
-                    x, y, t)
-                out[f"lower_wave_{label}"] = _identity_residual(
-                    [p.dx() for p in nminus.parts(
-                        pair_product(fam2.phi(beta=beta), fam2.phi_star(beta=beta_prime)))],
-                    [2.0 * (fam2.phi(beta=beta) * fam1j.phi_star(beta=beta_prime)).dx()],
-                    x, y, t)
         return out
 
-    raise ConfigMismatch(f"level maps need a p_type or o_type configuration, got {config.kind}")
+    def dual_residue(label: str, j: int, kernel: bool = False) -> float:
+        lo, hi, op, src = ops[label]
+        rhs = [] if kernel else [2.0 * (hi.phi(beta=beta) * lo.phi_star_residue(j))]
+        return _identity_residual(
+            op.parts(pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs, x, y, t)
+
+    def wave_residue(label: str, j: int) -> float:
+        lo, hi, op, src = ops[label]
+        return _identity_residual(
+            op.parts(pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
+            [2.0 * (hi.phi_residue(j) * lo.phi_star(beta=beta))], x, y, t)
+
+    if sign == 1:
+        out["raise_two_discrete_dual"] = dual_residue("two", 2)
+        out["raise_two_discrete_wave"] = wave_residue("two", 2)
+    else:
+        out["kernel_two"] = dual_residue("two", 1, kernel=True)
+        out["kernel_one"] = dual_residue("one", 2, kernel=True)
+        out["lower_two_discrete_dual"] = dual_residue("two", 2)
+        out["lower_two_discrete_wave"] = wave_residue("two", 2)
+        out["lower_two_discrete_wave_outer"] = wave_residue("two", 1)
+        out["lower_one_discrete_wave"] = wave_residue("one", 2)
+    return out
 
 
 # ----- level shifts of single waves -----
@@ -590,41 +523,23 @@ def level_shift_residuals(config: SolitonConfig, beta: complex,
         x, y, t = sample_points()
     _check_poles(config.kappa, beta)
     out: dict[str, float] = {}
-
-    def one_step(h: Rational, hinv: Rational, lo: JostFamily, hi: JostFamily,
-                 suffix: str) -> None:
+    for label, lo, hi, data in _level_steps(config):
+        h, hinv = data.h, data.hinv
         wave_lo = lo.phi(beta=beta)
         wave_hi = hi.phi(beta=beta)
         dual_lo = lo.phi_star(beta=beta)
         dual_hi = hi.phi_star(beta=beta)
-        out["wave_step" + suffix] = _identity_residual(
+        out["wave_step_" + label] = _identity_residual(
             [(hinv * wave_lo).dx()], [hinv * wave_hi], x, y, t)
-        out["dual_step" + suffix] = _identity_residual(
+        out["dual_step_" + label] = _identity_residual(
             [(h * dual_hi).dx()], [-1.0 * (h * dual_lo)], x, y, t)
-        out["wave_heat" + suffix] = _identity_residual(
+        out["wave_heat_" + label] = _identity_residual(
             _heat_parts(None, hinv * wave_lo, star=True),
             [2.0 * (hinv * wave_hi.dx())], x, y, t)
-        out["dual_heat" + suffix] = _identity_residual(
+        out["dual_heat_" + label] = _identity_residual(
             _heat_parts(None, h * dual_hi, star=False),
             [-2.0 * (h * dual_lo.dx())], x, y, t)
-
-    if config.kind == "p_type":
-        fam0, fam1, fam2 = _p_chain(config)
-        data = MiuraData(fam1.tau, fam2.tau)
-        one_step(data.h, data.hinv, fam1, fam2, "_two")
-        base = MiuraData(None, fam1.tau)
-        one_step(base.h, base.hinv, fam0, fam1, "_one")
-        return out
-
-    if config.kind == "o_type":
-        fam2 = JostFamily(config)
-        for pair, label in (((1, 2), "_ch12"), ((3, 4), "_ch34")):
-            fam1j = JostFamily(SolitonConfig("one_line", config.kappa, pair=pair))
-            data = MiuraData(fam1j.tau, fam2.tau)
-            one_step(data.h, data.hinv, fam1j, fam2, label)
-        return out
-
-    raise ConfigMismatch(f"level shifts need a p_type or o_type configuration, got {config.kind}")
+    return out
 
 
 # ----- resonant products on channel branches -----
@@ -652,9 +567,7 @@ def mode_transfer_residuals(config: SolitonConfig, eta: complex,
     k = config.kappa
     eta = complex(eta)
     etac = complex(np.conj(eta))
-    fam0, fam1, fam2 = _p_chain(config)
-    upper = MiuraData(fam1.tau, fam2.tau)
-    lower = MiuraData(None, fam1.tau)
+    (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
     nplus2, nminus2 = LinearDarboux(upper.v, 1), LinearDarboux(upper.v, -1)
     nplus1, nminus1 = LinearDarboux(lower.v, 1), LinearDarboux(lower.v, -1)
 
@@ -849,18 +762,14 @@ def factorization_residuals(c: float, eta: complex, f: Profile1D,
     """
     if zs is None:
         zs = np.linspace(-9.0, 9.0, 121)
-    root = float(np.sqrt(c))
-    br = Branch(a=0.0, c=float(c))
-    gp, gm = br.gamma(eta), br.gamma(-eta)
-    eta = complex(eta)
+    op = OneDimDarboux(c, eta)
+    root = op.root
+    gp, gm = op.branch.gamma(eta), op.branch.gamma(-eta)
     sech = TanhExp.sech(root)
     cosh = TanhExp.sech(root, power=-1)
     u1 = TanhExp.sech(root, 2, 2.0 * c)
-    psi = kink_profile(c)
     fv, fp = f.value, f.prim()
-
-    plus = fv.d() + (1j * eta) * fp - 2.0 * (psi * fv)
-    minus = -1.0 * fv.d() + (1j * eta) * fp - 2.0 * (psi * fv)
+    plus, minus = op.m_apply(1, f), op.m_apply(-1, f)
 
     inner = sech * fv
     inner_p = sech * fp
@@ -894,7 +803,8 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
     root = float(np.sqrt(c))
     eta = complex(eta)
     u1 = TanhExp.sech(root, 2, 2.0 * c)
-    psi = kink_profile(c)
+    op = OneDimDarboux(c, eta)
+    psi = op.psi
     fv, fp = f.value, f.prim()
     c4 = 4.0 * c
 
@@ -903,8 +813,7 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
         + (0.75 * eta * eta) * fp
     h = free_f - 0.75 * (u1 * fv).d() - (0.75j * eta) * (u1 * fp)
 
-    g_plus = fv.d() + (1j * eta) * fp - 2.0 * (psi * fv)
-    g_minus = -1.0 * fv.d() + (1j * eta) * fp - 2.0 * (psi * fv)
+    g_plus, g_minus = op.m_apply(1, f), op.m_apply(-1, f)
 
     def dressed(g: TanhExp, with_u: bool) -> TanhExp:
         core = g.d().d() - c4 * g

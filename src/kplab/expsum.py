@@ -470,8 +470,8 @@ class Carried:
     value    : the function itself
     xprim    : an exact d/dx antiderivative, or None
     ydxinv   : exact dx^{-1} dy of the function, or None
-    Closed under linear combinations, d/dx and d/dy, which is what the
-    transform and mode layers compose.
+    Scalar multiples scale all three; the level transforms read the
+    nonlocal term dx^{-1} dy from ydxinv, or else from dy of xprim.
     """
 
     __slots__ = ("value", "xprim", "ydxinv")
@@ -480,22 +480,6 @@ class Carried:
         self.value = value
         self.xprim = xprim
         self.ydxinv = ydxinv
-
-    def dx(self) -> "Carried":
-        return Carried(self.value.dx(), xprim=self.value, ydxinv=self.value.dy())
-
-    def dy(self) -> "Carried":
-        return Carried(self.value.dy(),
-                       xprim=self.ydxinv,
-                       ydxinv=self.ydxinv.dy() if self.ydxinv is not None else None)
-
-    def __add__(self, other: "Carried") -> "Carried":
-        def both(a, b):
-            return a + b if (a is not None and b is not None) else None
-        return Carried(self.value + other.value, both(self.xprim, other.xprim), both(self.ydxinv, other.ydxinv))
-
-    def __sub__(self, other: "Carried") -> "Carried":
-        return self + (other * (-1.0))
 
     def __mul__(self, c) -> "Carried":
         if not isinstance(c, (int, float, complex)):

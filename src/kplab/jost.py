@@ -207,7 +207,8 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
                     reconstructed separately from each branch product
     jump            d/dx of the component jumps by exp((i eta - k_i k_j)(y-y'))
     weighted_match  the residue-weighted d/dx ratios match across sides
-    completeness    the waves at the discrete phases pair to zero
+    completeness    the waves at the discrete phases pair to zero; level 1
+                    only, since the vacuum has no discrete phases
     """
     kappa = tuple(float(v) for v in kappa)
     if level == 0:
@@ -318,6 +319,4 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     if corr_js:
         tot, scale = family.completeness_sum(xd, yy, np.zeros(npts), xdp, yyp, np.zeros(npts))
         out["completeness"] = float(np.max(tot / scale))
-    else:
-        out["completeness"] = 0.0
     return out

@@ -287,6 +287,26 @@ def test_product_maps_split_type(direction):
         assert val < 1e-9, f"{name}: {val:.2e}"
 
 
+def test_family_key_sets_are_pinned():
+    x, y, t = pts(25, n=2)
+    cp, co = SolitonConfig("p_type", KP), SolitonConfig("o_type", KO)
+    assert set(darboux_map_products(cp, "plus", 1.7, 0.4, x, y, t)) == {
+        "raise_two_mixed", "raise_two_wave", "raise_one_mixed", "raise_one_wave",
+        "raise_two_discrete_dual", "raise_two_discrete_wave"}
+    assert set(darboux_map_products(cp, "minus", 1.7, 0.4, x, y, t)) == {
+        "lower_two_mixed", "lower_two_wave", "lower_one_mixed", "lower_one_wave",
+        "kernel_two", "kernel_one", "lower_two_discrete_dual", "lower_two_discrete_wave",
+        "lower_two_discrete_wave_outer", "lower_one_discrete_wave"}
+    assert set(darboux_map_products(co, "plus", 1.7, 0.4, x, y, t)) == {
+        "raise_mixed_ch12", "raise_wave_ch12", "raise_mixed_ch34", "raise_wave_ch34"}
+    assert set(darboux_map_products(co, "minus", 1.7, 0.4, x, y, t)) == {
+        "lower_mixed_ch12", "lower_wave_ch12", "lower_mixed_ch34", "lower_wave_ch34"}
+    assert set(mode_transfer_residuals(cp, 0.4, x, y, t)) == {
+        "kernel_one", "kernel_two", "dual_kernel_one", "dual_kernel_two", "eigen_one",
+        "eigen_two", "transfer_plus", "transfer_minus", "dual_transfer_plus",
+        "dual_transfer_minus"}
+
+
 def test_product_maps_reject_pole_proximity():
     with pytest.raises(PoleAtKappa):
         darboux_map_products(SolitonConfig("p_type", KP), "plus", 0.5, 0.4)

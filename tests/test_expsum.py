@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kplab.expsum import Carried, ExpSum, Rational, log_derivatives, sum_residual
+from kplab.expsum import ExpSum, Rational, log_derivatives, sum_residual
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
 G2 = (2.0 + 0j, 4.0 + 0j, -8.0 + 0j)
@@ -153,22 +153,3 @@ def test_rational_product_merges_identical_base():
     prod = a * a
     assert prod.den.bases[0][1] == 2
     assert len(prod.den.bases) == 1
-
-
-# ----- Carried primitives -----
-
-
-def test_carried_closure_under_dx_dy():
-    phase = ExpSum.exponential(1.0, G2)  # d/dx picks up factor 2
-    f = Carried(Rational(phase), xprim=Rational(phase * 0.5), ydxinv=Rational(phase * 2.0))
-    x, y, t = 0.4, -0.3, 0.2
-    fx = f.dx()
-    assert abs(fx.value.eval(x, y, t) - 2.0 * phase.eval(x, y, t)) < 1e-14
-    assert abs(fx.xprim.eval(x, y, t) - phase.eval(x, y, t)) < 1e-14
-    # after d/dx the carried dx^{-1} dy must be dy of the original value
-    assert abs(fx.ydxinv.eval(x, y, t) - 4.0 * phase.eval(x, y, t)) < 1e-13
-    fy = f.dy()
-    assert abs(fy.value.eval(x, y, t) - 4.0 * phase.eval(x, y, t)) < 1e-13
-    assert abs(fy.xprim.eval(x, y, t) - 2.0 * phase.eval(x, y, t)) < 1e-13
-    combo = 2.0 * f - f
-    assert abs(combo.value.eval(x, y, t) - phase.eval(x, y, t)) < 1e-14

@@ -182,6 +182,13 @@ def test_green_kernel_checks(level, eta):
         assert val < 1e-11, (level, eta, key, val)
 
 
+@pytest.mark.parametrize("eta", [0.35, 1.2])
+def test_completeness_reported_only_where_computed(eta):
+    # the vacuum has no discrete phases, so level 0 has nothing to pair
+    assert "completeness" not in green_kernel_checks(KP, 0, eta, seed=3)
+    assert green_kernel_checks(KP, 1, eta, seed=3)["completeness"] < 1e-11
+
+
 def test_green_kernel_level_is_validated():
     with pytest.raises(ValueError):
         green_kernel_checks(KP, 2, 0.3)
