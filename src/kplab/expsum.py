@@ -44,6 +44,14 @@ def _remap(key: tuple[int, ...], mapping: Sequence[int], width: int) -> tuple[in
     return tuple(out)
 
 
+def _points(x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(3, N) float stack of the broadcast point set, and its shape."""
+    x, y, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float),
+                                  np.asarray(t, dtype=float))
+    return np.stack([x.ravel(), y.ravel(), t.ravel()]), x.shape
+
+
 class ExpSum:
     """Finite exponential sum with exact phase-lattice merging."""
 
@@ -201,13 +209,8 @@ class ExpSum:
 
     def _exponents(self, x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
         """Exponent matrix (terms x points) on the broadcast point set."""
-        x, y, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                      np.asarray(y, dtype=float),
-                                      np.asarray(t, dtype=float))
-        shape = x.shape
-        pts = np.stack([x.ravel(), y.ravel(), t.ravel()])  # (3, N)
-        ph = self.phase_matrix()  # (terms, 3)
-        return ph @ pts.astype(complex), shape
+        pts, shape = _points(x, y, t)
+        return self.phase_matrix() @ pts.astype(complex), shape
 
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Return (m, s) with value = s * exp(m) and max real exponent m.
@@ -238,50 +241,90 @@ def multi_indices(orders: tuple[int, int, int]):
     return out
 
 
-def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t) -> dict[tuple[int, int, int], np.ndarray]:
-    """All mixed partials of log tau up to `orders`, on broadcast points.
+def _downward_closure(orders: tuple[int, int, int], only) -> list[tuple[int, int, int]]:
+    """Multi-indices of the `orders` box lying below some entry of `only`."""
+    box = multi_indices(orders)
+    if only is None:
+        return box
+    wanted = [tuple(gamma) for gamma in only]
+    if not wanted:
+        raise ValueError("only names no partial")
+    for gamma in wanted:
+        if len(gamma) != 3 or not all(0 <= gamma[a] <= orders[a] for a in range(3)):
+            raise ValueError(f"partial {gamma} lies outside the box {tuple(orders)}")
+    return [g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in wanted)]
+
+
+def _recursion_plan(idx):
+    """(gamma, [(weight, delta, gamma - delta)]) for each gamma of idx past (0,0,0).
+
+    gamma is split as beta + one unit step on its first nonzero axis; delta
+    runs over the nonzero multi-indices below beta with binomial weights.
+    Every delta and gamma - delta lies below gamma, so a downward-closed idx
+    holds them all.
+    """
+    plan = []
+    for gamma in idx[1:]:
+        axis = next(a for a in range(3) if gamma[a] > 0)
+        beta = tuple(g - (a == axis) for a, g in enumerate(gamma))
+        steps = [(comb(beta[0], delta[0]) * comb(beta[1], delta[1]) * comb(beta[2], delta[2]),
+                  delta, tuple(gamma[a] - delta[a] for a in range(3)))
+                 for delta in multi_indices(beta)[1:]]
+        plan.append((gamma, steps))
+    return plan
+
+
+def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
+                    *, only=None) -> dict[tuple[int, int, int], np.ndarray]:
+    """Mixed partials of log tau up to `orders`, on broadcast points.
 
     Points are grouped by which term carries the largest real exponent and
     all phases are recentered around that term before the quotient
     recursion runs.  That keeps the arithmetic overflow-free anywhere and,
     because the dominant term then has phase zero, leaves no large
     cancelling phase powers where a single exponential dominates.
-    Returns arrays shaped like the broadcast of (x, y, t); the (0,0,0)
-    entry is log tau itself.
+
+    `only`, when given, lists the partials the caller reads; each must lie
+    in the `orders` box, else ValueError.  Then only their downward
+    closure (every multi-index below some entry) is computed and returned.
+    The recursion reads nothing outside that closure, so each value is the
+    one the full box gives for the same key.
+
+    When tau's phases and coefficients are real, the partials of order
+    >= 1 are computed and returned in float64; otherwise in complex128.
+    The (0,0,0) entry is always complex: the principal log of the
+    recentered sum plus the dominant exponent, so exp of it is tau, and a
+    real tau < 0 gives log|tau| + i pi.  Returns arrays shaped like the
+    broadcast of (x, y, t).
     """
     if tau.is_zero():
         raise ZeroDivisionError("log derivative of the zero sum")
-    ex, shape = tau._exponents(x, y, t)
-    npts = ex.shape[1]
+    idx = _downward_closure(orders, only)
+    plan = _recursion_plan(idx)
     ph = tau.phase_matrix()  # (terms, 3)
     coeff = tau.coeff_vector()
-    idx = multi_indices(orders)
-    out = {gamma: np.empty(npts, dtype=complex) for gamma in idx}
+    pts, shape = _points(x, y, t)
+    if not (ph.imag.any() or coeff.imag.any()):
+        ph, coeff = ph.real, coeff.real
+    ex = ph @ pts.astype(ph.dtype)
+    npts = ex.shape[1]
+    out = {gamma: np.empty(npts, dtype=ph.dtype) for gamma in idx}
+    out[(0, 0, 0)] = np.empty(npts, dtype=complex)
     dom = np.argmax(ex.real, axis=0) if len(coeff) > 1 else np.zeros(npts, dtype=int)
     for d in np.unique(dom):
         cols = np.nonzero(dom == d)[0]
         q = ph - ph[d]  # dominant term recentered to phase zero
         w = np.exp(ex[:, cols] - ex[d, cols])
-        cmat = np.empty((len(idx), len(coeff)), dtype=complex)
-        for row, (i, j, k) in enumerate(idx):
-            cmat[row] = coeff * q[:, 0] ** i * q[:, 1] ** j * q[:, 2] ** k
-        svals = cmat @ w
-        spart = {g: svals[row] for row, g in enumerate(idx)}
+        # one vector-matrix product per partial: a matrix product over all
+        # rows may round a row differently with the row count, and `only`
+        # must not change any value
+        spart = {(i, j, k): (coeff * q[:, 0] ** i * q[:, 1] ** j * q[:, 2] ** k) @ w
+                 for i, j, k in idx}
         s0 = spart[(0, 0, 0)]
-        g: dict[tuple[int, int, int], np.ndarray] = {(0, 0, 0): np.log(s0) + ex[d, cols]}
-        for gamma in idx:
-            if gamma == (0, 0, 0):
-                continue
-            axis = next(a for a in range(3) if gamma[a] > 0)
-            beta = list(gamma)
-            beta[axis] -= 1
-            beta = tuple(beta)
+        g = {(0, 0, 0): np.log(s0.astype(complex)) + ex[d, cols]}
+        for gamma, steps in plan:
             acc = spart[gamma].copy()
-            for delta in multi_indices(beta):
-                if delta == (0, 0, 0):
-                    continue
-                rest = tuple(gamma[a] - delta[a] for a in range(3))
-                weight = comb(beta[0], delta[0]) * comb(beta[1], delta[1]) * comb(beta[2], delta[2])
+            for weight, delta, rest in steps:
                 acc -= weight * spart[delta] * g[rest]
             g[gamma] = acc / s0
         # first derivatives regain the recentering slope

@@ -1,7 +1,10 @@
 """Exactness and stability checks for the exponential-sum engine."""
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
+import pytest
 
 from kplab.expsum import ExpSum, Rational, log_derivatives, sum_residual
 
@@ -88,6 +91,66 @@ def test_log_derivatives_against_quotient_expansion():
     }
     for key, val in expect.items():
         assert np.max(np.abs(g[key] - val)) < 1e-11, key
+
+
+def _mixed_tau():
+    """The real tau of the quotient-expansion test, and one with complex phases."""
+    real = (ExpSum.exponential(0.9, G1) + ExpSum.exponential(1.4, G2)
+            + ExpSum.exponential(0.33, G3) + ExpSum.constant(0.5))
+    cplx = real + ExpSum.exponential(0.7, (0.4 + 1.1j, -0.3 + 0.5j, 0.2 - 0.6j))
+    return real, cplx
+
+
+def test_only_returns_the_closure_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x, y, t = _pts(rng, n=60, span=4.0)
+    orders = (4, 2, 2)
+    box = set(product(range(5), range(3), range(3)))
+    sets = ([(2, 0, 0)], [(1, 2, 0), (3, 0, 1)], [(0, 0, 2), (4, 0, 0)],
+            [(2, 0, 0), (3, 0, 0), (4, 0, 0), (3, 0, 1), (2, 2, 0)], [orders])
+    for tau in _mixed_tau():
+        full = log_derivatives(tau, orders, x, y, t)
+        assert set(full) == box
+        for only in sets:
+            got = log_derivatives(tau, orders, x, y, t, only=only)
+            closure = {g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in only)}
+            assert set(got) == closure, only
+            for key, val in got.items():
+                assert val.dtype == full[key].dtype
+                assert np.array_equal(val, full[key]), (only, key)
+
+
+def test_only_outside_the_box_is_rejected():
+    tau = _mixed_tau()[0]
+    for only in ([(5, 0, 0)], [(2, 0, 0), (0, 3, 0)], [(0, 0, 3)], [(-1, 0, 0)], []):
+        with pytest.raises(ValueError):
+            log_derivatives(tau, (4, 2, 2), 0.1, 0.2, 0.3, only=only)
+
+
+def test_real_tau_runs_in_float64_and_agrees_with_rotated_tau():
+    rng = np.random.default_rng(19)
+    x, y, t = _pts(rng, n=50, span=4.0)
+    tau = _mixed_tau()[0]
+    g = log_derivatives(tau, (3, 2, 1), x, y, t)
+    h = log_derivatives(1j * tau, (3, 2, 1), x, y, t)
+    assert g[(0, 0, 0)].dtype == h[(0, 0, 0)].dtype == np.complex128
+    for key in g:
+        if key == (0, 0, 0):
+            continue
+        assert g[key].dtype == np.float64, key
+        assert h[key].dtype == np.complex128, key
+        # log(i tau) - log(tau) is constant, so every partial agrees
+        assert np.max(np.abs(h[key] - g[key])) <= 1e-12 * np.max(np.abs(g[key])), key
+
+
+def test_log_value_of_real_tau_that_changes_sign():
+    tau = ExpSum.exponential(1.0, (1.0 + 0j, 0j, 0j)) - 2.0
+    x = np.array([-1.0, 0.0, 0.3, 1.0])
+    g = log_derivatives(tau, (1, 0, 0), x, 0.0, 0.0)
+    assert np.all(np.isfinite(g[(0, 0, 0)]))
+    assert np.max(np.abs(np.exp(g[(0, 0, 0)]) - (np.exp(x) - 2.0))) < 1e-14
+    assert abs(g[(0, 0, 0)][1] - 1j * np.pi) < 1e-15
+    assert np.max(np.abs(g[(1, 0, 0)] - np.exp(x) / (np.exp(x) - 2.0))) < 1e-13
 
 
 def test_log_value_entry():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kplab.errors import DegenerateFrame, InvalidBranch, RejectedConfig
@@ -147,6 +147,23 @@ def test_field_equation_residual_both_types():
         t = rng.uniform(-2, 2, 200)
         res, scale = fld.kpii_residual(x, y, t)
         assert np.max(res / scale) < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4, unique=True),
+       st.sampled_from(["p_type", "o_type"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_field_equation_residual_over_kappa(raw, kind, seed):
+    kappa = tuple(sorted(raw))
+    assume(min(b - a for a, b in zip(kappa, kappa[1:])) >= 0.1)
+    fld = SolitonConfig(kind, kappa).field()
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-8, 8, (2, 200))
+    t = rng.uniform(-2, 2, 200)
+    res, scale = fld.kpii_residual(x, y, t)
+    rel = res / scale
+    assert np.all(np.isfinite(rel))
+    assert np.max(rel) < 1e-9
 
 
 def test_residual_detects_broken_coefficient():
