@@ -20,7 +20,7 @@ identity check.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -410,12 +410,14 @@ def flow_intertwining_residual(data: MiuraData, sign: int, wave: Carried,
 # ----- level maps on wave-dual products -----
 
 
-def _level_steps(config: SolitonConfig) -> list[tuple[str, JostFamily, JostFamily, MiuraData]]:
+@lru_cache(maxsize=None)
+def _level_steps(config: SolitonConfig) -> tuple[tuple[str, JostFamily, JostFamily, MiuraData], ...]:
     """(label, lower family, upper family, MiuraData) for each adjacent step.
 
     The p_type chain climbs vacuum -> line (2, 3) -> p_type and lists its
     top step first; the o_type chain reaches the two-line level from the
-    line of each channel.
+    line of each channel.  Each chain is built once per configuration and
+    shared by every family that reads it.
     """
     if config.kind not in ("p_type", "o_type"):
         raise ConfigMismatch(
@@ -426,11 +428,11 @@ def _level_steps(config: SolitonConfig) -> list[tuple[str, JostFamily, JostFamil
         for i, j in config.channel_pairs():
             line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(i, j)))
             steps.append((f"ch{i}{j}", line, top, MiuraData(line.tau, top.tau)))
-        return steps
+        return tuple(steps)
     line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(2, 3)))
     vacuum = JostFamily(SolitonConfig("vacuum", ()))
-    return [("two", line, top, MiuraData(line.tau, top.tau)),
-            ("one", vacuum, line, MiuraData(None, line.tau))]
+    return (("two", line, top, MiuraData(line.tau, top.tau)),
+            ("one", vacuum, line, MiuraData(None, line.tau)))
 
 
 def darboux_map_products(config: SolitonConfig, direction: str,
@@ -694,7 +696,7 @@ class OneDimDarboux:
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
-                 window: int | None = None, per_unit: int = 32):
+                 window: int | None = None):
         if c <= 0:
             raise InvalidBranch(f"channel gap c must be positive, got {c}")
         if alpha < 0:
@@ -707,11 +709,10 @@ class OneDimDarboux:
         if window is None:
             window = int(np.clip(np.ceil(38.0 / self.root), 12, 160))
         self.window = int(window)
-        self.per_unit = int(per_unit)
 
     @cached_property
     def grid(self) -> PanelGrid:
-        return PanelGrid(-self.window, self.window, self.per_unit)
+        return PanelGrid(-self.window, self.window)
 
     @cached_property
     def psi(self) -> TanhExp:

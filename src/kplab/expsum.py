@@ -80,10 +80,6 @@ class ExpSum:
 
     # ----- structure -----
 
-    @property
-    def nterms(self) -> int:
-        return len(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -162,18 +158,6 @@ class ExpSum:
         if isinstance(other, (int, float, complex)):
             return self * (1.0 / other)
         return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not exponential sums")
-        out = ExpSum.constant(1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # ----- calculus -----
 
@@ -361,8 +345,8 @@ class _Denom:
     def bump_all(self) -> "_Denom":
         return _Denom(tuple((b, p + 1) for b, p in self.bases))
 
-    def append(self, base: ExpSum, power: int = 1) -> "_Denom":
-        return self.mul(_Denom(((base, power),)))
+    def append(self, base: ExpSum) -> "_Denom":
+        return self.mul(_Denom(((base, 1),)))
 
 
 class Rational:
@@ -472,9 +456,6 @@ class Rational:
         if isinstance(other, ExpSum):
             return Rational(self.num, self.den.append(other))
         return NotImplemented
-
-    def div_base(self, base: ExpSum, power: int = 1) -> "Rational":
-        return Rational(self.num, self.den.append(base, power))
 
     # -- calculus --
 

@@ -117,7 +117,7 @@ class TanhExp:
 
     __rmul__ = __mul__
 
-    # -- calculus and symmetries --
+    # -- calculus --
 
     def d(self) -> "TanhExp":
         """Derivative in z; closed because d tanh = s sech^2, d sech = -s sech tanh."""
@@ -130,18 +130,6 @@ class TanhExp:
                 _put(acc, m + 1, p, mu, -c * p * s)
             if mu != 0:
                 _put(acc, m, p, mu, c * mu)
-        return TanhExp(self.rate, acc)
-
-    def reflect(self) -> "TanhExp":
-        acc: dict = {}
-        for (m, p, mu), c in self.terms.items():
-            _put(acc, m, p, -mu, c * (-1.0) ** m)
-        return TanhExp(self.rate, acc)
-
-    def conjugate(self) -> "TanhExp":
-        acc: dict = {}
-        for (m, p, mu), c in self.terms.items():
-            _put(acc, m, p, np.conj(mu), np.conj(c))
         return TanhExp(self.rate, acc)
 
     # -- evaluation --
@@ -204,15 +192,17 @@ class Profile1D:
 
 # ----- composite Gauss-Legendre panels -----
 
-_SUB_ORDER = 16
-
 
 class PanelGrid:
-    """Unit-length Gauss-Legendre panels with per-panel Legendre calculus.
+    """Unit-length Gauss-Legendre panels with a fixed matrix per operation.
 
-    Derivatives, antiderivatives, and off-node evaluation all go through
-    the panel Legendre coefficients, so sampled smooth functions keep
-    spectral accuracy end to end.
+    Every unit panel carries the same node offsets, so each panel operation
+    is one (order x order) matrix applied to the (npan, order) reshape of
+    the node samples.  The grid builds, once, the derivative matrix of the
+    panel interpolant and the Lagrange basis of that interpolant at the
+    panel's own Gauss rule mapped onto [left edge, node] for every node;
+    the weighted cumulatives contract the latter with their exponential.
+    Sampled smooth functions keep spectral accuracy end to end.
     """
 
     def __init__(self, lo: int, hi: int, per_unit: int = 32):
@@ -224,58 +214,35 @@ class PanelGrid:
         self.npan = hi - lo
         xg, wg = npleg.leggauss(self.order)
         self.edges = lo + np.arange(self.npan + 1, dtype=float)
-        self.half = 0.5
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.z = (mids[:, None] + self.half * xg[None, :]).ravel()
-        self.w = np.tile(self.half * wg, self.npan)
-        self._xg = xg
-        vand = npleg.legvander(xg, self.order - 1)
-        self._to_coef = np.linalg.inv(vand)
-        self._sub_x, self._sub_w = npleg.leggauss(_SUB_ORDER)
+        self.z = (mids[:, None] + 0.5 * xg[None, :]).ravel()
+        self.w = np.tile(0.5 * wg, self.npan)
+        # node offsets from the left edge and weights of one unit panel
+        self.offsets = 0.5 * (xg + 1.0)
+        self.unit_w = 0.5 * wg
+        to_coef = np.linalg.inv(npleg.legvander(xg, self.order - 1))
+        slope = npleg.legval(xg, npleg.legder(np.eye(self.order))).T
+        self._deriv = 2.0 * slope @ to_coef
+        # basis[i, j, m]: node m's Lagrange polynomial at offsets[i] * offsets[j]
+        sub = np.outer(self.offsets, self.offsets)
+        self._basis = npleg.legvander(2.0 * sub - 1.0, self.order - 1) @ to_coef
 
-    # -- panel Legendre plumbing --
-
-    def coeffs(self, vals) -> np.ndarray:
-        vals = np.asarray(vals, dtype=complex).reshape(self.npan, self.order)
-        return vals @ self._to_coef.T
-
-    def _panel_of(self, zq) -> np.ndarray:
-        idx = np.searchsorted(self.edges, zq, side="right") - 1
-        return np.clip(idx, 0, self.npan - 1)
-
-    def eval_coeffs(self, coef, zq):
-        zq = np.asarray(zq, dtype=float)
-        idx = self._panel_of(zq)
-        out = np.empty(zq.shape, dtype=complex)
-        for k in np.unique(idx):
-            sel = idx == k
-            xi = (zq[sel] - 0.5 * (self.edges[k] + self.edges[k + 1])) / self.half
-            out[sel] = npleg.legval(xi, coef[k])
-        return out
+    def _panels(self, vals) -> np.ndarray:
+        vals = np.asarray(vals, dtype=complex)
+        if vals.shape != self.z.shape:
+            raise ConfigMismatch(
+                f"sampled input has shape {vals.shape}, grid has {self.z.shape}")
+        return vals.reshape(self.npan, self.order)
 
     def derivative(self, vals) -> np.ndarray:
-        coef = self.coeffs(vals)
-        out = np.empty((self.npan, self.order), dtype=complex)
-        for k in range(self.npan):
-            dcoef = npleg.legder(coef[k]) / self.half
-            out[k] = npleg.legval(self._xg, dcoef)
-        return out.ravel()
+        return (self._panels(vals) @ self._deriv.T).ravel()
 
     def antiderivative(self, vals) -> np.ndarray:
         """Primitive vanishing at the right edge: -integral from z to hi."""
-        coef = self.coeffs(vals)
-        prim = np.empty((self.npan, self.order), dtype=complex)
-        totals = np.empty(self.npan, dtype=complex)
-        for k in range(self.npan):
-            icoef = npleg.legint(coef[k]) * self.half
-            base = npleg.legval(-1.0, icoef)
-            prim[k] = npleg.legval(self._xg, icoef) - base
-            totals[k] = npleg.legval(1.0, icoef) - base
-        tail = np.concatenate([np.cumsum(totals[::-1])[::-1][1:], [0.0]])
-        return (prim - totals[:, None] - tail[:, None]).ravel()
+        return -exp_cumulative(self, vals, 0.0, "right")
 
     def integral(self, vals) -> complex:
-        return complex(np.dot(self.w, np.asarray(vals, dtype=complex)))
+        return complex(np.dot(self.w, self._panels(vals).ravel()))
 
 
 # ----- exponentially weighted cumulatives -----
@@ -289,66 +256,42 @@ def _exp_guard(q: complex, span: float) -> None:
         )
 
 
+def _left_sweep(grid: PanelGrid, g: np.ndarray, q: complex) -> np.ndarray:
+    """Integral over [lo, z] with kernel e^{q (z' - z)} of panel samples g."""
+    off, w = grid.offsets, grid.unit_w
+    # each panel's integral weighted to its right edge
+    totals = g @ (w * np.exp(q * (off - 1.0)))
+    # edge_acc[k]: integral over [lo, edges[k]] weighted to edges[k]
+    # a scalar carry: a closed-form cumsum of powers of e^{-q} would overflow
+    edge_acc = np.empty(grid.npan, dtype=complex)
+    acc = 0j
+    step = np.exp(-q)  # panel length is one
+    for k in range(grid.npan):
+        edge_acc[k] = acc
+        acc = acc * step + totals[k]
+    carried = edge_acc[:, None] * np.exp(-q * off)[None, :]
+    # local[i, m]: weight of sample m in the integral over [edge, edge + off[i]]
+    kernel = off[:, None] * w[None, :] * np.exp(q * off[:, None] * (off[None, :] - 1.0))
+    local = np.einsum("ij,ijm->im", kernel, grid._basis)
+    return carried + g @ local.T
+
+
 def exp_cumulative(grid: PanelGrid, vals, q: complex, side: str) -> np.ndarray:
     """At each node z return the weighted integral with kernel e^{q (z' - z)}.
 
-    side "left" integrates z' over [lo, z]; side "right" over [z, hi].
-    Every exponential is evaluated relative to the output point, so the
-    only growth that can appear is growth present in the true integral.
+    side "left" integrates z' over [lo, z]; side "right" over [z, hi], which
+    is the left integral of the mirrored samples with -q, since the Gauss
+    nodes are symmetric in each panel.  Every exponential is evaluated
+    relative to the output point, so the only growth that can appear is
+    growth present in the true integral.
     """
-    vals = np.asarray(vals, dtype=complex)
+    g = grid._panels(vals)
     q = complex(q)
     _exp_guard(q, grid.hi - grid.lo)
-    coef = grid.coeffs(vals)
-    g = vals.reshape(grid.npan, grid.order)
-    zg = grid.z.reshape(grid.npan, grid.order)
-    wg = grid.w.reshape(grid.npan, grid.order)
-    out = np.empty((grid.npan, grid.order), dtype=complex)
-    sx, sw = grid._sub_x, grid._sub_w
-    step = np.exp(-q)  # panel length is one
-
     if side == "left":
-        # edge_acc[k]: integral over [lo, edges[k]] weighted to edges[k]
-        edge_acc = np.empty(grid.npan, dtype=complex)
-        acc = 0j
-        for k in range(grid.npan):
-            edge_acc[k] = acc
-            panel = np.sum(wg[k] * np.exp(q * (zg[k] - grid.edges[k + 1])) * g[k])
-            acc = acc * step + panel
-        for k in range(grid.npan):
-            zi = zg[k]
-            carried = edge_acc[k] * np.exp(q * (grid.edges[k] - zi))
-            lengths = zi - grid.edges[k]
-            zsub = grid.edges[k] + lengths[:, None] * (sx[None, :] + 1.0) / 2.0
-            gsub = grid.eval_coeffs(coef, zsub.ravel()).reshape(zsub.shape)
-            local = np.sum(
-                (lengths[:, None] / 2.0) * sw[None, :] * np.exp(q * (zsub - zi[:, None])) * gsub,
-                axis=1,
-            )
-            out[k] = carried + local
-        return out.ravel()
-
+        return _left_sweep(grid, g, q).ravel()
     if side == "right":
-        # edge_acc[k]: integral over [edges[k+1], hi] weighted to edges[k+1]
-        edge_acc = np.empty(grid.npan, dtype=complex)
-        acc = 0j
-        for k in range(grid.npan - 1, -1, -1):
-            edge_acc[k] = acc
-            panel = np.sum(wg[k] * np.exp(q * (zg[k] - grid.edges[k])) * g[k])
-            acc = acc / step + panel
-        for k in range(grid.npan):
-            zi = zg[k]
-            carried = edge_acc[k] * np.exp(q * (grid.edges[k + 1] - zi))
-            lengths = grid.edges[k + 1] - zi
-            zsub = zi[:, None] + lengths[:, None] * (sx[None, :] + 1.0) / 2.0
-            gsub = grid.eval_coeffs(coef, zsub.ravel()).reshape(zsub.shape)
-            local = np.sum(
-                (lengths[:, None] / 2.0) * sw[None, :] * np.exp(q * (zsub - zi[:, None])) * gsub,
-                axis=1,
-            )
-            out[k] = carried + local
-        return out.ravel()
-
+        return _left_sweep(grid, g[::-1, ::-1], -q)[::-1, ::-1].ravel()
     raise ConfigMismatch(f"unknown cumulative side {side!r}")
 
 

@@ -34,14 +34,9 @@ def test_difference_of_squares_cancels_exactly():
     a = ExpSum.exponential(1.0, G1)
     b = ExpSum.exponential(1.0, G2)
     prod = (a - b) * (a + b)
-    assert prod.nterms == 2
+    assert len(prod.terms) == 2
     baseline = a * a - b * b
     assert (prod - baseline).is_zero()
-
-
-def test_pow_matches_repeated_product():
-    s = ExpSum.exponential(1.5, G1) + ExpSum.exponential(-0.5, G2)
-    assert ((s ** 5) - (s * s * s * s * s)).is_zero()
 
 
 def test_derivatives_match_finite_differences():
@@ -203,7 +198,7 @@ def test_rational_sum_over_shared_bases():
     rng = np.random.default_rng(9)
     tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
     a = Rational.from_quotient(ExpSum.constant(2.0), tau)
-    b = Rational(ExpSum.exponential(1.0, G2)).div_base(tau).div_base(tau)
+    b = Rational(ExpSum.exponential(1.0, G2)) / tau / tau
     x, y, t = _pts(rng, n=8, span=1.0)
     combo = a + b - 0.5
     direct = a.eval(x, y, t) + b.eval(x, y, t) - 0.5

@@ -40,12 +40,6 @@ def test_derivative_matches_difference_quotient():
     assert np.max(np.abs(exact - numeric)) < 1e-7 * np.max(np.abs(exact))
 
 
-def test_reflection_and_conjugation():
-    f = TanhExp.term(0.9, 0.5 - 0.2j, 1, 2, 0.3j) + TanhExp.tanh(0.9, 2.0)
-    assert np.max(np.abs(f.reflect().eval(ZS) - f.eval(-ZS))) < 1e-13
-    assert np.max(np.abs(f.conjugate().eval(ZS) - np.conj(f.eval(ZS)))) < 1e-13
-
-
 def test_rate_mismatch_rejected():
     with pytest.raises(ConfigMismatch):
         TanhExp.tanh(0.5) + TanhExp.tanh(0.6)
@@ -86,8 +80,9 @@ def test_grid_integral_and_derivative():
     assert np.max(np.abs(dv - np.cos(grid.z))) < 1e-9
 
 
-def test_grid_antiderivative_decays_on_the_right():
-    grid = PanelGrid(-20, 20, per_unit=16)
+@pytest.mark.parametrize("per_unit", [16, 48])
+def test_grid_antiderivative_decays_on_the_right(per_unit):
+    grid = PanelGrid(-20, 20, per_unit=per_unit)
     vals = 1.0 / np.cosh(0.75 * grid.z) ** 2
     got = grid.antiderivative(vals)
     expected = (np.tanh(0.75 * grid.z) - np.tanh(15.0)) / 0.75
@@ -99,7 +94,7 @@ def test_grid_needs_two_panels():
         PanelGrid(0, 1)
 
 
-@pytest.mark.parametrize("q", [0.7, 0.7 + 0.2j])
+@pytest.mark.parametrize("q", [0.7, 0.7 + 0.2j, -0.7, 0.4j])
 def test_weighted_cumulative_matches_closed_form(q):
     a = -0.3
     grid = PanelGrid(-12, 12, per_unit=16)
@@ -125,6 +120,15 @@ def test_based_cumulative_needs_edge_base():
     grid = PanelGrid(-4, 4)
     with pytest.raises(ConfigMismatch):
         based_cumulative(grid, np.zeros_like(grid.z), 0.5, base=0.25)
+
+
+def test_mis_sized_samples_rejected():
+    grid = PanelGrid(-4, 4, per_unit=8)
+    short = np.ones(grid.z.size - 1)
+    for apply in (grid.derivative, grid.antiderivative, grid.integral,
+                  lambda v: exp_cumulative(grid, v, 0.5, "left")):
+        with pytest.raises(ConfigMismatch):
+            apply(short)
 
 
 def test_cumulative_side_validated():
