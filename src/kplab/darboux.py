@@ -31,16 +31,15 @@ from .errors import (
     ConfigMismatch,
     InadmissibleEta,
     InvalidBranch,
-    MissingPrimitive,
     OrthogonalityViolation,
     PoleAtKappa,
     RegionViolation,
 )
-from .expsum import Carried, ExpSum, Rational, sum_residual
-from .jost import JostFamily, pair_product
+from .expsum import Carried, ExpSum, Rational, worst_residual
+from .jost import JostFamily, flow_parts, heat_parts, linearized_parts, pair_product
 from .solitons import (SolitonConfig, build_tau, potential, potential_yprim, theta_gens,
                        wronskian_tau)
-from .tanhexp import PanelGrid, Profile1D, TanhExp, based_cumulative, exp_cumulative
+from .tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
 
 
 # ----- sampling and residual plumbing -----
@@ -53,14 +52,8 @@ def sample_points(seed: int = 7, n: int = 20,
     return tuple(rng.uniform(-s, s, n) for s in spread)
 
 
-def _parts_residual(parts, *pts) -> float:
-    """Worst pointwise |sum of parts| over the largest part; pts is (x, y, t) or z."""
-    res, scale = sum_residual(p.eval(*pts) for p in parts)
-    return float(np.max(res / scale))
-
-
 def _identity_residual(lhs, rhs, *pts) -> float:
-    return _parts_residual(list(lhs) + [-1.0 * p for p in rhs], *pts)
+    return worst_residual(list(lhs) + [-1.0 * p for p in rhs], *pts)
 
 
 def _check_poles(kappa: tuple[float, ...], *betas) -> None:
@@ -129,7 +122,7 @@ def backlund_residual(tau1: ExpSum, tau2: ExpSum, x, y, t) -> tuple[float, float
         3.0 * (t1xx * t2x),
         -1.0 * (tau2 * t1xx.dx()),
     ]
-    return _parts_residual(xparts, x, y, t), _parts_residual(tparts, x, y, t)
+    return worst_residual(xparts, x, y, t), worst_residual(tparts, x, y, t)
 
 
 def backlund_catalog() -> list[tuple[str, ExpSum, ExpSum]]:
@@ -243,8 +236,8 @@ class MiuraData:
             "map_minus": [-1.0 * v.dx(), vy, -1.0 * vsq, -1.0 * u1],
             "base_plus": [base.v.dx(), base.vy, -1.0 * bsq, -1.0 * base.u2],
             "base_minus": [-1.0 * base.v.dx(), base.vy, -1.0 * bsq],
-            "heat_up": [h.dy(), -1.0 * h.dx().dx(), -1.0 * (u1 * h)],
-            "heat_down": [hinv.dx().dx(), hinv.dy(), u2 * hinv],
+            "heat_up": heat_parts(u1, h, star=False),
+            "heat_down": heat_parts(u2, hinv, star=True),
             "flow": [4.0 * v.dt(), v.dx().dx().dx(), 3.0 * vy.dy(),
                      -6.0 * (vsq * v.dx()), 6.0 * (v.dx() * vy)],
             "mixed_plus": [3.0 * self.u2y, 4.0 * vt, v.dx().dx(), 6.0 * (u2 * v),
@@ -262,7 +255,7 @@ class MiuraData:
                         3.0 * (h * self.u1y), 6.0 * (h * (v * u2)),
                         4.0 * (h * (vsq * v))],
         }
-        return {name: _parts_residual(parts, x, y, t) for name, parts in out.items()}
+        return {name: worst_residual(parts, x, y, t) for name, parts in out.items()}
 
 
 # ----- first-order level transforms -----
@@ -273,7 +266,7 @@ class LinearDarboux:
 
     The nonlocal term is read off the carried data: an explicit dx^{-1}dy
     when present, else dy of the carried x-primitive.  The formal adjoint
-    is the transform with the opposite sign, returned by `star`.
+    is the transform with the opposite sign.
     """
 
     def __init__(self, v: Rational, sign: int):
@@ -283,20 +276,9 @@ class LinearDarboux:
         self.sign = sign
 
     def parts(self, wave: Carried) -> list[Rational]:
-        ydx = wave.ydxinv
-        if ydx is None:
-            if wave.xprim is None:
-                raise MissingPrimitive(
-                    "carried wave has neither dx^{-1}dy nor an x-primitive")
-            ydx = wave.xprim.dy()
+        """[sign * dx wave, dx^{-1}dy wave, -2 v wave]."""
+        ydx = wave.ydxinv if wave.ydxinv is not None else wave.prim().dy()
         return [float(self.sign) * wave.value.dx(), ydx, -2.0 * (self.v * wave.value)]
-
-    def apply(self, wave: Carried, x, y, t) -> np.ndarray:
-        vals = [p.eval(x, y, t) for p in self.parts(wave)]
-        return vals[0] + vals[1] + vals[2]
-
-    def star(self) -> "LinearDarboux":
-        return LinearDarboux(self.v, -self.sign)
 
 
 def carried_from_primitive(prim: Rational) -> Carried:
@@ -305,23 +287,6 @@ def carried_from_primitive(prim: Rational) -> Carried:
 
 
 # ----- conjugation routes -----
-
-
-def _heat_parts(u: Rational | None, g: Rational, star: bool) -> list[Rational]:
-    # forward heat operator -dy + dx^2 + u, or its adjoint dy + dx^2 + u
-    parts = [g.dy() if star else -1.0 * g.dy(), g.dx().dx()]
-    if u is not None:
-        parts.append(u * g)
-    return parts
-
-
-def _flow_parts(u: Rational, uy: Rational, g: Rational, star: bool) -> list[Rational]:
-    # flow operator 4 dt + 4 dx^3 + 6 u dx + 3 u_x + 3 dx^{-1}dy u; the
-    # adjoint negates everything except the nonlocal coefficient
-    s = -1.0 if star else 1.0
-    gx = g.dx()
-    return [(4.0 * s) * g.dt(), (4.0 * s) * gx.dx().dx(),
-            (6.0 * s) * (u * gx), (3.0 * s) * (u.dx() * g), 3.0 * (uy * g)]
 
 
 def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> float:
@@ -342,9 +307,7 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
     if which not in range(1, 9):
         raise ValueError(f"route index must be 1..8, got {which}")
     w = wave.value
-    big_w = wave.xprim
-    if big_w is None:
-        raise MissingPrimitive("conjugation routes need an exact x-primitive")
+    big_w = wave.prim()
     if which > 4:
         data, which = MiuraData(None, data.tau1), which - 4
     v = data.v
@@ -354,22 +317,22 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
 
     if which == 1:
         lhs = LinearDarboux(v, 1).parts(wave)
-        rhs_a = [h * p for p in _heat_parts(u2, hinv * big_w, star=True)]
-        rhs_b = [h * p for p in _heat_parts(u1, hinv * w, star=True)]
+        rhs_a = [h * p for p in heat_parts(u2, hinv * big_w, star=True)]
+        rhs_b = [h * p for p in heat_parts(u1, hinv * w, star=True)]
     elif which == 2:
         lhs = LinearDarboux(v, -1).parts(wave)
-        rhs_a = [-1.0 * (hinv * p) for p in _heat_parts(u1, h * big_w, star=False)]
-        rhs_b = [-1.0 * (hinv * p) for p in _heat_parts(u2, h * w, star=False)]
+        rhs_a = [-1.0 * (hinv * p) for p in heat_parts(u1, h * big_w, star=False)]
+        rhs_b = [-1.0 * (hinv * p) for p in heat_parts(u2, h * w, star=False)]
     elif which == 3:
         lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u1 * w),
                -12.0 * (v * wx), 12.0 * (v * (v * w))]
-        rhs_a = [-1.0 * (h * p) for p in _flow_parts(u2, u2y, hinv * big_w, star=True)]
-        rhs_b = [-1.0 * (h * p) for p in _flow_parts(u1, u1y, hinv * w, star=True)]
+        rhs_a = [-1.0 * (h * p) for p in flow_parts(u2, u2y, hinv * big_w, star=True)]
+        rhs_b = [-1.0 * (h * p) for p in flow_parts(u1, u1y, hinv * w, star=True)]
     else:
         lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u2 * w),
                12.0 * (v * wx), 12.0 * (v * (v * w))]
-        rhs_a = [hinv * p for p in _flow_parts(u1, u1y, h * big_w, star=False)]
-        rhs_b = [hinv * p for p in _flow_parts(u2, u2y, h * w, star=False)]
+        rhs_a = [hinv * p for p in flow_parts(u1, u1y, h * big_w, star=False)]
+        rhs_b = [hinv * p for p in flow_parts(u2, u2y, h * w, star=False)]
 
     res_a = _identity_residual(lhs, rhs_a, x, y, t)
     res_b = _identity_residual([p.dx() for p in lhs], rhs_b, x, y, t)
@@ -388,21 +351,16 @@ def flow_intertwining_residual(data: MiuraData, sign: int, wave: Carried,
     dx applied to the linearized flow of level u_i acting on F must equal
     dx of the transform acting on G.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    u = data.u2 if sign == 1 else data.u1
     v = data.v
     parts = LinearDarboux(v, sign).parts(wave)
     big_f = parts[0] + parts[1] + parts[2]
 
-    wv = wave.value
-    ydx = wave.ydxinv if wave.ydxinv is not None else wave.xprim.dy()
+    wv, ydx = wave.value, parts[1]
     g = (4.0 * wv.dt() + wv.dx().dx().dx() + 3.0 * ydx.dy()
          - 6.0 * ((v * (v * wv)).dx()) + 6.0 * (v.dx() * ydx)
          + 6.0 * (wv.dx() * data.vy))
 
-    lhs = [4.0 * big_f.dx().dt(), big_f.dx().dx().dx().dx(),
-           6.0 * (u * big_f).dx().dx(), 3.0 * big_f.dy().dy()]
+    lhs = linearized_parts(data.u2 if sign == 1 else data.u1, big_f)
     rhs = [float(sign) * g.dx().dx(), g.dy(), -2.0 * ((v * g).dx())]
     return _identity_residual(lhs, rhs, x, y, t)
 
@@ -536,10 +494,10 @@ def level_shift_residuals(config: SolitonConfig, beta: complex,
         out["dual_step_" + label] = _identity_residual(
             [(h * dual_hi).dx()], [-1.0 * (h * dual_lo)], x, y, t)
         out["wave_heat_" + label] = _identity_residual(
-            _heat_parts(None, hinv * wave_lo, star=True),
+            heat_parts(None, hinv * wave_lo, star=True),
             [2.0 * (hinv * wave_hi.dx())], x, y, t)
         out["dual_heat_" + label] = _identity_residual(
-            _heat_parts(None, h * dual_hi, star=False),
+            heat_parts(None, h * dual_hi, star=False),
             [-2.0 * (h * dual_lo.dx())], x, y, t)
     return out
 
@@ -636,21 +594,30 @@ def mode_transfer_residuals(config: SolitonConfig, eta: complex,
 # ----- one-dimensional channel transforms -----
 
 
+def _channel_root(c: float, eta: complex) -> float:
+    """sqrt(c) of a channel with gap c > 0 and a finite frequency eta."""
+    if not (np.isfinite(c) and c > 0):
+        raise InvalidBranch(f"channel gap c must be positive and finite, got {c}")
+    if not np.isfinite(complex(eta)):
+        raise InadmissibleEta(f"transverse frequency must be finite, got {eta}")
+    return float(np.sqrt(float(c)))
+
+
 def kink_profile(c: float) -> TanhExp:
     """psi = sqrt(c) tanh(sqrt(c) z), the kink the line transforms subtract."""
     root = float(np.sqrt(c))
     return TanhExp.tanh(root, root)
 
 
-def bump_profile(c: float) -> Profile1D:
+def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
     root = float(np.sqrt(c))
     value = TanhExp.sech(root, 2)
     prim = TanhExp.tanh(root, 1.0 / root) + TanhExp.const(root, -1.0 / root)
-    return Profile1D(value, zprim=prim)
+    return Carried(value, xprim=prim)
 
 
-def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Profile1D:
+def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Carried:
     """The decaying kernel generator of the minus transform, or its mirror.
 
     The generator is d/dz of exp(-gamma z) sech(sqrt(c) z) up to a constant.
@@ -658,18 +625,16 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Pro
     decays on the right when Re gamma < sqrt(c), so outside that strip the
     mirror is rejected rather than silently carrying a growing primitive.
     """
-    if c <= 0:
-        raise InvalidBranch(f"channel gap c must be positive, got {c}")
-    root = float(np.sqrt(c))
+    root = _channel_root(c, eta)
     gam = Branch(a=0.0, c=float(c)).gamma(eta)
     if not reflected:
         prim = TanhExp.term(root, root / gam, 0, 1, -gam)
-        return Profile1D(prim.d(), zprim=prim)
+        return Carried(prim.d(), xprim=prim)
     if gam.real >= root - 1e-12:
         raise InadmissibleEta(
             f"mirrored kernel needs Re gamma < sqrt(c); got {gam.real:.6f} vs {root:.6f}")
     prim = TanhExp.term(root, -root / gam, 0, 1, gam)
-    return Profile1D(prim.d(), zprim=prim)
+    return Carried(prim.d(), xprim=prim)
 
 
 def kernel_membership(c: float, eta: complex, reflected: bool = False,
@@ -678,10 +643,7 @@ def kernel_membership(c: float, eta: complex, reflected: bool = False,
     f = minus_kernel_profile(c, eta, reflected=reflected)
     if zs is None:
         zs = np.linspace(-8.0, 8.0, 97)
-    psi = kink_profile(c)
-    parts = [-1.0 * f.value.d(), (1j * complex(eta)) * f.prim(),
-             -2.0 * (psi * f.value)]
-    return _parts_residual(parts, zs)
+    return worst_residual(OneDimDarboux(c, eta).m_parts(-1, f), zs)
 
 
 class OneDimDarboux:
@@ -697,14 +659,12 @@ class OneDimDarboux:
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
                  window: int | None = None):
-        if c <= 0:
-            raise InvalidBranch(f"channel gap c must be positive, got {c}")
+        self.root = _channel_root(c, eta)
         if alpha < 0:
             raise AlphaOutOfRange(f"weight rate must be nonnegative, got {alpha}")
         self.c = float(c)
         self.eta = complex(eta)
         self.alpha = float(alpha)
-        self.root = float(np.sqrt(self.c))
         self.branch = Branch(a=0.0, c=self.c)
         if window is None:
             window = int(np.clip(np.ceil(38.0 / self.root), 12, 160))
@@ -718,12 +678,16 @@ class OneDimDarboux:
     def psi(self) -> TanhExp:
         return kink_profile(self.c)
 
-    def m_apply(self, sign: int, f: Profile1D) -> TanhExp:
-        """Exact transform of a profile; needs the profile's antiderivative."""
+    def m_parts(self, sign: int, f: Carried) -> list[TanhExp]:
+        """Summands of the exact transform; needs the profile's antiderivative."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        return (float(sign) * f.value.d() + (1j * self.eta) * f.prim()
-                - 2.0 * (self.psi * f.value))
+        return [float(sign) * f.value.d(), (1j * self.eta) * f.prim(),
+                -2.0 * (self.psi * f.value)]
+
+    def m_apply(self, sign: int, f: Carried) -> TanhExp:
+        a, b, c = self.m_parts(sign, f)
+        return a + b + c
 
     def m_apply_sampled(self, sign: int, vals: np.ndarray) -> np.ndarray:
         """Transform of node samples via panel calculus, decaying primitive."""
@@ -736,18 +700,15 @@ class OneDimDarboux:
                 - 2.0 * self.psi.eval(g.z) * vals)
 
     def _on_grid(self, f) -> np.ndarray:
-        if isinstance(f, Profile1D):
-            return f.value.eval(self.grid.z)
+        """Node samples of a carried or bare profile, or checked samples."""
+        if isinstance(f, Carried):
+            f = f.value
         if isinstance(f, TanhExp):
             return f.eval(self.grid.z)
-        arr = np.asarray(f, dtype=complex)
-        if arr.shape != self.grid.z.shape:
-            raise ConfigMismatch(
-                f"sampled input has shape {arr.shape}, grid has {self.grid.z.shape}")
-        return arr
+        return self.grid._panels(f).ravel()
 
 
-def factorization_residuals(c: float, eta: complex, f: Profile1D,
+def factorization_residuals(c: float, eta: complex, f: Carried,
                             zs=None) -> dict[str, float]:
     """Both channel transforms factor through cosh and sech conjugations.
 
@@ -788,7 +749,7 @@ def factorization_residuals(c: float, eta: complex, f: Profile1D,
             for name, (lhs, rhs) in checks.items()}
 
 
-def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
+def commutation_residuals(c: float, eta: complex, drift: float, f: Carried,
                           zs=None) -> dict[str, float]:
     """The transforms intertwine the channel evolution generators.
 
@@ -801,11 +762,9 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Profile1D,
     """
     if zs is None:
         zs = np.linspace(-9.0, 9.0, 121)
-    root = float(np.sqrt(c))
-    eta = complex(eta)
-    u1 = TanhExp.sech(root, 2, 2.0 * c)
     op = OneDimDarboux(c, eta)
-    psi = op.psi
+    eta, psi = op.eta, op.psi
+    u1 = TanhExp.sech(op.root, 2, 2.0 * c)
     fv, fp = f.value, f.prim()
     c4 = 4.0 * c
 

@@ -7,17 +7,20 @@ phases exact no matter how a term was assembled, so products and derivatives
 stay small.  Scaled evaluation factors out the largest real exponent, so the
 (exponent, mantissa) pair never overflows; plain evaluation multiplies the
 two back together and does overflow once the value itself passes about
-1e308.  For the P-type dual wave at beta = 1.7 times its tau ratio that
-happens near x = -200, where `Rational.eval` returns inf + nan*j and the
-level-shift residual dual_step_two reads NaN.
+1e308 (the P-type dual wave at beta = 1.7 times its tau ratio does near
+x = -200).  Residuals therefore never multiply out: `worst_residual`
+reduces the scaled pairs at their common largest exponent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, inf
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import MissingPrimitive
 
 Gen = tuple[complex, complex, complex]
 
@@ -178,16 +181,6 @@ class ExpSum:
 
     def dt(self):
         return self._partial(2)
-
-    def partial(self, i: int = 0, j: int = 0, k: int = 0) -> "ExpSum":
-        out = self
-        for _ in range(i):
-            out = out.dx()
-        for _ in range(j):
-            out = out.dy()
-        for _ in range(k):
-            out = out.dt()
-        return out
 
     # ----- evaluation -----
 
@@ -479,20 +472,27 @@ class Rational:
 
     # -- evaluation --
 
-    def eval(self, x, y, t) -> np.ndarray:
+    def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
+        """Return (m, s) with value = s * exp(m); never overflows by itself."""
         m, s = self.num.eval_scaled(x, y, t)
         for base, power in self.den.bases:
             mb, sb = base.eval_scaled(x, y, t)
             m = m - power * mb
             s = s / sb ** power
+        return m, s
+
+    def eval(self, x, y, t) -> np.ndarray:
+        m, s = self.eval_scaled(x, y, t)
         return s * np.exp(m)
 
 
 class Carried:
     """A function bundled with exact antiderivative data.
 
-    value    : the function itself
-    xprim    : an exact d/dx antiderivative, or None
+    value    : the function itself, a Rational in (x, y, t) or a TanhExp
+               profile in the line coordinate z
+    xprim    : an exact antiderivative in x (in z on a line), or None;
+               on a line it is the one vanishing as z -> +infinity
     ydxinv   : exact dx^{-1} dy of the function, or None
     Scalar multiples scale all three; the level transforms read the
     nonlocal term dx^{-1} dy from ydxinv, or else from dy of xprim.
@@ -500,10 +500,16 @@ class Carried:
 
     __slots__ = ("value", "xprim", "ydxinv")
 
-    def __init__(self, value: Rational, xprim: Rational | None = None, ydxinv: Rational | None = None):
+    def __init__(self, value, xprim=None, ydxinv=None):
         self.value = value
         self.xprim = xprim
         self.ydxinv = ydxinv
+
+    def prim(self):
+        """The carried antiderivative; MissingPrimitive when there is none."""
+        if self.xprim is None:
+            raise MissingPrimitive("carried function has no exact antiderivative")
+        return self.xprim
 
     def __mul__(self, c) -> "Carried":
         if not isinstance(c, (int, float, complex)):
@@ -536,3 +542,17 @@ def sum_residual(parts) -> tuple[np.ndarray, np.ndarray]:
         total = total + part
         scale = np.maximum(scale, np.abs(part))
     return np.abs(total), np.maximum(scale, 1e-300)
+
+
+def worst_residual(parts, *pts) -> float:
+    """Worst pointwise `sum_residual` ratio of parts at pts, (x, y, t) or z.
+
+    Each part's `eval_scaled` pair (m, s) enters as s * exp(m - M), with M
+    the per-point largest m (0 where every part is empty): a common factor
+    the ratio does not see, so no value overflows however far out pts lie.
+    """
+    scaled = [p.eval_scaled(*pts) for p in parts]
+    top = reduce(np.maximum, (m for m, _ in scaled))
+    top = np.where(np.isneginf(top), 0.0, top)
+    res, scale = sum_residual(s * np.exp(m - top) for m, s in scaled)
+    return float(np.max(res / scale))

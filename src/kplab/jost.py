@@ -4,9 +4,13 @@ The wave at spectral parameter k multiplies exp(ikx - k^2 y + ik^3 t) by a
 ratio of exponential sums; the dual flips the oscillatory factor and inverts
 the per-phase shifts.  Both come straight out of the minor expansion of tau,
 so every residue at a discrete phase is available in closed form.  The same
-machinery supplies the background potential as an exact rational object, the
-operators of the compatibility pair, products of a wave with a dual carrying
-their antiderivative data, and the off-diagonal resolvent-kernel checks.
+machinery supplies the background potential as an exact rational object,
+products of a wave with a dual carrying their antiderivative data, and the
+off-diagonal resolvent-kernel checks.
+
+`heat_parts`, `flow_parts` (the compatibility pair and its adjoint) and
+`linearized_parts` (the linearized KP-II flow) are the only definitions of
+these operators in the package, each as its list of summands.
 """
 from __future__ import annotations
 
@@ -16,9 +20,37 @@ import numpy as np
 
 from .branches import Branch
 from .errors import PoleAtKappa
-from .expsum import Carried, ExpSum, Gen, Rational, sum_residual
+from .expsum import Carried, ExpSum, Gen, Rational, sum_residual, worst_residual
 from .solitons import (SolitonConfig, build_tau, minor_expansion, potential, potential_yprim,
                        theta_gens)
+
+
+# ----- operators of the compatibility pair and the linearized flow -----
+
+
+def heat_parts(u: Rational | None, g, star: bool) -> list:
+    """Summands of -dy + dx^2 + u on g, or of the adjoint dy + dx^2 + u; u None is free."""
+    parts = [g.dy() if star else -1.0 * g.dy(), g.dx().dx()]
+    if u is not None:
+        parts.append(u * g)
+    return parts
+
+
+def flow_parts(u: Rational, uy: Rational, g, star: bool) -> list:
+    """Summands of 4 dt + 4 dx^3 + 6 u dx + 3 u_x + 3 uy on g, uy = dx^{-1}dy u.
+
+    The adjoint negates every summand except the nonlocal one.
+    """
+    s = -1.0 if star else 1.0
+    gx = g.dx()
+    return [(4.0 * s) * g.dt(), (4.0 * s) * gx.dx().dx(),
+            (6.0 * s) * (u * gx), (3.0 * s) * (u.dx() * g), 3.0 * (uy * g)]
+
+
+def linearized_parts(u: Rational, f) -> list:
+    """Summands of dx(4 f_t + 6 (u f)_x + f_xxx) + 3 f_yy, the linearized flow at u."""
+    return [4.0 * f.dx().dt(), f.dx().dx().dx().dx(),
+            6.0 * (u * f).dx().dx(), 3.0 * f.dy().dy()]
 
 
 def plane_gen(w: complex) -> Gen:
@@ -33,7 +65,7 @@ def plane_gen_dual(w: complex) -> Gen:
 
 
 class JostFamily:
-    """Waves, duals, residues and operator residuals for one configuration."""
+    """Waves, duals and residues for one configuration."""
 
     def __init__(self, config: SolitonConfig):
         self.config = config
@@ -113,30 +145,6 @@ class JostFamily:
         num = ExpSum.exponential(1.0, plane_gen_dual(kj)) * ExpSum.from_terms(self._gens, items)
         return Rational.from_quotient(num, self.tau)
 
-    # ----- compatibility operators -----
-
-    def lax_terms(self, kind: str, wave: Rational) -> list[Rational]:
-        """Summands of the operator applied to `wave`; they add to zero on waves."""
-        u = self.u
-        wx = wave.dx()
-        wxx = wx.dx()
-        if kind == "L":
-            return [-1.0 * wave.dy(), wxx, u * wave]
-        if kind == "Lstar":
-            return [wave.dy(), wxx, u * wave]
-        wxxx = wxx.dx()
-        if kind == "B":
-            return [4.0 * wave.dt(), 4.0 * wxxx, 6.0 * u * wx, 3.0 * u.dx() * wave,
-                    3.0 * self.u_yprim * wave]
-        if kind == "Bstar":
-            return [-4.0 * wave.dt(), -4.0 * wxxx, -6.0 * u * wx, -3.0 * u.dx() * wave,
-                    3.0 * self.u_yprim * wave]
-        raise ValueError(f"unknown operator kind {kind!r}")
-
-    def lax_residual(self, kind: str, wave: Rational, x, y, t) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise |operator applied to wave| and the largest term scale."""
-        return sum_residual(term.eval(x, y, t) for term in self.lax_terms(kind, wave))
-
     # ----- residue completeness -----
 
     def completeness_sum(self, x, y, t, xp, yp, tp) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +169,9 @@ def product_residuals(family: JostFamily, x, y, t, *, k: complex | None = None,
     """Worst relative residuals of the wave-product solution maps.
 
     For a wave and its dual at one spectral point, w = wave*dual satisfies
-    dx(4 dt w + 6 u dx w + dx^3 w) + 3 dy^2 w = 0 and v = dx w satisfies the
-    divergence form dx(4 dt v + 6 dx(u v) + dx^3 v) + 3 dy^2 v = 0, with the
-    intermediate dy w = dx(dual dx wave - wave dx dual).
+    dx(4 dt w + 6 u dx w + dx^3 w) + 3 dy^2 w = 0 and v = dx w solves the
+    linearized flow (`linearized_parts`), with the intermediate
+    dy w = dx(dual dx wave - wave dx dual).
     """
     wave = family.phi(k=k, beta=beta)
     dual = family.phi_star(k=k, beta=beta)
@@ -177,15 +185,9 @@ def product_residuals(family: JostFamily, x, y, t, *, k: complex | None = None,
                                 np.full(np.shape(d1), 1e-300)])
     out = {"primitive": float(np.max(np.abs(d1 - d2) / iscale))}
 
-    def divergence(terms):
-        res, scale = sum_residual(T.eval(x, y, t) for T in terms)
-        return float(np.max(res / scale))
-
-    out["product"] = divergence([w.dt().dx() * 4.0, (u * w.dx()).dx() * 6.0,
-                                 w.dx().dx().dx().dx(), w.dy().dy() * 3.0])
-    v = w.dx()
-    out["derivative"] = divergence([v.dt().dx() * 4.0, (u * v).dx().dx() * 6.0,
-                                    v.dx().dx().dx().dx(), v.dy().dy() * 3.0])
+    out["product"] = worst_residual([w.dt().dx() * 4.0, (u * w.dx()).dx() * 6.0,
+                                     w.dx().dx().dx().dx(), w.dy().dy() * 3.0], x, y, t)
+    out["derivative"] = worst_residual(linearized_parts(u, w.dx()), x, y, t)
     return out
 
 
@@ -236,13 +238,12 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     xg = rng.uniform(-3.0, 3.0, npts)
     yg = rng.uniform(-3.0, 3.0, npts)
     tg = rng.uniform(-1.0, 1.0, npts)
-    ann = []
-    for s in (1, -1):
-        w, ws = waves[s]
-        for kind, fn in (("L", w), ("B", w), ("Lstar", ws), ("Bstar", ws)):
-            res, scale = family.lax_residual(kind, fn, xg, yg, tg)
-            ann.append(np.max(res / scale))
-    out["annihilation"] = float(np.max(ann))
+    u, uy = family.u, family.u_yprim
+    out["annihilation"] = float(np.max([
+        worst_residual(parts, xg, yg, tg)
+        for w, ws in waves.values()
+        for parts in (heat_parts(u, w, False), flow_parts(u, uy, w, False),
+                      heat_parts(u, ws, True), flow_parts(u, uy, ws, True))]))
 
     def theta0(j, xx, yy):
         return kappa[j - 1] * xx + kappa[j - 1] ** 2 * yy

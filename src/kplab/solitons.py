@@ -97,6 +97,9 @@ class SolitonConfig:
             raise RejectedConfig(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
         ks = self.kappa
+        for k in ks:
+            if not math.isfinite(k):
+                raise RejectedConfig(f"phase speeds must be finite, got {k}")
         for a, b in zip(ks, ks[1:]):
             if not b > a:
                 raise RejectedConfig(f"phases must increase strictly, got {a} before {b}")

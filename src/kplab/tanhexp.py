@@ -10,16 +10,13 @@ composite Gauss-Legendre calculus used by the inverse operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import ConfigMismatch, MissingPrimitive, RegionViolation
+from .errors import ConfigMismatch, RegionViolation
 
 __all__ = [
     "TanhExp",
-    "Profile1D",
     "PanelGrid",
     "exp_cumulative",
     "based_cumulative",
@@ -70,10 +67,6 @@ class TanhExp:
     @staticmethod
     def tanh(rate: float, coef: complex = 1.0) -> "TanhExp":
         return TanhExp.term(rate, coef, 1, 0)
-
-    @staticmethod
-    def exp(rate: float, mu: complex, coef: complex = 1.0) -> "TanhExp":
-        return TanhExp.term(rate, coef, 0, 0, mu)
 
     # -- ring operations --
 
@@ -134,6 +127,11 @@ class TanhExp:
 
     # -- evaluation --
 
+    def eval_scaled(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(0, value): a profile's value carries its own scale."""
+        val = self.eval(z)
+        return np.zeros(val.shape), val
+
     def eval(self, z):
         z = np.asarray(z, dtype=float)
         sz = self.rate * z
@@ -147,47 +145,6 @@ class TanhExp:
                 piece = piece * t
             out += c * piece
         return out
-
-
-# ----- profiles with carried primitives -----
-
-
-@dataclass(frozen=True)
-class Profile1D:
-    """A profile together with the z-antiderivative used by nonlocal terms.
-
-    The convention throughout is the primitive vanishing as z -> +infinity,
-    the one selected by the exponential weight on the line.
-    """
-
-    value: TanhExp
-    zprim: TanhExp | None = None
-
-    def d(self) -> "Profile1D":
-        return Profile1D(self.value.d(), zprim=self.value)
-
-    def prim(self) -> TanhExp:
-        if self.zprim is None:
-            raise MissingPrimitive("profile has no exact z-antiderivative")
-        return self.zprim
-
-    def __add__(self, other: "Profile1D") -> "Profile1D":
-        zp = None
-        if self.zprim is not None and other.zprim is not None:
-            zp = self.zprim + other.zprim
-        return Profile1D(self.value + other.value, zprim=zp)
-
-    def __sub__(self, other: "Profile1D") -> "Profile1D":
-        zp = None
-        if self.zprim is not None and other.zprim is not None:
-            zp = self.zprim - other.zprim
-        return Profile1D(self.value - other.value, zprim=zp)
-
-    def __mul__(self, c):
-        zp = None if self.zprim is None else self.zprim * c
-        return Profile1D(self.value * c, zprim=zp)
-
-    __rmul__ = __mul__
 
 
 # ----- composite Gauss-Legendre panels -----

@@ -43,7 +43,6 @@ from kplab.errors import (
 from kplab.expsum import Carried
 from kplab.jost import JostFamily, pair_product
 from kplab.solitons import SolitonConfig, sech2, theta_eval
-from kplab.tanhexp import Profile1D, TanhExp
 
 KP = (-2.0, -1.0, 0.5, 3.0)
 KO = (-2.0, -1.0, 1.0, 2.0)
@@ -167,15 +166,14 @@ def test_transform_signs_differ_by_twice_dx():
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
     x, y, t = pts(9)
-    plus = LinearDarboux(data.v, 1)
-    diff = plus.apply(wave, x, y, t) - plus.star().apply(wave, x, y, t)
+    plus = LinearDarboux(data.v, 1).parts(wave)
+    minus = LinearDarboux(data.v, -1).parts(wave)
+    # the adjoint flips only the dx summand
+    for p, m in zip(plus[1:], minus[1:]):
+        assert np.array_equal(p.eval(x, y, t), m.eval(x, y, t))
+    diff = plus[0].eval(x, y, t) - minus[0].eval(x, y, t)
     twice = 2.0 * wave.value.dx().eval(x, y, t)
     assert np.max(np.abs(diff - twice)) < 1e-12 * np.max(np.abs(twice))
-
-
-def test_transform_star_flips_sign_only():
-    op = LinearDarboux(MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0))).v, -1)
-    assert op.star().sign == 1 and op.star().v is op.v
 
 
 def test_transform_sign_validated():
@@ -339,6 +337,20 @@ def test_level_shifts_split_type():
     assert len(res) == 8
     for name, val in res.items():
         assert val < 1e-9, f"{name}: {val:.2e}"
+
+
+@pytest.mark.parametrize("kind,kappa", [("p_type", KP), ("o_type", KO)], ids=["p", "o"])
+def test_level_maps_finite_in_the_far_field(kind, kappa):
+    # the wave and dual values pass 1e308 here (exponents up to ~1e4)
+    cfg = SolitonConfig(kind, kappa)
+    x = np.array([-2000.0, -200.0, -100.0, 700.0, 2000.0])
+    y = np.array([0.0, 0.0, 3.0, -2.0, 1.0])
+    t = np.array([0.0, 0.0, -1.0, 0.5, 0.0])
+    res = level_shift_residuals(cfg, 1.7, x, y, t)
+    for direction in ("plus", "minus"):
+        res.update(darboux_map_products(cfg, direction, 1.7, 0.4, x, y, t))
+    for name, val in res.items():
+        assert np.isfinite(val) and val < 1e-9, f"{name}: {val:.2e}"
 
 
 def test_level_shifts_reject_vacuum():

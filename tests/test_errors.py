@@ -1,11 +1,16 @@
-"""Every exception the package declares is raised somewhere in it."""
+"""Every declared exception is raised somewhere; bad input raises a typed one."""
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
 
 import kplab
 from kplab import errors
+from kplab.darboux import OneDimDarboux, minus_kernel_profile
+from kplab.solitons import SolitonConfig
 
 SRC = Path(kplab.__file__).resolve().parent
 
@@ -29,3 +34,24 @@ def test_every_declared_error_is_raised():
                 and obj is not errors.KplabError}
     assert declared
     assert declared - _raised_names() == set()
+
+
+KP = (-2.0, -1.0, 0.5, 3.0)
+CP = 0.5625
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: SolitonConfig("p_type", KP[:3] + (math.inf,)), errors.RejectedConfig),
+    (lambda: SolitonConfig("o_type", (-math.inf,) + KP[1:]), errors.RejectedConfig),
+    (lambda: OneDimDarboux(math.nan, 1.0), errors.InvalidBranch),
+    (lambda: OneDimDarboux(math.inf, 1.0), errors.InvalidBranch),
+    (lambda: minus_kernel_profile(math.nan, 1.0), errors.InvalidBranch),
+    (lambda: minus_kernel_profile(math.inf, 1.0), errors.InvalidBranch),
+    (lambda: OneDimDarboux(CP, math.nan, alpha=0.3), errors.InadmissibleEta),
+    (lambda: OneDimDarboux(CP, complex(0.3, math.nan), alpha=0.3), errors.InadmissibleEta),
+    (lambda: minus_kernel_profile(CP, math.nan), errors.InadmissibleEta),
+], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
+        "eta_nan", "eta_imag_nan", "kernel_eta_nan"])
+def test_non_finite_parameters_raise_typed_errors(build, error):
+    with pytest.raises(error):
+        build()

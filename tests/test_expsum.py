@@ -6,7 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kplab.expsum import ExpSum, Rational, log_derivatives, sum_residual
+from kplab.errors import MissingPrimitive
+from kplab.expsum import Carried, ExpSum, Rational, log_derivatives, sum_residual, worst_residual
+from kplab.tanhexp import TanhExp
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
 G2 = (2.0 + 0j, 4.0 + 0j, -8.0 + 0j)
@@ -72,7 +74,11 @@ def test_log_derivatives_against_quotient_expansion():
     g = log_derivatives(tau, (3, 1, 0), x, y, t)
 
     def ratio(i, j, k):
-        return tau.partial(i, j, k).eval(x, y, t) / tau.eval(x, y, t)
+        part = tau
+        for axis, n in zip(("dx", "dy", "dt"), (i, j, k)):
+            for _ in range(n):
+                part = getattr(part, axis)()
+        return part.eval(x, y, t) / tau.eval(x, y, t)
 
     r100, r200, r300 = ratio(1, 0, 0), ratio(2, 0, 0), ratio(3, 0, 0)
     r010, r110, r210 = ratio(0, 1, 0), ratio(1, 1, 0), ratio(2, 1, 0)
@@ -176,6 +182,49 @@ def test_sum_residual_of_zero_parts_is_zero():
 def test_sum_residual_scales_by_largest_part():
     res, scale = sum_residual(iter([np.array([3.0 + 4j]), np.array([-1.0]), np.array([-2.0])]))
     assert res[0] == 4.0 and scale[0] == 5.0
+
+
+def _line_parts():
+    """tau^2 / tau - tau = 0 for tau = e^x + 1, as a Rational and an ExpSum."""
+    tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
+    return [Rational.from_quotient(tau * tau, tau), -1.0 * tau]
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_worst_residual_propagates_nan_from_any_part(where):
+    parts = _line_parts() + [ExpSum.constant(0.0)]
+    parts[where] = parts[where] + ExpSum.constant(np.nan)
+    assert np.isnan(worst_residual(parts, np.array([0.3, -1.0]), 0.0, 0.0))
+
+
+def test_worst_residual_of_empty_parts_is_zero():
+    tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
+    parts = [ExpSum.constant(0.0), Rational.from_quotient(ExpSum.constant(0.0), tau)]
+    assert worst_residual(parts, np.array([0.3, 800.0]), 0.0, 0.0) == 0.0
+
+
+def test_worst_residual_past_float_range_is_finite():
+    parts = _line_parts()
+    x = np.array([-900.0, 0.0, 750.0, 2000.0])
+    m, _ = parts[0].eval_scaled(x, 0.0, 0.0)
+    assert m[-1] > 1000.0  # the value itself is far past 1e308
+    ratio = worst_residual(parts, x, 0.0, 0.0)
+    assert np.isfinite(ratio) and ratio < 1e-15
+
+
+def test_worst_residual_leaves_line_profiles_unscaled():
+    f = TanhExp.sech(0.75, 2) + TanhExp.term(0.75, 0.6, mu=-0.5)
+    zs = np.linspace(-5.0, 5.0, 11)
+    res, scale = sum_residual([f.eval(zs), -0.5 * f.eval(zs), -0.25 * f.eval(zs)])
+    assert worst_residual([f, -0.5 * f, -0.25 * f], zs) == float(np.max(res / scale))
+
+
+def test_carried_prim_requires_primitive():
+    value = TanhExp.sech(0.75, 2)
+    with pytest.raises(MissingPrimitive):
+        Carried(value).prim()
+    prim = TanhExp.tanh(0.75, 1.0 / 0.75)
+    assert (2.0 * Carried(value, xprim=prim)).prim().terms == (2.0 * prim).terms
 
 
 # ----- Rational layer -----

@@ -4,14 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kplab.errors import ConfigMismatch, MissingPrimitive, RegionViolation
-from kplab.tanhexp import (
-    PanelGrid,
-    Profile1D,
-    TanhExp,
-    based_cumulative,
-    exp_cumulative,
-)
+from kplab.errors import ConfigMismatch, RegionViolation
+from kplab.tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
 
 ZS = np.linspace(-7.0, 7.0, 57)
 
@@ -32,7 +26,7 @@ def test_negative_sech_power_is_cosh():
 
 def test_derivative_matches_difference_quotient():
     f = (TanhExp.term(0.7, 1.3, 2, 1, 0.2 + 0.4j)
-         + TanhExp.exp(0.7, -0.5, coef=0.6)
+         + TanhExp.term(0.7, 0.6, mu=-0.5)
          + TanhExp.sech(0.7, 3, coef=-0.8))
     h = 1e-6
     numeric = (f.eval(ZS + h) - f.eval(ZS - h)) / (2.0 * h)
@@ -50,23 +44,6 @@ def test_far_field_evaluation_is_stable():
     far = f.eval(np.array([-420.0, 420.0]))
     assert np.all(np.isfinite(far))
     assert abs(far[1]) < 1e-200
-
-
-# ----- carried profiles -----
-
-
-def test_profile_derivative_carries_primitive():
-    f = Profile1D(TanhExp.sech(0.75, 2))
-    g = f.d()
-    assert np.max(np.abs(g.prim().eval(ZS) - f.value.eval(ZS))) < 1e-14
-    with pytest.raises(MissingPrimitive):
-        f.prim()
-
-
-def test_profile_linear_algebra_preserves_primitive():
-    base = Profile1D(TanhExp.sech(0.75, 2), zprim=TanhExp.tanh(0.75, 1.0 / 0.75))
-    combo = 2.0 * base - base
-    assert np.max(np.abs(combo.prim().eval(ZS) - base.prim().eval(ZS))) < 1e-14
 
 
 # ----- panel calculus -----
