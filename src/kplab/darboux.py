@@ -594,7 +594,7 @@ def mode_transfer_residuals(config: SolitonConfig, eta: complex,
 # ----- one-dimensional channel transforms -----
 
 
-def _channel_root(c: float, eta: complex) -> float:
+def _channel_root(c: float, eta: complex = 0.0) -> float:
     """sqrt(c) of a channel with gap c > 0 and a finite frequency eta."""
     if not (np.isfinite(c) and c > 0):
         raise InvalidBranch(f"channel gap c must be positive and finite, got {c}")
@@ -605,13 +605,13 @@ def _channel_root(c: float, eta: complex) -> float:
 
 def kink_profile(c: float) -> TanhExp:
     """psi = sqrt(c) tanh(sqrt(c) z), the kink the line transforms subtract."""
-    root = float(np.sqrt(c))
+    root = _channel_root(c)
     return TanhExp.tanh(root, root)
 
 
 def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
-    root = float(np.sqrt(c))
+    root = _channel_root(c)
     value = TanhExp.sech(root, 2)
     prim = TanhExp.tanh(root, 1.0 / root) + TanhExp.const(root, -1.0 / root)
     return Carried(value, xprim=prim)
@@ -791,15 +791,16 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Carried,
             "minus": _identity_residual([lhs_minus], [rhs_minus], zs)}
 
 
-def _edge_guard(logmass: np.ndarray, open_left: bool, label: str) -> None:
-    # the weighted integrand must have decayed ~1e-12 below its peak at the
-    # open end of the integration, else the window truncates real mass
-    edge = np.max(logmass[:3]) if open_left else np.max(logmass[-3:])
+def _tail(grid: PanelGrid, g: np.ndarray, q: complex, side: str) -> np.ndarray:
+    """exp_cumulative of g on one side, once |g| e^{Re(q) z} sits ~1e-12 below
+    its peak at that side's window edge; else the window truncates real mass."""
+    logmass = np.log(np.abs(g) + 1e-300) + np.real(q) * grid.z
+    edge = np.max(logmass[:3]) if side == "left" else np.max(logmass[-3:])
     if edge > np.max(logmass) - 27.6:
-        side = "left" if open_left else "right"
         raise RegionViolation(
-            f"{label} integrand has not decayed at the {side} window edge; "
+            f"{side} tail integrand has not decayed at the {side} window edge; "
             "widen the window or revisit alpha")
+    return exp_cumulative(grid, g, q, side)
 
 
 def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
@@ -834,7 +835,6 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     sechv = TanhExp.sech(root).eval(z).real
     coshv = TanhExp.sech(root, power=-1).eval(z).real
     stv = op.psi.eval(z).real
-    tiny = 1e-300
 
     if sign == -1:
         if not low and margin <= 1e-9:
@@ -846,13 +846,11 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
                 "based minus inverse needs Re gamma > sqrt(c)-alpha; "
                 f"got Re gamma {gam.real:.6f}")
         gvals = coshv * fvals
-        _edge_guard(np.log(np.abs(gvals) + tiny) - gam.real * z, False, "right tail")
-        right = exp_cumulative(grid, gvals, -gam, "right")
+        right = _tail(grid, gvals, -gam, "right")
         if low:
             left = based_cumulative(grid, gvals, gam, base=0.0)
         else:
-            _edge_guard(np.log(np.abs(gvals) + tiny) + gam.real * z, True, "left tail")
-            left = exp_cumulative(grid, gvals, gam, "left")
+            left = _tail(grid, gvals, gam, "left")
         return ((-gam - stv) * sechv * left + (gam - stv) * sechv * right) / (2.0 * gam)
 
     # plus inverse
@@ -866,11 +864,9 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
             f"margin {margin:.3e}; use low=True")
     g_right = (-gam - stv) * sechv * fvals
     g_left = (gam - stv) * sechv * fvals
-    _edge_guard(np.log(np.abs(g_right) + tiny) - gam.real * z, False, "right tail")
-    right = exp_cumulative(grid, g_right, -gam, "right")
+    right = _tail(grid, g_right, -gam, "right")
     if not low:
-        _edge_guard(np.log(np.abs(g_left) + tiny) + gam.real * z, True, "left tail")
-        left = exp_cumulative(grid, g_left, gam, "left")
+        left = _tail(grid, g_left, gam, "left")
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
@@ -879,14 +875,12 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     secv = sec.eval(z)
     pairing = grid.integral(secv * fvals)
     pairing_scale = grid.integral(np.abs(secv) * np.abs(fvals)).real
-    if abs(pairing) > 1e-6 * max(pairing_scale, tiny):
+    if abs(pairing) > 1e-6 * max(pairing_scale, 1e-300):
         raise OrthogonalityViolation(
             f"secular pairing {abs(pairing):.3e} exceeds 1e-6 of scale "
             f"{pairing_scale:.3e}; the low plus inverse does not apply")
-    _edge_guard(np.log(np.abs(g_left) + tiny) + gam.real * z, True, "left tail")
-    _edge_guard(np.log(np.abs(g_left) + tiny) + gam.real * z, False, "grown tail")
-    left = exp_cumulative(grid, g_left, gam, "left")
-    grown = exp_cumulative(grid, g_left, gam, "right")
+    left = _tail(grid, g_left, gam, "left")
+    grown = _tail(grid, g_left, gam, "right")
     piece = np.where(z < 0.0, left, -grown)
     return coshv * (right + piece) / (2.0 * gam)
 

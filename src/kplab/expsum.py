@@ -10,12 +10,17 @@ two back together and does overflow once the value itself passes about
 1e308 (the P-type dual wave at beta = 1.7 times its tau ratio does near
 x = -200).  Residuals therefore never multiply out: `worst_residual`
 reduces the scaled pairs at their common largest exponent.
+
+A Rational divides an ExpSum by powers of ExpSum bases held in a dict keyed
+by base identity.  ExpSum, Rational, Carried and the line profiles of
+`tanhexp` write only __add__ and __mul__; the `Ring` base derives the
+reflected forms, negation, subtraction and scalar division from those.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, inf
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,11 +29,9 @@ from .errors import MissingPrimitive
 
 Gen = tuple[complex, complex, complex]
 
-_AXES = {"x": 0, "y": 1, "t": 2}
-
 
 def _unify(gens_a: tuple[Gen, ...], gens_b: tuple[Gen, ...]):
-    """Merged generator tuple plus index maps for both operands."""
+    """Merged generator tuple, which extends gens_a, and the index map of gens_b."""
     merged = list(gens_a)
     index = {g: i for i, g in enumerate(merged)}
     map_b = []
@@ -37,7 +40,7 @@ def _unify(gens_a: tuple[Gen, ...], gens_b: tuple[Gen, ...]):
             index[g] = len(merged)
             merged.append(g)
         map_b.append(index[g])
-    return tuple(merged), list(range(len(gens_a))), map_b
+    return tuple(merged), map_b
 
 
 def _remap(key: tuple[int, ...], mapping: Sequence[int], width: int) -> tuple[int, ...]:
@@ -55,7 +58,38 @@ def _points(x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.stack([x.ravel(), y.ravel(), t.ravel()]), x.shape
 
 
-class ExpSum:
+class Ring:
+    """Operators derived from a subclass's own __add__ and __mul__.
+
+    Both must accept a Python scalar on the right; everything else here
+    (reflected forms, negation, subtraction, scalar division) reduces to
+    them, so each algebra writes only its two ring operations.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self * (1.0 / other)
+        return NotImplemented
+
+
+class ExpSum(Ring):
     """Finite exponential sum with exact phase-lattice merging."""
 
     __slots__ = ("gens", "terms")
@@ -86,56 +120,34 @@ class ExpSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
-    def key_matrix(self) -> np.ndarray:
-        keys = [k for k, _ in self.sorted_items()]
-        if not keys:
-            return np.zeros((0, len(self.gens)))
-        return np.asarray(keys, dtype=float)
-
-    def coeff_vector(self) -> np.ndarray:
-        return np.asarray([c for _, c in self.sorted_items()], dtype=complex)
-
-    def gen_matrix(self) -> np.ndarray:
-        if not self.gens:
-            return np.zeros((0, 3), dtype=complex)
-        return np.asarray(self.gens, dtype=complex)
-
-    def phase_matrix(self) -> np.ndarray:
-        """Per-term phase 3-vectors, rows aligned with sorted_items()."""
-        return self.key_matrix() @ self.gen_matrix()
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(terms, 3) phase vectors and the coefficients, in sorted key order."""
+        items = sorted(self.terms.items())
+        keys = np.asarray([k for k, _ in items], dtype=float).reshape(len(items), len(self.gens))
+        gens = np.asarray(self.gens, dtype=complex).reshape(len(self.gens), 3)
+        return keys @ gens, np.asarray([c for _, c in items], dtype=complex)
 
     # ----- algebra -----
+
+    def _operands(self, other: "ExpSum"):
+        """Merged gens, self's items and other's items, keyed over the merged gens."""
+        gens, map_b = _unify(self.gens, other.gens)
+        width = len(gens)
+        pad = (0,) * (width - len(self.gens))
+        left = [(k + pad, c) for k, c in self.terms.items()]
+        right = [(_remap(k, map_b, width), c) for k, c in other.terms.items()]
+        return gens, left, right
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = ExpSum.constant(other)
         if not isinstance(other, ExpSum):
             return NotImplemented
-        gens, map_a, map_b = _unify(self.gens, other.gens)
-        width = len(gens)
-        acc: dict[tuple[int, ...], complex] = {}
-        for key, c in self.terms.items():
-            acc[_remap(key, map_a, width)] = c
-        for key, c in other.terms.items():
-            k = _remap(key, map_b, width)
+        gens, left, right = self._operands(other)
+        acc = dict(left)
+        for k, c in right:
             acc[k] = acc.get(k, 0) + c
         return ExpSum(gens, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExpSum(self.gens, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = ExpSum.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return ExpSum.constant(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -144,10 +156,7 @@ class ExpSum:
             return ExpSum(self.gens, {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, ExpSum):
             return NotImplemented
-        gens, map_a, map_b = _unify(self.gens, other.gens)
-        width = len(gens)
-        left = [(_remap(k, map_a, width), c) for k, c in self.terms.items()]
-        right = [(_remap(k, map_b, width), c) for k, c in other.terms.items()]
+        gens, left, right = self._operands(other)
         acc: dict[tuple[int, ...], complex] = {}
         for ka, ca in left:
             for kb, cb in right:
@@ -155,20 +164,13 @@ class ExpSum:
                 acc[key] = acc.get(key, 0) + ca * cb
         return ExpSum(gens, acc)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1.0 / other)
-        return NotImplemented
-
     # ----- calculus -----
 
     def _partial(self, axis: int) -> "ExpSum":
-        gm = self.gen_matrix()[:, axis] if self.gens else np.zeros(0, dtype=complex)
+        slopes = [g[axis] for g in self.gens]
         out: dict[tuple[int, ...], complex] = {}
         for key, c in self.terms.items():
-            slope = complex(sum(k * g for k, g in zip(key, gm)))
+            slope = complex(sum(k * g for k, g in zip(key, slopes)))
             if slope != 0 and c != 0:
                 out[key] = c * slope
         return ExpSum(self.gens, out)
@@ -184,23 +186,19 @@ class ExpSum:
 
     # ----- evaluation -----
 
-    def _exponents(self, x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Exponent matrix (terms x points) on the broadcast point set."""
-        pts, shape = _points(x, y, t)
-        return self.phase_matrix() @ pts.astype(complex), shape
-
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Return (m, s) with value = s * exp(m) and max real exponent m.
 
         Empty sums give m = -inf, s = 0 so exp(m) * s evaluates to 0.
         """
+        pts, shape = _points(x, y, t)
         if not self.terms:
-            x, y, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float), np.asarray(t, float))
-            return np.full(x.shape, -inf), np.zeros(x.shape, dtype=complex)
-        ex, shape = self._exponents(x, y, t)
+            return np.full(shape, -inf), np.zeros(shape, dtype=complex)
+        ph, coeff = self.arrays()
+        ex = ph @ pts.astype(complex)
         m = ex.real.max(axis=0)
         w = np.exp(ex - m)
-        s = self.coeff_vector() @ w
+        s = coeff @ w
         return m.reshape(shape), s.reshape(shape)
 
     def eval(self, x, y, t) -> np.ndarray:
@@ -278,8 +276,7 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
         raise ZeroDivisionError("log derivative of the zero sum")
     idx = _downward_closure(orders, only)
     plan = _recursion_plan(idx)
-    ph = tau.phase_matrix()  # (terms, 3)
-    coeff = tau.coeff_vector()
+    ph, coeff = tau.arrays()  # (terms, 3) phases, (terms,) coefficients
     pts, shape = _points(x, y, t)
     if not (ph.imag.any() or coeff.imag.any()):
         ph, coeff = ph.real, coeff.real
@@ -316,88 +313,46 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
 # ----- rational combinations -----
 
 
-@dataclass(frozen=True)
-class _Denom:
-    bases: tuple[tuple[ExpSum, int], ...]  # first-seen order, identity-merged
-
-    @staticmethod
-    def empty() -> "_Denom":
-        return _Denom(())
-
-    def mul(self, other: "_Denom") -> "_Denom":
-        out = list(self.bases)
-        for base, power in other.bases:
-            for i, (b, p) in enumerate(out):
-                if b is base:
-                    out[i] = (b, p + power)
-                    break
-            else:
-                out.append((base, power))
-        return _Denom(tuple(out))
-
-    def bump_all(self) -> "_Denom":
-        return _Denom(tuple((b, p + 1) for b, p in self.bases))
-
-    def append(self, base: ExpSum) -> "_Denom":
-        return self.mul(_Denom(((base, 1),)))
-
-
-class Rational:
+class Rational(Ring):
     """Quotient of an ExpSum by a product of powers of fixed ExpSum bases.
 
-    Closed under +, -, *, scalar multiples, d/dx, d/dy, d/dt and division by
-    a registered base, which is everything the layered field constructions
+    `den` maps each base to its power.  ExpSum defines no __eq__, so the
+    dict is keyed by base identity and keeps first-seen order; a den is
+    shared between Rationals and never mutated, every merge copies it.
+    Closed under +, -, *, scalar multiples, d/dx, d/dy, d/dt and division
+    by an ExpSum base, which is everything the layered field constructions
     need.  Evaluation combines scaled pieces so numerator and denominator
     overflow cancel exactly.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ExpSum, den: _Denom | None = None):
+    def __init__(self, num: ExpSum, den: dict[ExpSum, int] | None = None):
         self.num = num
-        self.den = den or _Denom.empty()
+        self.den = {} if den is None else den
 
     @staticmethod
     def from_quotient(num: ExpSum, *bases: ExpSum) -> "Rational":
-        den = _Denom.empty()
-        for b in bases:
-            den = den.append(b)
+        den: dict[ExpSum, int] = {}
+        for base in bases:
+            den[base] = den.get(base, 0) + 1
         return Rational(num, den)
 
     @staticmethod
     def constant(c: complex) -> "Rational":
         return Rational(ExpSum.constant(c))
 
-    # -- helpers --
-
-    def _den_product(self) -> ExpSum:
-        prod = ExpSum.constant(1.0)
-        for base, _ in self.den.bases:
-            prod = prod * base
-        return prod
-
-    def _complement(self, skip: int) -> ExpSum:
-        prod = ExpSum.constant(1.0)
-        for i, (base, _) in enumerate(self.den.bases):
-            if i != skip:
-                prod = prod * base
-        return prod
-
     # -- algebra --
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Rational(self.num * other, self.den)
-        if isinstance(other, ExpSum):
+        if isinstance(other, (int, float, complex, ExpSum)):
             return Rational(self.num * other, self.den)
         if not isinstance(other, Rational):
             return NotImplemented
-        return Rational(self.num * other.num, self.den.mul(other.den))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Rational(-self.num, self.den)
+        den = dict(self.den)
+        for base, power in other.den.items():
+            den[base] = den.get(base, 0) + power
+        return Rational(self.num * other.num, den)
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -406,60 +361,40 @@ class Rational:
             other = Rational(other)
         if not isinstance(other, Rational):
             return NotImplemented
-        # common denominator over identity-matched bases
-        merged: list[tuple[ExpSum, int]] = list(self.den.bases)
-        for base, power in other.den.bases:
-            for i, (b, p) in enumerate(merged):
-                if b is base:
-                    merged[i] = (b, max(p, power))
-                    break
-            else:
-                merged.append((base, power))
-        den = _Denom(tuple(merged))
+        den = dict(self.den)  # common denominator
+        for base, power in other.den.items():
+            den[base] = max(den.get(base, 0), power)
 
         def lift(r: Rational) -> ExpSum:
             num = r.num
-            for base, power in den.bases:
-                have = 0
-                for b, p in r.den.bases:
-                    if b is base:
-                        have = p
-                        break
-                for _ in range(power - have):
+            for base, power in den.items():
+                for _ in range(power - r.den.get(base, 0)):
                     num = num * base
             return num
 
         return Rational(lift(self) + lift(other), den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Rational.constant(other)
-        elif isinstance(other, ExpSum):
-            other = Rational(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Rational.constant(other) + (-self)
-
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Rational(self.num * (1.0 / other), self.den)
         if isinstance(other, ExpSum):
-            return Rational(self.num, self.den.append(other))
-        return NotImplemented
+            den = dict(self.den)
+            den[other] = den.get(other, 0) + 1
+            return Rational(self.num, den)
+        return super().__truediv__(other)
 
     # -- calculus --
 
     def _partial(self, axis: int) -> "Rational":
-        if not self.den.bases:
+        if not self.den:
             return Rational(self.num._partial(axis))
-        full = self._den_product()
-        new_num = self.num._partial(axis) * full
-        for i, (base, power) in enumerate(self.den.bases):
-            new_num = new_num - power * self.num * base._partial(axis) * self._complement(i)
-        return Rational(new_num, self.den.bump_all())
+        bases = list(self.den)
+        new_num = self.num._partial(axis) * reduce(mul, bases)
+        for i, (base, power) in enumerate(self.den.items()):
+            term = power * self.num * base._partial(axis)
+            rest = bases[:i] + bases[i + 1:]
+            if rest:
+                term = term * reduce(mul, rest)
+            new_num = new_num - term
+        return Rational(new_num, {base: power + 1 for base, power in self.den.items()})
 
     def dx(self):
         return self._partial(0)
@@ -475,7 +410,7 @@ class Rational:
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Return (m, s) with value = s * exp(m); never overflows by itself."""
         m, s = self.num.eval_scaled(x, y, t)
-        for base, power in self.den.bases:
+        for base, power in self.den.items():
             mb, sb = base.eval_scaled(x, y, t)
             m = m - power * mb
             s = s / sb ** power
@@ -486,7 +421,7 @@ class Rational:
         return s * np.exp(m)
 
 
-class Carried:
+class Carried(Ring):
     """A function bundled with exact antiderivative data.
 
     value    : the function itself, a Rational in (x, y, t) or a TanhExp
@@ -494,7 +429,8 @@ class Carried:
     xprim    : an exact antiderivative in x (in z on a line), or None;
                on a line it is the one vanishing as z -> +infinity
     ydxinv   : exact dx^{-1} dy of the function, or None
-    Scalar multiples scale all three; the level transforms read the
+    Scalar multiples scale all three (negation and scalar division follow
+    from `Ring`; a Carried has no sum); the level transforms read the
     nonlocal term dx^{-1} dy from ydxinv, or else from dy of xprim.
     """
 
@@ -517,8 +453,6 @@ class Carried:
         return Carried(self.value * c,
                        self.xprim * c if self.xprim is not None else None,
                        self.ydxinv * c if self.ydxinv is not None else None)
-
-    __rmul__ = __mul__
 
 
 # ----- relative residuals -----

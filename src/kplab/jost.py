@@ -22,7 +22,7 @@ from .branches import Branch
 from .errors import PoleAtKappa
 from .expsum import Carried, ExpSum, Gen, Rational, sum_residual, worst_residual
 from .solitons import (SolitonConfig, build_tau, minor_expansion, potential, potential_yprim,
-                       theta_gens)
+                       theta_eval, theta_gens)
 
 
 # ----- operators of the compatibility pair and the linearized flow -----
@@ -245,9 +245,6 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
         for parts in (heat_parts(u, w, False), flow_parts(u, uy, w, False),
                       heat_parts(u, ws, True), flow_parts(u, uy, ws, True))]))
 
-    def theta0(j, xx, yy):
-        return kappa[j - 1] * xx + kappa[j - 1] ** 2 * yy
-
     def corr(s, xx, yy, xxp, yyp):
         """Residue correction sum and its x-derivative at t = 0."""
         tot = np.zeros(np.shape(xx), dtype=complex)
@@ -255,8 +252,8 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
         beta_s = br.beta(eta, s)
         zz = np.zeros(np.shape(xx))
         for j, (pj, pjs, kv) in zip(corr_js, res_pairs):
-            weight = np.exp(theta0(j, xxp, yyp) - theta0(j, xx, yy)) \
-                * pjs.eval(xxp, yyp, zz) / (beta_s - kv)
+            theta = theta_eval(kappa, j, xxp, yyp, 0.0) - theta_eval(kappa, j, xx, yy, 0.0)
+            weight = np.exp(theta) * pjs.eval(xxp, yyp, zz) / (beta_s - kv)
             val = pj.eval(xx, yy, zz)
             tot = tot + weight * val
             totx = totx + weight * (pj.dx().eval(xx, yy, zz) - kv * val)
@@ -275,7 +272,8 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     zzp = rng.uniform(-2.5, 2.5, npts)
     x = zz - 2.0 * a * yy
     xp = zzp - 2.0 * a * yyp
-    pref = sum(theta0(j, x, yy) - theta0(j, xp, yyp) for j in pair)
+    pref = sum(theta_eval(kappa, j, x, yy, 0.0) - theta_eval(kappa, j, xp, yyp, 0.0)
+               for j in pair)
     comp = -np.exp(0.5 * pref - gam * np.abs(zz - zzp) + 1j * eta * (yy - yyp)) / (2.0 * gam)
     side = np.where(zz > zzp, -1, 1)
     direct = np.where(side == -1,

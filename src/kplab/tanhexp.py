@@ -14,6 +14,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .errors import ConfigMismatch, RegionViolation
+from .expsum import Ring
 
 __all__ = [
     "TanhExp",
@@ -41,7 +42,7 @@ def _put(acc: dict, m: int, p: int, mu: complex, coef: complex) -> None:
         acc[key] = new
 
 
-class TanhExp:
+class TanhExp(Ring):
     """Finite sum of tanh(s z)^m sech(s z)^p e^(mu z) terms over one rate s."""
 
     __slots__ = ("rate", "terms")
@@ -85,19 +86,6 @@ class TanhExp:
             _put(acc, m, p, mu, c)
         return TanhExp(self.rate, acc)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TanhExp(self.rate, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TanhExp.const(self.rate, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return TanhExp(self.rate, {k: c * other for k, c in self.terms.items()})
@@ -107,8 +95,6 @@ class TanhExp:
             for (m2, p2, u2), c2 in other.terms.items():
                 _put(acc, m1 + m2, p1 + p2, u1 + u2, c1 * c2)
         return TanhExp(self.rate, acc)
-
-    __rmul__ = __mul__
 
     # -- calculus --
 

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import kplab
 from kplab import errors
-from kplab.darboux import OneDimDarboux, minus_kernel_profile
+from kplab.darboux import OneDimDarboux, bump_profile, kink_profile, minus_kernel_profile
 from kplab.solitons import SolitonConfig
 
 SRC = Path(kplab.__file__).resolve().parent
@@ -36,6 +37,33 @@ def test_every_declared_error_is_raised():
     assert declared - _raised_names() == set()
 
 
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Functions and classes at any depth, and module-level assigned names."""
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [leaf.id for target in targets for leaf in ast.walk(target)
+                  if isinstance(leaf, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_defined_name_is_used():
+    """Each name src/kplab defines occurs as a word beyond its definitions."""
+    repo = SRC.parent.parent
+    texts = [path.read_text() for folder in ("src", "tests", "kplabbench")
+             for path in sorted((repo / folder).rglob("*.py"))]
+    defined: dict[str, int] = {}
+    for path in SRC.glob("*.py"):
+        for name in _defined_names(ast.parse(path.read_text(), filename=str(path))):
+            defined[name] = defined.get(name, 0) + 1
+    assert defined
+    unused = sorted(name for name, count in defined.items()
+                    if sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in texts) <= count)
+    assert unused == []
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 
@@ -50,8 +78,15 @@ CP = 0.5625
     (lambda: OneDimDarboux(CP, math.nan, alpha=0.3), errors.InadmissibleEta),
     (lambda: OneDimDarboux(CP, complex(0.3, math.nan), alpha=0.3), errors.InadmissibleEta),
     (lambda: minus_kernel_profile(CP, math.nan), errors.InadmissibleEta),
+    (lambda: bump_profile(math.nan), errors.InvalidBranch),
+    (lambda: bump_profile(math.inf), errors.InvalidBranch),
+    (lambda: bump_profile(-1.0), errors.InvalidBranch),
+    (lambda: kink_profile(math.nan), errors.InvalidBranch),
+    (lambda: kink_profile(math.inf), errors.InvalidBranch),
+    (lambda: kink_profile(-1.0), errors.InvalidBranch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
-        "eta_nan", "eta_imag_nan", "kernel_eta_nan"])
+        "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
+        "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

@@ -258,5 +258,35 @@ def test_rational_product_merges_identical_base():
     tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
     a = Rational.from_quotient(ExpSum.constant(1.0), tau)
     prod = a * a
-    assert prod.den.bases[0][1] == 2
-    assert len(prod.den.bases) == 1
+    assert prod.den == {tau: 2}
+    # merges copy: the shared denominator of the operand is left alone
+    assert (a / tau).den == {tau: 2} and (a + prod).den == {tau: 2}
+    assert a.den == {tau: 1}
+
+
+def _derived_operands():
+    """(f, evaluate) over an ExpSum, a two-base Rational and a TanhExp."""
+    tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
+    sig = ExpSum.exponential(0.5, G3) + ExpSum.constant(2.0)
+    rng = np.random.default_rng(13)
+    x, y, t = _pts(rng, n=9, span=1.0)
+    z = np.linspace(-2.0, 2.0, 9)
+    es = ExpSum.exponential(1.3, G1) + ExpSum.exponential(-0.7j, G2)
+    rat = Rational.from_quotient(ExpSum.exponential(2.0, G2) + ExpSum.constant(0.5), tau, sig)
+    th = TanhExp.tanh(0.7, 1.5) + TanhExp.term(0.7, 0.4 - 0.2j, 0, 2, mu=-0.3)
+    return {"expsum": (es, lambda f: f.eval(x, y, t)),
+            "rational": (rat, lambda f: f.eval(x, y, t)),
+            "tanhexp": (th, lambda f: f.eval(z))}
+
+
+@pytest.mark.parametrize("kind", ["expsum", "rational", "tanhexp"])
+def test_derived_operators_match_pointwise_arithmetic(kind):
+    f, ev = _derived_operands()[kind]
+    g = f * f + 1.5
+    fv, gv = ev(f), ev(g)
+    cases = {"-f": (-f, -fv), "f - g": (f - g, fv - gv), "f - 2": (f - 2, fv - 2),
+             "2 - f": (2 - f, 2 - fv), "2 + f": (2 + f, 2 + fv), "2 * f": (2 * f, 2 * fv),
+             "f / 2": (f / 2, fv / 2)}
+    for name, (algebra, direct) in cases.items():
+        err = np.max(np.abs(ev(algebra) - direct))
+        assert err <= 1e-13 * np.max(np.abs(direct)), (name, err)
