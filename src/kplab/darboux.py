@@ -7,8 +7,12 @@ u_i = 2 (log tau_i)_xx and the log-gradient v = dx log(tau_2/tau_1), the
 first-order transforms  sign*dx + dx^{-1}dy - 2v  move linearized waves
 between the levels, and each transform factors through a heat or flow
 operator conjugated by the tau ratio.  Every identity here is checked in
-two independent ways wherever the factorization offers one, always as a
-relative residual against the largest participating term.
+two independent ways wherever the factorization offers one.
+
+Each identity family is a builder that takes no sample points and returns
+a dict of named part lists, the parts of one identity summing to zero.
+`identity_report` is the one place that reduces them, each to its worst
+relative residual (`worst_residual`) on shared sample points.
 
 The final section restricts the transforms to a single sech^2 channel on a
 co-moving line, where they become  +/- d/dz + i eta dz^{-1} - 2 psi  with a
@@ -45,15 +49,15 @@ from .tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
 # ----- sampling and residual plumbing -----
 
 
-def sample_points(seed: int = 7, n: int = 20,
-                  spread: tuple[float, float, float] = (2.2, 1.5, 0.8)):
+def sample_points(seed: int, n: int):
     """Reproducible (x, y, t) sample arrays centered on the interaction region."""
     rng = np.random.default_rng(seed)
-    return tuple(rng.uniform(-s, s, n) for s in spread)
+    return tuple(rng.uniform(-s, s, n) for s in (2.2, 1.5, 0.8))
 
 
-def _identity_residual(lhs, rhs, *pts) -> float:
-    return worst_residual(list(lhs) + [-1.0 * p for p in rhs], *pts)
+def _equation_parts(lhs: list, rhs: list) -> list:
+    """Parts of lhs = rhs moved to one side, so that they sum to zero."""
+    return lhs + [-1.0 * p for p in rhs]
 
 
 def _check_poles(kappa: tuple[float, ...], *betas) -> None:
@@ -92,14 +96,13 @@ def phase_sum(kappa, coeffs) -> ExpSum:
     return ExpSum.from_terms(theta_gens(ka), items)
 
 
-def backlund_residual(tau1: ExpSum, tau2: ExpSum, x, y, t) -> tuple[float, float]:
-    """Relative residuals of the two bilinear coupling identities.
+def backlund_parts(tau1: ExpSum, tau2: ExpSum) -> dict[str, list[ExpSum]]:
+    """Parts of the two bilinear coupling identities.
 
-    The first ties the y-flow of the pair to second x-derivatives, the
-    second ties the t-flow to third x-derivatives and the mixed xy terms.
-    Both are evaluated term by term on the sample points and normalized by
-    the largest term, so a residual near machine epsilon certifies the
-    coupling and a residual of order one refutes it.
+    "x" ties the y-flow of the pair to second x-derivatives, "t" ties the
+    t-flow to third x-derivatives and the mixed xy terms.  A relative
+    residual near machine epsilon certifies the coupling and one of order
+    one refutes it.
     """
     t1x, t2x = tau1.dx(), tau2.dx()
     t1xx, t2xx = t1x.dx(), t2x.dx()
@@ -122,7 +125,7 @@ def backlund_residual(tau1: ExpSum, tau2: ExpSum, x, y, t) -> tuple[float, float
         3.0 * (t1xx * t2x),
         -1.0 * (tau2 * t1xx.dx()),
     ]
-    return worst_residual(xparts, x, y, t), worst_residual(tparts, x, y, t)
+    return {"x": xparts, "t": tparts}
 
 
 def backlund_catalog() -> list[tuple[str, ExpSum, ExpSum]]:
@@ -193,7 +196,7 @@ class MiuraData:
 
     The quadratic map identities, the heat conjugations of the ratio, and
     the flow of v are meaningful when the pair satisfies the bilinear
-    coupling; `invariant_residuals` measures them all.
+    coupling; `invariant_parts` lists them all.
     """
 
     def __init__(self, tau1: ExpSum | None, tau2: ExpSum):
@@ -210,8 +213,13 @@ class MiuraData:
         self.u1y = potential_yprim(t1)
         self.u2y = potential_yprim(t2)
 
-    def invariant_residuals(self, x, y, t) -> dict[str, float]:
-        """Every pointwise identity the pair's potentials must satisfy.
+    @cached_property
+    def base(self) -> "MiuraData":
+        """The step (1, tau1) below this one."""
+        return MiuraData(None, self.tau1)
+
+    def invariant_parts(self) -> dict[str, list[Rational]]:
+        """Parts of every pointwise identity the pair's potentials must satisfy.
 
         map_plus / map_minus     the quadratic maps send v to u2 and u1
         base_plus / base_minus   the same maps on the base step (1, tau1)
@@ -229,9 +237,9 @@ class MiuraData:
         u1, u2 = self.u1, self.u2
         h, hinv = self.h, self.hinv
         vsq = v * v
-        base = MiuraData(None, self.tau1)
+        base = self.base
         bsq = base.v * base.v
-        out = {
+        return {
             "map_plus": [v.dx(), vy, -1.0 * vsq, -1.0 * u2],
             "map_minus": [-1.0 * v.dx(), vy, -1.0 * vsq, -1.0 * u1],
             "base_plus": [base.v.dx(), base.vy, -1.0 * bsq, -1.0 * base.u2],
@@ -255,7 +263,6 @@ class MiuraData:
                         3.0 * (h * self.u1y), 6.0 * (h * (v * u2)),
                         4.0 * (h * (vsq * v))],
         }
-        return {name: worst_residual(parts, x, y, t) for name, parts in out.items()}
 
 
 # ----- first-order level transforms -----
@@ -289,16 +296,16 @@ def carried_from_primitive(prim: Rational) -> Carried:
 # ----- conjugation routes -----
 
 
-def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> float:
-    """Residual of one of the eight conjugation routes, checked both ways.
+def miura_lax_parts(data: MiuraData, which: int, wave: Carried) -> dict[str, list[Rational]]:
+    """Parts of one of the eight conjugation routes, in both of its forms.
 
     which 1..4 factor the transforms and companion maps of the pair's ratio
     through the heat and flow operators of the two levels; which 5..8 are
     routes 1..4 on the base pair (1, tau1), where the lower level is the
     constant background.  Each route has an undifferentiated form acting
-    on the carried x-primitive and a differentiated form acting on the wave
-    itself; the reported residual is the worse of the two, so a pass
-    certifies the operator identity and not a lucky cancellation.
+    on the carried x-primitive ("primitive") and a differentiated form
+    acting on the wave itself ("direct"); a pass of both certifies the
+    operator identity and not a lucky cancellation.
 
     The input must carry an exact x-primitive; the odd routes also read its
     dy.  Routes 5..8 assume tau1 has a single Wronskian entry (or is
@@ -309,7 +316,7 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
     w = wave.value
     big_w = wave.prim()
     if which > 4:
-        data, which = MiuraData(None, data.tau1), which - 4
+        data, which = data.base, which - 4
     v = data.v
     h, hinv = data.h, data.hinv
     u1, u2, u1y, u2y = data.u1, data.u2, data.u1y, data.u2y
@@ -334,22 +341,21 @@ def miura_lax_identity(data: MiuraData, which: int, wave: Carried, x, y, t) -> f
         rhs_a = [hinv * p for p in flow_parts(u1, u1y, h * big_w, star=False)]
         rhs_b = [hinv * p for p in flow_parts(u2, u2y, h * w, star=False)]
 
-    res_a = _identity_residual(lhs, rhs_a, x, y, t)
-    res_b = _identity_residual([p.dx() for p in lhs], rhs_b, x, y, t)
-    return float(np.max([res_a, res_b]))
+    return {"primitive": _equation_parts(lhs, rhs_a),
+            "direct": _equation_parts([p.dx() for p in lhs], rhs_b)}
 
 
 # ----- linearized flow intertwining -----
 
 
-def flow_intertwining_residual(data: MiuraData, sign: int, wave: Carried,
-                               x, y, t) -> float:
+def flow_intertwining_parts(data: MiuraData, sign: int,
+                            wave: Carried) -> dict[str, list[Rational]]:
     """The transform of chosen sign intertwines the two linearized flows.
 
-    Checked in x-differentiated form, which keeps every term local: with
-    F the transformed wave and G the linearized modified flow of the wave,
-    dx applied to the linearized flow of level u_i acting on F must equal
-    dx of the transform acting on G.
+    Stated in x-differentiated form ("direct"), which keeps every term
+    local: with F the transformed wave and G the linearized modified flow
+    of the wave, dx applied to the linearized flow of level u_i acting on F
+    must equal dx of the transform acting on G.
     """
     v = data.v
     parts = LinearDarboux(v, sign).parts(wave)
@@ -362,7 +368,7 @@ def flow_intertwining_residual(data: MiuraData, sign: int, wave: Carried,
 
     lhs = linearized_parts(data.u2 if sign == 1 else data.u1, big_f)
     rhs = [float(sign) * g.dx().dx(), g.dy(), -2.0 * ((v * g).dx())]
-    return _identity_residual(lhs, rhs, x, y, t)
+    return {"direct": _equation_parts(lhs, rhs)}
 
 
 # ----- level maps on wave-dual products -----
@@ -389,87 +395,76 @@ def _level_steps(config: SolitonConfig) -> tuple[tuple[str, JostFamily, JostFami
         return tuple(steps)
     line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(2, 3)))
     vacuum = JostFamily(SolitonConfig("vacuum", ()))
-    return (("two", line, top, MiuraData(line.tau, top.tau)),
-            ("one", vacuum, line, MiuraData(None, line.tau)))
+    upper = MiuraData(line.tau, top.tau)
+    return (("two", line, top, upper), ("one", vacuum, line, upper.base))
 
 
-def darboux_map_products(config: SolitonConfig, direction: str,
-                         beta: complex, beta_prime: complex,
-                         x=None, y=None, t=None) -> dict[str, float]:
-    """Residuals of the level maps on products of waves with duals.
+def darboux_map_parts(config: SolitonConfig, beta: complex,
+                      beta_prime: complex) -> dict[str, list[Rational]]:
+    """Parts of the level maps on products of waves with duals.
 
-    direction "plus" checks the raising identities: the plus transform of a
-    level sends the x-derivative of a mixed product one level up, and the
-    adjoint of the minus transform does the same on single-level products.
-    direction "minus" checks the lowering identities, the two kernel
-    statements on discrete-residue products, and the discrete relations at
+    The "raise" identities: the plus transform of a level sends the
+    x-derivative of a mixed product one level up, and the adjoint of the
+    minus transform does the same on single-level products.  The "lower"
+    identities move them back down; with them come the two kernel
+    statements on discrete-residue products and the discrete relations at
     the resonant phases.
 
     Both spectral points must stay away from the discrete phases.  Every
     adjacent step of the chain (vacuum -> line (2, 3) -> p_type, or the
     line of each o_type channel -> o_type) gets the mixed and wave maps;
-    the residue identities are checked on the p_type chain only.  Returned
-    keys name the identity by what it moves; every value is a worst
-    relative residual.
+    the residue identities are checked on the p_type chain only.  Keys
+    name the identity by what it moves.
     """
-    if direction not in ("plus", "minus"):
-        raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    if x is None:
-        x, y, t = sample_points()
     _check_poles(config.kappa, beta, beta_prime)
-    sign = 1 if direction == "plus" else -1
-    verb = "raise" if sign == 1 else "lower"
+    out: dict[str, list[Rational]] = {}
+    for sign, verb in ((1, "raise"), (-1, "lower")):
 
-    def key(label: str, what: str) -> str:
-        return f"{verb}_{label}_{what}" if config.kind == "p_type" else f"{verb}_{what}_{label}"
+        def key(label: str, what: str) -> str:
+            return f"{verb}_{label}_{what}" if config.kind == "p_type" else f"{verb}_{what}_{label}"
 
-    out: dict[str, float] = {}
-    ops = {}
-    for label, lo, hi, data in _level_steps(config):
-        op = LinearDarboux(data.v, sign)
-        # the transform acts on products of src and lands on products of dst
-        src, dst = (lo, hi) if sign == 1 else (hi, lo)
-        ops[label] = (lo, hi, op, src)
-        out[key(label, "mixed")] = _identity_residual(
-            op.parts(carried_from_primitive(lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
-            [2.0 * (dst.phi(beta=beta) * dst.phi_star(beta=beta_prime)).dx()], x, y, t)
-        out[key(label, "wave")] = _identity_residual(
-            [p.dx() for p in op.parts(
-                pair_product(src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
-            [2.0 * (hi.phi(beta=beta) * lo.phi_star(beta=beta_prime)).dx()], x, y, t)
-    if config.kind == "o_type":
-        return out
+        ops = {}
+        for label, lo, hi, data in _level_steps(config):
+            op = LinearDarboux(data.v, sign)
+            # the transform acts on products of src and lands on products of dst
+            src, dst = (lo, hi) if sign == 1 else (hi, lo)
+            ops[label] = (lo, hi, op, src)
+            out[key(label, "mixed")] = _equation_parts(
+                op.parts(carried_from_primitive(lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
+                [2.0 * (dst.phi(beta=beta) * dst.phi_star(beta=beta_prime)).dx()])
+            out[key(label, "wave")] = _equation_parts(
+                [p.dx() for p in op.parts(
+                    pair_product(src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
+                [2.0 * (hi.phi(beta=beta) * lo.phi_star(beta=beta_prime)).dx()])
+        if config.kind == "o_type":
+            continue
 
-    def dual_residue(label: str, j: int, kernel: bool = False) -> float:
-        lo, hi, op, src = ops[label]
-        rhs = [] if kernel else [2.0 * (hi.phi(beta=beta) * lo.phi_star_residue(j))]
-        return _identity_residual(
-            op.parts(pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs, x, y, t)
+        def dual_residue(label: str, j: int, kernel: bool = False) -> list[Rational]:
+            lo, hi, op, src = ops[label]
+            rhs = [] if kernel else [2.0 * (hi.phi(beta=beta) * lo.phi_star_residue(j))]
+            return _equation_parts(
+                op.parts(pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs)
 
-    def wave_residue(label: str, j: int) -> float:
-        lo, hi, op, src = ops[label]
-        return _identity_residual(
-            op.parts(pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
-            [2.0 * (hi.phi_residue(j) * lo.phi_star(beta=beta))], x, y, t)
+        def wave_residue(label: str, j: int) -> list[Rational]:
+            lo, hi, op, src = ops[label]
+            return _equation_parts(
+                op.parts(pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
+                [2.0 * (hi.phi_residue(j) * lo.phi_star(beta=beta))])
 
-    if sign == 1:
-        out["raise_two_discrete_dual"] = dual_residue("two", 2)
-        out["raise_two_discrete_wave"] = wave_residue("two", 2)
-    else:
-        out["kernel_two"] = dual_residue("two", 1, kernel=True)
-        out["kernel_one"] = dual_residue("one", 2, kernel=True)
-        out["lower_two_discrete_dual"] = dual_residue("two", 2)
-        out["lower_two_discrete_wave"] = wave_residue("two", 2)
-        out["lower_two_discrete_wave_outer"] = wave_residue("two", 1)
-        out["lower_one_discrete_wave"] = wave_residue("one", 2)
+        out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
+        out[f"{verb}_two_discrete_wave"] = wave_residue("two", 2)
+        if sign == -1:
+            out["lower_two_discrete_wave_outer"] = wave_residue("two", 1)
+            out["lower_one_discrete_wave"] = wave_residue("one", 2)
+            out["kernel_two"] = dual_residue("two", 1, kernel=True)
+            out["kernel_one"] = dual_residue("one", 2, kernel=True)
     return out
 
 
 # ----- level shifts of single waves -----
 
 
-def level_shift_residuals(config: SolitonConfig, beta: complex,
-                          x=None, y=None, t=None) -> dict[str, float]:
+def level_shift_parts(config: SolitonConfig, beta: complex) -> dict[str, list[Rational]]:
     """A tau-ratio conjugation turns dx into a one-level shift of the wave.
 
     For each adjacent level pair: dx of ratio^{-1} times the lower wave is
@@ -479,35 +474,30 @@ def level_shift_residuals(config: SolitonConfig, beta: complex,
     wave, doubled.  The p_type chain reports both of its steps, the o_type
     chain one step per channel.
     """
-    if x is None:
-        x, y, t = sample_points()
     _check_poles(config.kappa, beta)
-    out: dict[str, float] = {}
+    out: dict[str, list[Rational]] = {}
     for label, lo, hi, data in _level_steps(config):
         h, hinv = data.h, data.hinv
         wave_lo = lo.phi(beta=beta)
         wave_hi = hi.phi(beta=beta)
         dual_lo = lo.phi_star(beta=beta)
         dual_hi = hi.phi_star(beta=beta)
-        out["wave_step_" + label] = _identity_residual(
-            [(hinv * wave_lo).dx()], [hinv * wave_hi], x, y, t)
-        out["dual_step_" + label] = _identity_residual(
-            [(h * dual_hi).dx()], [-1.0 * (h * dual_lo)], x, y, t)
-        out["wave_heat_" + label] = _identity_residual(
-            heat_parts(None, hinv * wave_lo, star=True),
-            [2.0 * (hinv * wave_hi.dx())], x, y, t)
-        out["dual_heat_" + label] = _identity_residual(
-            heat_parts(None, h * dual_hi, star=False),
-            [-2.0 * (h * dual_lo.dx())], x, y, t)
+        out["wave_step_" + label] = _equation_parts(
+            [(hinv * wave_lo).dx()], [hinv * wave_hi])
+        out["dual_step_" + label] = _equation_parts(
+            [(h * dual_hi).dx()], [-1.0 * (h * dual_lo)])
+        out["wave_heat_" + label] = _equation_parts(
+            heat_parts(None, hinv * wave_lo, star=True), [2.0 * (hinv * wave_hi.dx())])
+        out["dual_heat_" + label] = _equation_parts(
+            heat_parts(None, h * dual_hi, star=False), [-2.0 * (h * dual_lo.dx())])
     return out
 
 
 # ----- resonant products on channel branches -----
 
 
-def mode_transfer_residuals(config: SolitonConfig, eta: complex,
-                            x=None, y=None, t=None) -> dict[str, float]:
-    """Kernel, eigenvalue and transfer identities for the branch products.
+def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[Rational]]:
+    """Parts of the kernel, eigenvalue and transfer identities of the branch products.
 
     The resonant generators are scaled wave-dual products taken at the
     branch points beta = a_ij +/- gamma_ij(eta) of a channel, paired with
@@ -522,8 +512,6 @@ def mode_transfer_residuals(config: SolitonConfig, eta: complex,
     if config.kind != "p_type":
         raise CaseMismatch(
             f"resonant transfer checks exist for the p_type chain, got {config.kind}")
-    if x is None:
-        x, y, t = sample_points()
     k = config.kappa
     eta = complex(eta)
     etac = complex(np.conj(eta))
@@ -570,25 +558,18 @@ def mode_transfer_residuals(config: SolitonConfig, eta: complex,
     dm_in_2 = dual_minus(fam2, br_in, 2, 1.0)
     dm_out_2 = dual_minus(fam2, br_out, 1, -1.0)
 
-    out = {
-        "kernel_one": _identity_residual(nminus1.parts(w_in_1), [], x, y, t),
-        "kernel_two": _identity_residual(nminus2.parts(w_out_2), [], x, y, t),
-        "dual_kernel_one": _identity_residual(nminus1.parts(dm_in_1), [], x, y, t),
-        "dual_kernel_two": _identity_residual(nminus2.parts(dm_out_2), [], x, y, t),
-        "eigen_one": _identity_residual(
-            nplus1.parts(w_in_1), [2.0 * w_in_1.value.dx()], x, y, t),
-        "eigen_two": _identity_residual(
-            nplus2.parts(w_out_2), [2.0 * w_out_2.value.dx()], x, y, t),
-        "transfer_plus": _identity_residual(
-            nminus2.parts(w_in_2), nplus2.parts(w_in_1), x, y, t),
-        "transfer_minus": _identity_residual(
-            nminus2.parts(wm_in_2), nplus2.parts(wm_in_1), x, y, t),
-        "dual_transfer_plus": _identity_residual(
-            nminus2.parts(d_in_2), nplus2.parts(d_in_1), x, y, t),
-        "dual_transfer_minus": _identity_residual(
-            nminus2.parts(dm_in_2), nplus2.parts(dm_in_1), x, y, t),
+    return {
+        "kernel_one": nminus1.parts(w_in_1),
+        "kernel_two": nminus2.parts(w_out_2),
+        "dual_kernel_one": nminus1.parts(dm_in_1),
+        "dual_kernel_two": nminus2.parts(dm_out_2),
+        "eigen_one": _equation_parts(nplus1.parts(w_in_1), [2.0 * w_in_1.value.dx()]),
+        "eigen_two": _equation_parts(nplus2.parts(w_out_2), [2.0 * w_out_2.value.dx()]),
+        "transfer_plus": _equation_parts(nminus2.parts(w_in_2), nplus2.parts(w_in_1)),
+        "transfer_minus": _equation_parts(nminus2.parts(wm_in_2), nplus2.parts(wm_in_1)),
+        "dual_transfer_plus": _equation_parts(nminus2.parts(d_in_2), nplus2.parts(d_in_1)),
+        "dual_transfer_minus": _equation_parts(nminus2.parts(dm_in_2), nplus2.parts(dm_in_1)),
     }
-    return out
 
 
 # ----- one-dimensional channel transforms -----
@@ -635,15 +616,6 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
             f"mirrored kernel needs Re gamma < sqrt(c); got {gam.real:.6f} vs {root:.6f}")
     prim = TanhExp.term(root, -root / gam, 0, 1, gam)
     return Carried(prim.d(), xprim=prim)
-
-
-def kernel_membership(c: float, eta: complex, reflected: bool = False,
-                      zs=None) -> float:
-    """Relative residual of the minus transform on its kernel generator."""
-    f = minus_kernel_profile(c, eta, reflected=reflected)
-    if zs is None:
-        zs = np.linspace(-8.0, 8.0, 97)
-    return worst_residual(OneDimDarboux(c, eta).m_parts(-1, f), zs)
 
 
 class OneDimDarboux:
@@ -708,8 +680,7 @@ class OneDimDarboux:
         return self.grid._panels(f).ravel()
 
 
-def factorization_residuals(c: float, eta: complex, f: Carried,
-                            zs=None) -> dict[str, float]:
+def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[TanhExp]]:
     """Both channel transforms factor through cosh and sech conjugations.
 
     plus_direct      d/dz of the plus transform equals cosh (dz^2 - g^2) sech
@@ -720,10 +691,8 @@ def factorization_residuals(c: float, eta: complex, f: Carried,
     minus_direct     d/dz of the minus transform equals sech (g^2 - dz^2 - u) cosh
 
     Here g is the branch root at -eta for plus and at +eta for minus.  All
-    four are exact identities of the term algebra, evaluated pointwise.
+    four are exact identities of the term algebra.
     """
-    if zs is None:
-        zs = np.linspace(-9.0, 9.0, 121)
     op = OneDimDarboux(c, eta)
     root = op.root
     gp, gm = op.branch.gamma(eta), op.branch.gamma(-eta)
@@ -745,12 +714,11 @@ def factorization_residuals(c: float, eta: complex, f: Carried,
         "minus_direct": (minus.d(), sech * ((gp * gp) * couter - couter.d().d()
                                             - u1 * couter)),
     }
-    return {name: _identity_residual([lhs], [rhs], zs)
-            for name, (lhs, rhs) in checks.items()}
+    return {name: _equation_parts([lhs], [rhs]) for name, (lhs, rhs) in checks.items()}
 
 
-def commutation_residuals(c: float, eta: complex, drift: float, f: Carried,
-                          zs=None) -> dict[str, float]:
+def commutation_parts(c: float, eta: complex, drift: float,
+                      f: Carried) -> dict[str, list[TanhExp]]:
     """The transforms intertwine the channel evolution generators.
 
     With G the transformed profile and H the modified generator applied to
@@ -760,8 +728,6 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Carried,
     identity holds for any value; passing the channel's frame drift keeps
     the magnitudes representative.
     """
-    if zs is None:
-        zs = np.linspace(-9.0, 9.0, 121)
     op = OneDimDarboux(c, eta)
     eta, psi = op.eta, op.psi
     u1 = TanhExp.sech(op.root, 2, 2.0 * c)
@@ -787,8 +753,8 @@ def commutation_residuals(c: float, eta: complex, drift: float, f: Carried,
     lhs_minus = dressed(g_minus, False)
     rhs_minus = -1.0 * h.d().d() + (1j * eta) * h - 2.0 * (psi * h).d()
 
-    return {"plus": _identity_residual([lhs_plus], [rhs_plus], zs),
-            "minus": _identity_residual([lhs_minus], [rhs_minus], zs)}
+    return {"plus": _equation_parts([lhs_plus], [rhs_plus]),
+            "minus": _equation_parts([lhs_minus], [rhs_minus])}
 
 
 def _tail(grid: PanelGrid, g: np.ndarray, q: complex, side: str) -> np.ndarray:
@@ -912,26 +878,23 @@ def identity_report(seed: int = 7, npts: int = 16, beta: complex = 1.7,
 
     The flat key set is stable, so the report can be serialized and diffed;
     all values are worst relative residuals over the shared sample points.
+    Each family's parts are reduced as soon as they are built, so only one
+    family's algebra is alive at a time.
     """
     x, y, t = sample_points(seed, npts)
     cfg_p = SolitonConfig("p_type", kappa_p)
     cfg_o = SolitonConfig("o_type", kappa_o)
     out: dict[str, float] = {}
-    for direction in ("plus", "minus"):
-        for name, val in darboux_map_products(cfg_p, direction, beta, beta_prime,
-                                              x, y, t).items():
-            out[f"p_{name}"] = val
-        for name, val in darboux_map_products(cfg_o, direction, beta, beta_prime,
-                                              x, y, t).items():
-            out[f"o_{name}"] = val
-    for name, val in level_shift_residuals(cfg_p, beta, x, y, t).items():
-        out[f"p_shift_{name}"] = val
-    for name, val in level_shift_residuals(cfg_o, beta, x, y, t).items():
-        out[f"o_shift_{name}"] = val
-    for name, val in mode_transfer_residuals(cfg_p, eta, x, y, t).items():
-        out[f"p_branch_{name}"] = val
+
+    def record(prefix: str, family: dict[str, list]) -> None:
+        for name, parts in family.items():
+            out[prefix + name] = worst_residual(parts, x, y, t)
+
+    record("p_", darboux_map_parts(cfg_p, beta, beta_prime))
+    record("o_", darboux_map_parts(cfg_o, beta, beta_prime))
+    record("p_shift_", level_shift_parts(cfg_p, beta))
+    record("o_shift_", level_shift_parts(cfg_o, beta))
+    record("p_branch_", mode_transfer_parts(cfg_p, eta))
     for name, tau1, tau2 in backlund_catalog():
-        rx, rt = backlund_residual(tau1, tau2, x, y, t)
-        out[f"pair_{name}_x"] = rx
-        out[f"pair_{name}_t"] = rt
+        record(f"pair_{name}_", backlund_parts(tau1, tau2))
     return out

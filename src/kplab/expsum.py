@@ -68,11 +68,14 @@ class Ring:
 
     __slots__ = ()
 
+    # Called directly, not through the operator: a NotImplemented from the
+    # forward method then reaches Python as a TypeError instead of bouncing
+    # back to the other operand's reflected method.
     def __radd__(self, other):
-        return self + other
+        return self.__add__(other)
 
     def __rmul__(self, other):
-        return self * other
+        return self.__mul__(other)
 
     def __neg__(self):
         return self * -1.0

@@ -171,15 +171,15 @@ def product_residuals(family: JostFamily, x, y, t, *, k: complex | None = None,
     For a wave and its dual at one spectral point, w = wave*dual satisfies
     dx(4 dt w + 6 u dx w + dx^3 w) + 3 dy^2 w = 0 and v = dx w solves the
     linearized flow (`linearized_parts`), with the intermediate
-    dy w = dx(dual dx wave - wave dx dual).
+    dy w = dx(dual dx wave - wave dx dual), the dx^{-1} dy that
+    `pair_product` carries.
     """
-    wave = family.phi(k=k, beta=beta)
-    dual = family.phi_star(k=k, beta=beta)
+    prod = pair_product(family.phi(k=k, beta=beta), family.phi_star(k=k, beta=beta))
     u = family.u
-    w = wave * dual
+    w = prod.value
 
     d1 = w.dy().eval(x, y, t)
-    d2 = (dual * wave.dx() - wave * dual.dx()).dx().eval(x, y, t)
+    d2 = prod.ydxinv.dx().eval(x, y, t)
     # both sides can vanish together (shared phase slopes); keep |w| in the scale
     iscale = np.maximum.reduce([np.abs(d1), np.abs(d2), np.abs(w.eval(x, y, t)),
                                 np.full(np.shape(d1), 1e-300)])

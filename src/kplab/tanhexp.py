@@ -80,6 +80,8 @@ class TanhExp(Ring):
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = TanhExp.const(self.rate, other)
+        if not isinstance(other, TanhExp):
+            return NotImplemented
         self._check(other)
         acc = dict(self.terms)
         for (m, p, mu), c in other.terms.items():
@@ -89,6 +91,8 @@ class TanhExp(Ring):
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return TanhExp(self.rate, {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, TanhExp):
+            return NotImplemented
         self._check(other)
         acc: dict = {}
         for (m1, p1, u1), c1 in self.terms.items():

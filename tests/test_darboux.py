@@ -3,26 +3,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kplab.darboux import (
     LinearDarboux,
     MiuraData,
     OneDimDarboux,
     backlund_catalog,
-    backlund_residual,
+    backlund_parts,
     bump_profile,
     carried_from_primitive,
-    commutation_residuals,
-    darboux_map_products,
-    factorization_residuals,
-    flow_intertwining_residual,
+    commutation_parts,
+    darboux_map_parts,
+    factorization_parts,
+    flow_intertwining_parts,
     identity_report,
-    kernel_membership,
     kink_profile,
-    level_shift_residuals,
+    level_shift_parts,
     minus_kernel_profile,
-    miura_lax_identity,
-    mode_transfer_residuals,
+    miura_lax_parts,
+    mode_transfer_parts,
     pair_wronskian,
     phase_sum,
     sample_points,
@@ -40,7 +41,7 @@ from kplab.errors import (
     PoleAtKappa,
     RegionViolation,
 )
-from kplab.expsum import Carried
+from kplab.expsum import Carried, worst_residual
 from kplab.jost import JostFamily, pair_product
 from kplab.solitons import SolitonConfig, sech2, theta_eval
 
@@ -48,10 +49,15 @@ KP = (-2.0, -1.0, 0.5, 3.0)
 KO = (-2.0, -1.0, 1.0, 2.0)
 K3 = (-1.0, 0.3, 2.0)
 CP = 0.5625  # quarter squared gap of the inner channel of KP
+ZS = np.linspace(-9.0, 9.0, 121)
 
 
 def pts(seed=0, n=12):
     return sample_points(seed=seed, n=n)
+
+
+def worst(family, *points):
+    return {name: worst_residual(parts, *points) for name, parts in family.items()}
 
 
 def p_chain():
@@ -66,15 +72,15 @@ def p_chain():
 def test_catalog_pairs_satisfy_both_couplings():
     x, y, t = pts(1)
     for name, tau1, tau2 in backlund_catalog():
-        rx, rt = backlund_residual(tau1, tau2, x, y, t)
-        assert rx < 1e-9 and rt < 1e-9, f"{name}: {rx:.2e}, {rt:.2e}"
+        res = worst(backlund_parts(tau1, tau2), x, y, t)
+        assert res["x"] < 1e-9 and res["t"] < 1e-9, f"{name}: {res}"
 
 
 def test_elementary_pair_is_machine_exact():
     x, y, t = pts(2)
     cat = {name: (t1, t2) for name, t1, t2 in backlund_catalog()}
-    rx, rt = backlund_residual(*cat["line_over_vacuum"], x, y, t)
-    assert rx < 1e-12 and rt < 1e-12
+    res = worst(backlund_parts(*cat["line_over_vacuum"]), x, y, t)
+    assert res["x"] < 1e-12 and res["t"] < 1e-12
 
 
 def test_wrong_partner_is_refuted():
@@ -82,8 +88,8 @@ def test_wrong_partner_is_refuted():
     x, y, t = pts(3)
     tau2 = pair_wronskian(KP, (1.0, 1.3, 0.0, 0.0), (0.0, 0.0, 1.0, 0.7))
     wrong = phase_sum(KP, (1.0, 0.7, 0.0, 0.0))
-    rx, rt = backlund_residual(wrong, tau2, x, y, t)
-    assert rx > 1e-3 and rt > 1e-3
+    res = worst(backlund_parts(wrong, tau2), x, y, t)
+    assert res["x"] > 1e-3 and res["t"] > 1e-3
 
 
 def test_shifted_line_low_matches_closed_form():
@@ -145,7 +151,7 @@ def test_pair_invariants(label):
         pair = (1, 2) if label == "o_ch12" else (3, 4)
         low = JostFamily(SolitonConfig("one_line", KO, pair=pair))
         data = MiuraData(low.tau, JostFamily(SolitonConfig("o_type", KO)).tau)
-    res = data.invariant_residuals(x, y, t)
+    res = worst(data.invariant_parts(), x, y, t)
     for name, val in res.items():
         assert val < 1e-10, f"{label}/{name}: {val:.2e}"
 
@@ -154,7 +160,7 @@ def test_invariants_refute_uncoupled_pair():
     x, y, t = pts(8)
     data = MiuraData(phase_sum(KP, (1.0, 0.7, 0.0, 0.0)),
                      pair_wronskian(KP, (1.0, 1.3, 0.0, 0.0), (0.0, 0.0, 1.0, 0.7)))
-    res = data.invariant_residuals(x, y, t)
+    res = worst(data.invariant_parts(), x, y, t)
     assert res["map_plus"] > 1e-3 and res["flow"] > 1e-3
 
 
@@ -198,7 +204,8 @@ def test_conjugation_routes_on_mixed_product(which):
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
     x, y, t = pts(10, n=10)
-    assert miura_lax_identity(data, which, wave, x, y, t) < 1e-9
+    res = worst(miura_lax_parts(data, which, wave), x, y, t)
+    assert res["primitive"] < 1e-9 and res["direct"] < 1e-9, res
 
 
 def test_routes_on_plane_pair_with_manual_carry():
@@ -211,26 +218,25 @@ def test_routes_on_plane_pair_with_manual_carry():
                    ydxinv=(beta + beta_prime) * prod)
     data = MiuraData(None, fam1.tau)
     x, y, t = pts(11, n=10)
-    assert miura_lax_identity(data, 4, wave, x, y, t) < 1e-12
-    assert miura_lax_identity(data, 2, wave, x, y, t) < 1e-9
+    for which, bound in ((4, 1e-12), (2, 1e-9)):
+        res = worst(miura_lax_parts(data, which, wave), x, y, t)
+        assert res["primitive"] < bound and res["direct"] < bound, (which, res)
 
 
 def test_routes_need_exact_primitive():
     fam1, fam2 = p_chain()
     data = MiuraData(fam1.tau, fam2.tau)
     wave = pair_product(fam1.phi(beta=0.9), fam1.phi_star(beta=0.37))
-    x, y, t = pts(12, n=4)
     with pytest.raises(MissingPrimitive):
-        miura_lax_identity(data, 1, wave, x, y, t)
+        miura_lax_parts(data, 1, wave)
 
 
 def test_route_index_validated():
     fam1, fam2 = p_chain()
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
-    x, y, t = pts(13, n=2)
     with pytest.raises(ValueError):
-        miura_lax_identity(data, 9, wave, x, y, t)
+        miura_lax_parts(data, 9, wave)
 
 
 # ----- linearized flow intertwining -----
@@ -243,7 +249,7 @@ def test_flow_intertwining_over_vacuum(sign):
     data = MiuraData(None, fam1.tau)
     wave = carried_from_primitive(fam0.phi(beta=0.9) * fam1.phi_star(beta=0.37))
     x, y, t = pts(14, n=6)
-    assert flow_intertwining_residual(data, sign, wave, x, y, t) < 1e-9
+    assert worst(flow_intertwining_parts(data, sign, wave), x, y, t)["direct"] < 1e-9
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -252,7 +258,7 @@ def test_flow_intertwining_on_four_phase_chain(sign):
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
     x, y, t = pts(15, n=4)
-    assert flow_intertwining_residual(data, sign, wave, x, y, t) < 1e-9
+    assert worst(flow_intertwining_parts(data, sign, wave), x, y, t)["direct"] < 1e-9
 
 
 def test_flow_intertwining_sign_validated():
@@ -260,16 +266,22 @@ def test_flow_intertwining_sign_validated():
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
     with pytest.raises(ValueError):
-        flow_intertwining_residual(data, 2, wave, *pts(16, n=2))
+        flow_intertwining_parts(data, 2, wave)
 
 
 # ----- level maps on wave-dual products -----
 
 
+def raising(name: str) -> bool:
+    return name.startswith("raise_")
+
+
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_product_maps_four_phase(direction):
     x, y, t = pts(17, n=10)
-    res = darboux_map_products(SolitonConfig("p_type", KP), direction, 1.7, 0.4, x, y, t)
+    res = worst(darboux_map_parts(SolitonConfig("p_type", KP), 1.7, 0.4), x, y, t)
+    res = {name: val for name, val in res.items() if raising(name) == (direction == "plus")}
+    assert len(res) == (6 if direction == "plus" else 10)
     for name, val in res.items():
         assert val < 1e-9, f"{name}: {val:.2e}"
     if direction == "minus":
@@ -279,27 +291,25 @@ def test_product_maps_four_phase(direction):
 @pytest.mark.parametrize("direction", ["plus", "minus"])
 def test_product_maps_split_type(direction):
     x, y, t = pts(18, n=10)
-    res = darboux_map_products(SolitonConfig("o_type", KO), direction, 1.7, 0.4, x, y, t)
+    res = worst(darboux_map_parts(SolitonConfig("o_type", KO), 1.7, 0.4), x, y, t)
+    res = {name: val for name, val in res.items() if raising(name) == (direction == "plus")}
     assert len(res) == 4
     for name, val in res.items():
         assert val < 1e-9, f"{name}: {val:.2e}"
 
 
 def test_family_key_sets_are_pinned():
-    x, y, t = pts(25, n=2)
     cp, co = SolitonConfig("p_type", KP), SolitonConfig("o_type", KO)
-    assert set(darboux_map_products(cp, "plus", 1.7, 0.4, x, y, t)) == {
+    assert set(darboux_map_parts(cp, 1.7, 0.4)) == {
         "raise_two_mixed", "raise_two_wave", "raise_one_mixed", "raise_one_wave",
-        "raise_two_discrete_dual", "raise_two_discrete_wave"}
-    assert set(darboux_map_products(cp, "minus", 1.7, 0.4, x, y, t)) == {
+        "raise_two_discrete_dual", "raise_two_discrete_wave",
         "lower_two_mixed", "lower_two_wave", "lower_one_mixed", "lower_one_wave",
         "kernel_two", "kernel_one", "lower_two_discrete_dual", "lower_two_discrete_wave",
         "lower_two_discrete_wave_outer", "lower_one_discrete_wave"}
-    assert set(darboux_map_products(co, "plus", 1.7, 0.4, x, y, t)) == {
-        "raise_mixed_ch12", "raise_wave_ch12", "raise_mixed_ch34", "raise_wave_ch34"}
-    assert set(darboux_map_products(co, "minus", 1.7, 0.4, x, y, t)) == {
+    assert set(darboux_map_parts(co, 1.7, 0.4)) == {
+        "raise_mixed_ch12", "raise_wave_ch12", "raise_mixed_ch34", "raise_wave_ch34",
         "lower_mixed_ch12", "lower_wave_ch12", "lower_mixed_ch34", "lower_wave_ch34"}
-    assert set(mode_transfer_residuals(cp, 0.4, x, y, t)) == {
+    assert set(mode_transfer_parts(cp, 0.4)) == {
         "kernel_one", "kernel_two", "dual_kernel_one", "dual_kernel_two", "eigen_one",
         "eigen_two", "transfer_plus", "transfer_minus", "dual_transfer_plus",
         "dual_transfer_minus"}
@@ -307,25 +317,20 @@ def test_family_key_sets_are_pinned():
 
 def test_product_maps_reject_pole_proximity():
     with pytest.raises(PoleAtKappa):
-        darboux_map_products(SolitonConfig("p_type", KP), "plus", 0.5, 0.4)
+        darboux_map_parts(SolitonConfig("p_type", KP), 0.5, 0.4)
 
 
 def test_product_maps_reject_other_kinds():
     cfg = SolitonConfig("one_line", K3, pair=(1, 2))
     with pytest.raises(ConfigMismatch):
-        darboux_map_products(cfg, "plus", 1.7, 0.4, *pts(19, n=2))
-
-
-def test_product_maps_validate_direction():
-    with pytest.raises(ValueError):
-        darboux_map_products(SolitonConfig("p_type", KP), "sideways", 1.7, 0.4)
+        darboux_map_parts(cfg, 1.7, 0.4)
 
 
 # ----- level shifts -----
 
 
 def test_level_shifts_four_phase():
-    res = level_shift_residuals(SolitonConfig("p_type", KP), 1.7, *pts(20, n=10))
+    res = worst(level_shift_parts(SolitonConfig("p_type", KP), 1.7), *pts(20, n=10))
     assert set(res) == {f"{a}_{b}" for a in ("wave_step", "dual_step", "wave_heat", "dual_heat")
                         for b in ("one", "two")}
     for name, val in res.items():
@@ -333,7 +338,7 @@ def test_level_shifts_four_phase():
 
 
 def test_level_shifts_split_type():
-    res = level_shift_residuals(SolitonConfig("o_type", KO), 1.7, *pts(21, n=10))
+    res = worst(level_shift_parts(SolitonConfig("o_type", KO), 1.7), *pts(21, n=10))
     assert len(res) == 8
     for name, val in res.items():
         assert val < 1e-9, f"{name}: {val:.2e}"
@@ -346,16 +351,15 @@ def test_level_maps_finite_in_the_far_field(kind, kappa):
     x = np.array([-2000.0, -200.0, -100.0, 700.0, 2000.0])
     y = np.array([0.0, 0.0, 3.0, -2.0, 1.0])
     t = np.array([0.0, 0.0, -1.0, 0.5, 0.0])
-    res = level_shift_residuals(cfg, 1.7, x, y, t)
-    for direction in ("plus", "minus"):
-        res.update(darboux_map_products(cfg, direction, 1.7, 0.4, x, y, t))
+    res = worst(level_shift_parts(cfg, 1.7), x, y, t)
+    res.update(worst(darboux_map_parts(cfg, 1.7, 0.4), x, y, t))
     for name, val in res.items():
         assert np.isfinite(val) and val < 1e-9, f"{name}: {val:.2e}"
 
 
 def test_level_shifts_reject_vacuum():
     with pytest.raises(ConfigMismatch):
-        level_shift_residuals(SolitonConfig("vacuum", ()), 1.7, *pts(22, n=2))
+        level_shift_parts(SolitonConfig("vacuum", ()), 1.7)
 
 
 # ----- resonant transfers -----
@@ -363,14 +367,14 @@ def test_level_shifts_reject_vacuum():
 
 @pytest.mark.parametrize("eta", [0.4, 1.9, 0.3 + 0.2j])
 def test_mode_transfer_identities(eta):
-    res = mode_transfer_residuals(SolitonConfig("p_type", KP), eta, *pts(23, n=10))
+    res = worst(mode_transfer_parts(SolitonConfig("p_type", KP), eta), *pts(23, n=10))
     for name, val in res.items():
         assert val < 1e-9, f"eta={eta} {name}: {val:.2e}"
 
 
 def test_mode_transfer_needs_inner_channel():
     with pytest.raises(CaseMismatch):
-        mode_transfer_residuals(SolitonConfig("o_type", KO), 0.4, *pts(24, n=2))
+        mode_transfer_parts(SolitonConfig("o_type", KO), 0.4)
 
 
 # ----- one-dimensional transforms -----
@@ -378,25 +382,30 @@ def test_mode_transfer_needs_inner_channel():
 
 @pytest.mark.parametrize("eta", [2.0, 0.3, 0.0, 1.2 + 0.7j])
 def test_line_factorizations(eta):
-    res = factorization_residuals(CP, eta, bump_profile(CP))
+    res = worst(factorization_parts(CP, eta, bump_profile(CP)), ZS)
     for name, val in res.items():
         assert val < 1e-10, f"eta={eta} {name}: {val:.2e}"
 
 
 @pytest.mark.parametrize("drift", [25.0 / 6.0, -0.7])
 def test_line_commutation(drift):
-    res = commutation_residuals(CP, 1.3, drift, bump_profile(CP))
+    res = worst(commutation_parts(CP, 1.3, drift, bump_profile(CP)), ZS)
     assert res["plus"] < 1e-8 and res["minus"] < 1e-8
+
+
+def kernel_residual(eta: complex, reflected: bool = False) -> float:
+    prof = minus_kernel_profile(CP, eta, reflected=reflected)
+    return worst_residual(OneDimDarboux(CP, eta).m_parts(-1, prof), np.linspace(-8.0, 8.0, 97))
 
 
 @pytest.mark.parametrize("eta", [2.0, 0.3, 0.9 + 0.4j])
 def test_minus_kernel_membership(eta):
-    assert kernel_membership(CP, eta) < 1e-9
+    assert kernel_residual(eta) < 1e-9
 
 
 def test_mirrored_kernel_in_complex_strip():
     # imaginary part chosen so the branch root drops below the channel rate
-    assert kernel_membership(CP, 0.1 + 0.45j, reflected=True) < 1e-9
+    assert kernel_residual(0.1 + 0.45j, reflected=True) < 1e-9
     prof = minus_kernel_profile(CP, 0.1 + 0.45j, reflected=True)
     zs = np.linspace(-6.0, 6.0, 25)
     assert np.all(np.isfinite(prof.value.eval(zs)))
@@ -512,13 +521,58 @@ def test_kink_and_bump_profiles():
 # ----- aggregate report -----
 
 
+CATALOG = ("line_over_vacuum", "three_term_over_vacuum", "full_rank_pair",
+           "rank_pair_degenerate", "split_pair_generic", "split_pair_wronskian",
+           "split_pair_other_partner", "three_phase_skew", "three_phase_mixed",
+           "shifted_line_low", "shifted_line_high", "p_type_pair", "o_type_low", "o_type_high")
+
+
 def test_identity_report_is_green_and_stable():
     rep = identity_report(npts=8)
-    assert len(rep) >= 70
-    for key in ("p_raise_two_mixed", "o_lower_wave_ch34", "p_shift_dual_heat_two",
-                "p_branch_transfer_minus", "pair_line_over_vacuum_x"):
-        assert key in rep
+    maps_p = {f"{verb}_{step}_{what}" for verb in ("raise", "lower")
+              for step in ("two", "one") for what in ("mixed", "wave")} | {
+        "raise_two_discrete_dual", "raise_two_discrete_wave", "lower_two_discrete_dual",
+        "lower_two_discrete_wave", "lower_two_discrete_wave_outer", "lower_one_discrete_wave",
+        "kernel_two", "kernel_one"}
+    maps_o = {f"{verb}_{what}_{ch}" for verb in ("raise", "lower")
+              for what in ("mixed", "wave") for ch in ("ch12", "ch34")}
+    shifts = {f"{what}_{kind}" for what in ("wave", "dual") for kind in ("step", "heat")}
+    branch = {"kernel_one", "kernel_two", "dual_kernel_one", "dual_kernel_two", "eigen_one",
+              "eigen_two", "transfer_plus", "transfer_minus", "dual_transfer_plus",
+              "dual_transfer_minus"}
+    expected = ({f"p_{k}" for k in maps_p} | {f"o_{k}" for k in maps_o}
+                | {f"p_shift_{k}_{step}" for k in shifts for step in ("two", "one")}
+                | {f"o_shift_{k}_{ch}" for k in shifts for ch in ("ch12", "ch34")}
+                | {f"p_branch_{k}" for k in branch}
+                | {f"pair_{name}_{eq}" for name in CATALOG for eq in ("x", "t")})
+    assert len(expected) == 78
+    assert set(rep) == expected
+    assert [name for name, _, _ in backlund_catalog()] == list(CATALOG)
     vals = np.array(list(rep.values()))
     assert np.all(np.isfinite(vals)), [k for k, v in rep.items() if not np.isfinite(v)]
     worst = np.max(vals)
     assert worst < 1e-9, f"worst residual {worst:.2e}"
+
+
+# ----- sweep over the phase speeds -----
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4, unique=True),
+       st.sampled_from(["p_type", "o_type"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_level_identities_over_kappa(raw, kind, seed):
+    """Map products and level shifts of both kinds, and the p_type mode
+    transfers, hold for any admissible phase speeds."""
+    kappa = tuple(sorted(raw))
+    assume(min(b - a for a, b in zip(kappa, kappa[1:])) >= 0.1)
+    # the duals at beta = 1.7 and beta' = 0.4 have poles at the phase speeds
+    assume(min(abs(b - k) for b in (1.7, 0.4) for k in kappa) >= 0.1)
+    cfg = SolitonConfig(kind, kappa)
+    x, y, t = pts(seed, n=12)
+    families = {"map": darboux_map_parts(cfg, 1.7, 0.4), "shift": level_shift_parts(cfg, 1.7)}
+    if kind == "p_type":
+        families["branch"] = mode_transfer_parts(cfg, 0.4)
+    for label, family in families.items():
+        for name, val in worst(family, x, y, t).items():
+            assert val < 1e-9, f"{kind} {kappa} {label} {name}: {val:.2e}"

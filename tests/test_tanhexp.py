@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kplab.errors import ConfigMismatch, RegionViolation
+from kplab.expsum import ExpSum
 from kplab.tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
 
 ZS = np.linspace(-7.0, 7.0, 57)
@@ -37,6 +38,17 @@ def test_derivative_matches_difference_quotient():
 def test_rate_mismatch_rejected():
     with pytest.raises(ConfigMismatch):
         TanhExp.tanh(0.5) + TanhExp.tanh(0.6)
+
+
+@pytest.mark.parametrize("combine", [
+    lambda f: f + None,
+    lambda f: f * "a",
+    lambda f: f + ExpSum.constant(1.0),
+    lambda f: ExpSum.constant(1.0) * f,
+], ids=["plus_none", "times_str", "plus_expsum", "expsum_times"])
+def test_foreign_operand_is_a_type_error(combine):
+    with pytest.raises(TypeError):
+        combine(TanhExp.tanh(0.5))
 
 
 def test_far_field_evaluation_is_stable():
