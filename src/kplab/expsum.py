@@ -219,37 +219,67 @@ def multi_indices(orders: tuple[int, int, int]):
     return out
 
 
-def _downward_closure(orders: tuple[int, int, int], only) -> list[tuple[int, int, int]]:
-    """Multi-indices of the `orders` box lying below some entry of `only`."""
+def _closure(orders, only) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """(computed, returned) multi-indices, graded; ValueError as `log_derivatives` says.
+
+    The computed ones are the downward closure of the returned ones."""
+    if len(orders) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 0 for n in orders):
+        raise ValueError(f"orders {tuple(orders)} is not three non-negative ints")
     box = multi_indices(orders)
     if only is None:
-        return box
-    wanted = [tuple(gamma) for gamma in only]
+        return box, box
+    wanted = {tuple(gamma) for gamma in only}
     if not wanted:
         raise ValueError("only names no partial")
     for gamma in wanted:
         if len(gamma) != 3 or not all(0 <= gamma[a] <= orders[a] for a in range(3)):
             raise ValueError(f"partial {gamma} lies outside the box {tuple(orders)}")
-    return [g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in wanted)]
+    closure = [g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in wanted)]
+    return closure, [g for g in closure if g in wanted]
 
 
 def _recursion_plan(idx):
-    """(gamma, [(weight, delta, gamma - delta)]) for each gamma of idx past (0,0,0).
+    """(r, [(weight, r_delta, r_rest)]) for each gamma = idx[r] past (0,0,0).
 
     gamma is split as beta + one unit step on its first nonzero axis; delta
-    runs over the nonzero multi-indices below beta with binomial weights.
-    Every delta and gamma - delta lies below gamma, so a downward-closed idx
-    holds them all.
+    runs over the nonzero multi-indices below beta with binomial weights,
+    rest is gamma - delta, and r_delta, r_rest are their positions in idx.
+    Both lie below gamma, so a downward-closed idx holds them, and rest is
+    never (0,0,0).
     """
+    pos = {gamma: r for r, gamma in enumerate(idx)}
     plan = []
     for gamma in idx[1:]:
         axis = next(a for a in range(3) if gamma[a] > 0)
         beta = tuple(g - (a == axis) for a, g in enumerate(gamma))
         steps = [(comb(beta[0], delta[0]) * comb(beta[1], delta[1]) * comb(beta[2], delta[2]),
-                  delta, tuple(gamma[a] - delta[a] for a in range(3)))
+                  pos[delta], pos[tuple(gamma[a] - delta[a] for a in range(3))])
                  for delta in multi_indices(beta)[1:]]
-        plan.append((gamma, steps))
+        plan.append((pos[gamma], steps))
     return plan
+
+
+def _dominant_groups(ex: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(d, points whose first largest exponent is row d) for each d that has points.
+
+    A running comparison over the term rows gives np.argmax's index, NaN
+    counting as the largest, without moving the term axis innermost.
+    """
+    dom = np.zeros(ex.shape[1], dtype=np.intp)
+    best = ex[0].copy()
+    for r in range(1, ex.shape[0]):
+        take = ~(ex[r] <= best) & (best == best)
+        dom[take] = r
+        np.copyto(best, ex[r], where=take)
+    groups = [(d, np.flatnonzero(dom == d)) for d in range(ex.shape[0])]
+    return [(d, cols) for d, cols in groups if cols.size]
+
+
+# Points per block of `log_derivatives`.  A block's scratch is two rows per
+# computed partial (its term sum and its value): for the 17 partials behind
+# the KP residual, 8192 points make 2.2 MB of float64, which stays in a
+# 2 MB-class per-core L2 cache while the recursion sweeps it over 100 times.
+BLOCK = 8192
 
 
 def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
@@ -262,11 +292,14 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     because the dominant term then has phase zero, leaves no large
     cancelling phase powers where a single exponential dominates.
 
-    `only`, when given, lists the partials the caller reads; each must lie
-    in the `orders` box, else ValueError.  Then only their downward
-    closure (every multi-index below some entry) is computed and returned.
-    The recursion reads nothing outside that closure, so each value is the
-    one the full box gives for the same key.
+    `orders` is three non-negative ints.  The result holds the whole
+    `orders` box, or exactly the partials `only` names; each must lie in
+    the box, else ValueError.  The recursion computes just the downward
+    closure of the returned keys (every multi-index below one), so each
+    value is the one the full box gives for the same key.  Each group runs
+    in blocks of `BLOCK` points in preallocated scratch: beyond the
+    returned arrays, the points, their (terms, N) exponents and grouping,
+    the extra memory is one block's.
 
     When tau's phases and coefficients are real, the partials of order
     >= 1 are computed and returned in float64; otherwise in complex128.
@@ -277,39 +310,63 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     """
     if tau.is_zero():
         raise ZeroDivisionError("log derivative of the zero sum")
-    idx = _downward_closure(orders, only)
+    idx, wanted = _closure(orders, only)
     plan = _recursion_plan(idx)
     ph, coeff = tau.arrays()  # (terms, 3) phases, (terms,) coefficients
     pts, shape = _points(x, y, t)
     if not (ph.imag.any() or coeff.imag.any()):
         ph, coeff = ph.real, coeff.real
-    ex = ph @ pts.astype(ph.dtype)
-    npts = ex.shape[1]
-    out = {gamma: np.empty(npts, dtype=ph.dtype) for gamma in idx}
-    out[(0, 0, 0)] = np.empty(npts, dtype=complex)
-    dom = np.argmax(ex.real, axis=0) if len(coeff) > 1 else np.zeros(npts, dtype=int)
-    for d in np.unique(dom):
-        cols = np.nonzero(dom == d)[0]
+    ex = ph @ pts.astype(ph.dtype, copy=False)
+    del pts
+    groups = _dominant_groups(ex.real)
+    nterms, npts = ex.shape
+    # point-major: a block gathers whole rows, and the vector-matrix product
+    # over its transpose sums each point's terms in one order whatever the
+    # block's length or place (over a term-major block it does not)
+    ex = np.ascontiguousarray(ex.T)
+    out = {gamma: np.empty(npts, dtype=complex if gamma == (0, 0, 0) else ph.dtype)
+           for gamma in wanted}
+    nb = min(BLOCK, npts)
+    w_flat = np.empty(nterms * nb, dtype=ph.dtype)
+    sums, g = np.empty((2, len(idx), nb), dtype=ph.dtype)
+    top, tmp = np.empty((2, nb), dtype=ph.dtype)
+    for d, cols in groups:
         q = ph - ph[d]  # dominant term recentered to phase zero
-        w = np.exp(ex[:, cols] - ex[d, cols])
         # one vector-matrix product per partial: a matrix product over all
         # rows may round a row differently with the row count, and `only`
         # must not change any value
-        spart = {(i, j, k): (coeff * q[:, 0] ** i * q[:, 1] ** j * q[:, 2] ** k) @ w
-                 for i, j, k in idx}
-        s0 = spart[(0, 0, 0)]
-        g = {(0, 0, 0): np.log(s0.astype(complex)) + ex[d, cols]}
-        for gamma, steps in plan:
-            acc = spart[gamma].copy()
-            for weight, delta, rest in steps:
-                acc -= weight * spart[delta] * g[rest]
-            g[gamma] = acc / s0
-        # first derivatives regain the recentering slope
-        for axis, gamma in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            if gamma in g:
-                g[gamma] = g[gamma] + ph[d, axis]
-        for gamma in idx:
-            out[gamma][cols] = g[gamma]
+        vecs = [coeff * q[:, 0] ** i * q[:, 1] ** j * q[:, 2] ** k for i, j, k in idx]
+        for start in range(0, cols.size, nb):
+            block = cols[start:start + nb]
+            n = block.size
+            w = np.take(ex, block, axis=0, out=w_flat[:nterms * n].reshape(n, nterms),
+                        mode="clip").T
+            top[:n] = w[d]
+            w -= top[:n]
+            np.exp(w, out=w)
+            for r, vec in enumerate(vecs):
+                np.matmul(vec, w, out=sums[r, :n])
+            s0 = sums[0, :n]
+            for r, steps in plan:
+                acc, first = g[r, :n], sums[r, :n]
+                for weight, delta, rest in steps:
+                    if weight == 1:
+                        np.multiply(sums[delta, :n], g[rest, :n], out=tmp[:n])
+                    else:
+                        np.multiply(sums[delta, :n], weight, out=tmp[:n])
+                        tmp[:n] *= g[rest, :n]
+                    np.subtract(first, tmp[:n], out=acc)
+                    first = acc
+                np.divide(first, s0, out=acc)
+            # first derivatives regain the recentering slope
+            for axis, gamma in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+                if gamma in idx:
+                    g[idx.index(gamma), :n] += ph[d, axis]
+            for gamma, val in out.items():
+                if gamma == (0, 0, 0):
+                    val[block] = np.log(s0.astype(complex)) + top[:n]
+                else:
+                    val[block] = g[idx.index(gamma), :n]
     return {key: val.reshape(shape) for key, val in out.items()}
 
 

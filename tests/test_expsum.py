@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kplab.errors import MissingPrimitive
-from kplab.expsum import Carried, ExpSum, Rational, log_derivatives, sum_residual, worst_residual
+from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, log_derivatives, sum_residual,
+                          worst_residual)
 from kplab.tanhexp import TanhExp
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
@@ -114,8 +115,7 @@ def test_only_returns_the_closure_bit_for_bit():
         assert set(full) == box
         for only in sets:
             got = log_derivatives(tau, orders, x, y, t, only=only)
-            closure = {g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in only)}
-            assert set(got) == closure, only
+            assert set(got) == set(only), only
             for key, val in got.items():
                 assert val.dtype == full[key].dtype
                 assert np.array_equal(val, full[key]), (only, key)
@@ -126,6 +126,46 @@ def test_only_outside_the_box_is_rejected():
     for only in ([(5, 0, 0)], [(2, 0, 0), (0, 3, 0)], [(0, 0, 3)], [(-1, 0, 0)], []):
         with pytest.raises(ValueError):
             log_derivatives(tau, (4, 2, 2), 0.1, 0.2, 0.3, only=only)
+    for orders in ((-1, 0, 0), (2, 0, -3), (2, 0), (2, 0, 0, 0), (1.5, 0, 0)):
+        for only in (None, [(0, 0, 0)]):
+            with pytest.raises(ValueError):
+                log_derivatives(tau, orders, 0.1, 0.2, 0.3, only=only)
+
+
+def _wide_points(tau, n):
+    """n seeded points at which every term of tau is the dominant one somewhere."""
+    rng = np.random.default_rng(31)
+    x, y, t = _pts(rng, n=n, span=6.0)
+    ph, _ = tau.arrays()
+    dom = np.argmax(ph.real @ np.stack([x, y, t]), axis=0)
+    counts = np.bincount(dom, minlength=len(ph))
+    assert counts.min() > 0 and counts.max() > BLOCK
+    return x, y, t
+
+
+def test_blocks_match_per_slice_calls():
+    for tau in _mixed_tau():
+        x, y, t = _wide_points(tau, 3 * BLOCK + 37)
+        full = log_derivatives(tau, (3, 2, 1), x, y, t)
+        for start in range(0, x.size, 1000):
+            cut = slice(start, start + 1000)
+            part = log_derivatives(tau, (3, 2, 1), x[cut], y[cut], t[cut])
+            for key, val in part.items():
+                err = np.max(np.abs(full[key][cut] - val))
+                assert err <= 1e-13 * np.max(np.abs(val)), (key, start, err)
+
+
+def test_nan_point_is_nan_in_every_partial_there_only():
+    for tau in _mixed_tau():
+        x, y, t = _wide_points(tau, 3 * BLOCK + 37)
+        x[[5, BLOCK + 7]] = np.nan
+        t[2 * BLOCK - 1] = np.nan
+        bad = np.isnan(x) | np.isnan(t)
+        only = [(0, 0, 0), (1, 0, 0), (3, 0, 1), (2, 2, 0)]
+        with np.errstate(invalid="ignore"):  # complex division flags NaN operands
+            got = log_derivatives(tau, (3, 2, 1), x, y, t, only=only)
+        for key, val in got.items():
+            assert np.array_equal(np.isnan(val), bad), key
 
 
 def test_real_tau_runs_in_float64_and_agrees_with_rotated_tau():

@@ -1,6 +1,8 @@
 """Tau construction, frames, field residuals and far-field profiles."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +181,33 @@ def test_residual_detects_broken_coefficient():
     x, y, t = rng.uniform(-4, 4, (3, 100))
     res, scale = fld.kpii_residual(x, y, t)
     assert np.max(res / scale) > 1e-3
+
+
+def test_residual_at_a_nan_point_is_nan():
+    x = np.linspace(-4.0, 4.0, 50)
+    x[17] = np.nan
+    for cfg in (p_config(), o_config()):
+        res, scale = cfg.field().kpii_residual(x, 0.5, 0.2)
+        rel = res / scale
+        assert np.isnan(rel[17]) and np.isnan(np.max(rel))
+        assert np.max(np.delete(rel, 17)) < 1e-9
+
+
+def test_residual_peak_memory_is_a_few_grids():
+    # numpy reports its buffers to tracemalloc.  The partials, the exponents
+    # and the equation's terms take about 15 grids of float64; scratch the
+    # size of the grid instead of one block would exceed the bound
+    n = 512
+    base = np.linspace(-7.5, 7.5, n)
+    fld = p_config().field()
+    fld.kpii_residual(base[:4, None], base[None, :4], 0.3)
+    tracemalloc.start()
+    try:
+        fld.kpii_residual(base[:, None], base[None, :], 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_no_overflow_far_out():
