@@ -5,9 +5,10 @@ entry than tau_1, satisfies two bilinear identities; everything else in
 this module flows from that coupling.  The pair carries exact potentials
 u_i = 2 (log tau_i)_xx and the log-gradient v = dx log(tau_2/tau_1), the
 first-order transforms  sign*dx + dx^{-1}dy - 2v  move linearized waves
-between the levels, and each transform factors through a heat or flow
-operator conjugated by the tau ratio.  Every identity here is checked in
-two independent ways wherever the factorization offers one.
+between the levels (`transform_parts` lists their summands), and each
+transform factors through a heat or flow operator conjugated by the tau
+ratio.  Every identity here is checked in two independent ways wherever
+the factorization offers one.
 
 Each identity family is a builder that takes no sample points and returns
 a dict of named part lists, the parts of one identity summing to zero.
@@ -35,6 +36,7 @@ from .errors import (
     ConfigMismatch,
     InadmissibleEta,
     InvalidBranch,
+    MissingPrimitive,
     OrthogonalityViolation,
     PoleAtKappa,
     RegionViolation,
@@ -268,24 +270,18 @@ class MiuraData:
 # ----- first-order level transforms -----
 
 
-class LinearDarboux:
-    """The transform  sign*dx + dx^{-1}dy - 2v  on carried waves.
+def transform_parts(v: Rational, sign: int, wave: Carried) -> list[Rational]:
+    """Summands [sign dx wave, dx^{-1}dy wave, -2 v wave] of  sign*dx + dx^{-1}dy - 2v.
 
-    The nonlocal term is read off the carried data: an explicit dx^{-1}dy
-    when present, else dy of the carried x-primitive.  The formal adjoint
-    is the transform with the opposite sign.
+    The nonlocal term is the wave's carried dx^{-1}dy; a wave without one
+    raises MissingPrimitive.  The formal adjoint is the transform with the
+    opposite sign.
     """
-
-    def __init__(self, v: Rational, sign: int):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        self.v = v
-        self.sign = sign
-
-    def parts(self, wave: Carried) -> list[Rational]:
-        """[sign * dx wave, dx^{-1}dy wave, -2 v wave]."""
-        ydx = wave.ydxinv if wave.ydxinv is not None else wave.prim().dy()
-        return [float(self.sign) * wave.value.dx(), ydx, -2.0 * (self.v * wave.value)]
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if wave.ydxinv is None:
+        raise MissingPrimitive("the level transform needs the wave's exact dx^{-1} dy")
+    return [float(sign) * wave.value.dx(), wave.ydxinv, -2.0 * (v * wave.value)]
 
 
 def carried_from_primitive(prim: Rational) -> Carried:
@@ -323,11 +319,11 @@ def miura_lax_parts(data: MiuraData, which: int, wave: Carried) -> dict[str, lis
     wx = w.dx()
 
     if which == 1:
-        lhs = LinearDarboux(v, 1).parts(wave)
+        lhs = transform_parts(v, 1, wave)
         rhs_a = [h * p for p in heat_parts(u2, hinv * big_w, star=True)]
         rhs_b = [h * p for p in heat_parts(u1, hinv * w, star=True)]
     elif which == 2:
-        lhs = LinearDarboux(v, -1).parts(wave)
+        lhs = transform_parts(v, -1, wave)
         rhs_a = [-1.0 * (hinv * p) for p in heat_parts(u1, h * big_w, star=False)]
         rhs_b = [-1.0 * (hinv * p) for p in heat_parts(u2, h * w, star=False)]
     elif which == 3:
@@ -358,7 +354,7 @@ def flow_intertwining_parts(data: MiuraData, sign: int,
     must equal dx of the transform acting on G.
     """
     v = data.v
-    parts = LinearDarboux(v, sign).parts(wave)
+    parts = transform_parts(v, sign, wave)
     big_f = parts[0] + parts[1] + parts[2]
 
     wv, ydx = wave.value, parts[1]
@@ -425,30 +421,30 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
 
         ops = {}
         for label, lo, hi, data in _level_steps(config):
-            op = LinearDarboux(data.v, sign)
             # the transform acts on products of src and lands on products of dst
             src, dst = (lo, hi) if sign == 1 else (hi, lo)
-            ops[label] = (lo, hi, op, src)
+            ops[label] = (lo, hi, data.v, src)
             out[key(label, "mixed")] = _equation_parts(
-                op.parts(carried_from_primitive(lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
+                transform_parts(data.v, sign, carried_from_primitive(
+                    lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
                 [2.0 * (dst.phi(beta=beta) * dst.phi_star(beta=beta_prime)).dx()])
             out[key(label, "wave")] = _equation_parts(
-                [p.dx() for p in op.parts(
-                    pair_product(src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
+                [p.dx() for p in transform_parts(data.v, sign, pair_product(
+                    src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
                 [2.0 * (hi.phi(beta=beta) * lo.phi_star(beta=beta_prime)).dx()])
         if config.kind == "o_type":
             continue
 
         def dual_residue(label: str, j: int, kernel: bool = False) -> list[Rational]:
-            lo, hi, op, src = ops[label]
+            lo, hi, v, src = ops[label]
             rhs = [] if kernel else [2.0 * (hi.phi(beta=beta) * lo.phi_star_residue(j))]
-            return _equation_parts(
-                op.parts(pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs)
+            return _equation_parts(transform_parts(
+                v, sign, pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs)
 
         def wave_residue(label: str, j: int) -> list[Rational]:
-            lo, hi, op, src = ops[label]
+            lo, hi, v, src = ops[label]
             return _equation_parts(
-                op.parts(pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
+                transform_parts(v, sign, pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
                 [2.0 * (hi.phi_residue(j) * lo.phi_star(beta=beta))])
 
         out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
@@ -516,8 +512,7 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     eta = complex(eta)
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
-    nplus2, nminus2 = LinearDarboux(upper.v, 1), LinearDarboux(upper.v, -1)
-    nplus1, nminus1 = LinearDarboux(lower.v, 1), LinearDarboux(lower.v, -1)
+    v1, v2 = lower.v, upper.v
 
     br_in = branch_of(config, (2, 3))
     br_out = branch_of(config, (1, 4))
@@ -558,17 +553,22 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     dm_in_2 = dual_minus(fam2, br_in, 2, 1.0)
     dm_out_2 = dual_minus(fam2, br_out, 1, -1.0)
 
+    def transfer(lower_wave: Carried, upper_wave: Carried) -> list[Rational]:
+        """Minus transform of the upper-level product against plus of the lower-level one."""
+        return _equation_parts(transform_parts(v2, -1, upper_wave),
+                               transform_parts(v2, 1, lower_wave))
+
     return {
-        "kernel_one": nminus1.parts(w_in_1),
-        "kernel_two": nminus2.parts(w_out_2),
-        "dual_kernel_one": nminus1.parts(dm_in_1),
-        "dual_kernel_two": nminus2.parts(dm_out_2),
-        "eigen_one": _equation_parts(nplus1.parts(w_in_1), [2.0 * w_in_1.value.dx()]),
-        "eigen_two": _equation_parts(nplus2.parts(w_out_2), [2.0 * w_out_2.value.dx()]),
-        "transfer_plus": _equation_parts(nminus2.parts(w_in_2), nplus2.parts(w_in_1)),
-        "transfer_minus": _equation_parts(nminus2.parts(wm_in_2), nplus2.parts(wm_in_1)),
-        "dual_transfer_plus": _equation_parts(nminus2.parts(d_in_2), nplus2.parts(d_in_1)),
-        "dual_transfer_minus": _equation_parts(nminus2.parts(dm_in_2), nplus2.parts(dm_in_1)),
+        "kernel_one": transform_parts(v1, -1, w_in_1),
+        "kernel_two": transform_parts(v2, -1, w_out_2),
+        "dual_kernel_one": transform_parts(v1, -1, dm_in_1),
+        "dual_kernel_two": transform_parts(v2, -1, dm_out_2),
+        "eigen_one": _equation_parts(transform_parts(v1, 1, w_in_1), [2.0 * w_in_1.value.dx()]),
+        "eigen_two": _equation_parts(transform_parts(v2, 1, w_out_2), [2.0 * w_out_2.value.dx()]),
+        "transfer_plus": transfer(w_in_1, w_in_2),
+        "transfer_minus": transfer(wm_in_1, wm_in_2),
+        "dual_transfer_plus": transfer(d_in_1, d_in_2),
+        "dual_transfer_minus": transfer(dm_in_1, dm_in_2),
     }
 
 
@@ -814,7 +814,7 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         gvals = coshv * fvals
         right = _tail(grid, gvals, -gam, "right")
         if low:
-            left = based_cumulative(grid, gvals, gam, base=0.0)
+            left = based_cumulative(grid, gvals, gam)
         else:
             left = _tail(grid, gvals, gam, "left")
         return ((-gam - stv) * sechv * left + (gam - stv) * sechv * right) / (2.0 * gam)
@@ -870,10 +870,15 @@ def t1_roundtrip(op: OneDimDarboux, sign: int, f, low: bool = False) -> float:
 # ----- aggregate report -----
 
 
-def identity_report(seed: int = 7, npts: int = 16, beta: complex = 1.7,
-                    beta_prime: complex = 0.4, eta: float = 0.4,
-                    kappa_p: tuple[float, ...] = (-2.0, -1.0, 0.5, 3.0),
-                    kappa_o: tuple[float, ...] = (-2.0, -1.0, 1.0, 2.0)) -> dict[str, float]:
+# The report's spectral points, channel frequency and phase speeds.
+REPORT_BETA = 1.7
+REPORT_BETA_PRIME = 0.4
+REPORT_ETA = 0.4
+REPORT_KAPPA_P = (-2.0, -1.0, 0.5, 3.0)
+REPORT_KAPPA_O = (-2.0, -1.0, 1.0, 2.0)
+
+
+def identity_report(seed: int = 7, npts: int = 16) -> dict[str, float]:
     """Every product map, level shift, transfer and coupling residual at once.
 
     The flat key set is stable, so the report can be serialized and diffed;
@@ -882,19 +887,19 @@ def identity_report(seed: int = 7, npts: int = 16, beta: complex = 1.7,
     family's algebra is alive at a time.
     """
     x, y, t = sample_points(seed, npts)
-    cfg_p = SolitonConfig("p_type", kappa_p)
-    cfg_o = SolitonConfig("o_type", kappa_o)
+    cfg_p = SolitonConfig("p_type", REPORT_KAPPA_P)
+    cfg_o = SolitonConfig("o_type", REPORT_KAPPA_O)
     out: dict[str, float] = {}
 
     def record(prefix: str, family: dict[str, list]) -> None:
         for name, parts in family.items():
             out[prefix + name] = worst_residual(parts, x, y, t)
 
-    record("p_", darboux_map_parts(cfg_p, beta, beta_prime))
-    record("o_", darboux_map_parts(cfg_o, beta, beta_prime))
-    record("p_shift_", level_shift_parts(cfg_p, beta))
-    record("o_shift_", level_shift_parts(cfg_o, beta))
-    record("p_branch_", mode_transfer_parts(cfg_p, eta))
+    record("p_", darboux_map_parts(cfg_p, REPORT_BETA, REPORT_BETA_PRIME))
+    record("o_", darboux_map_parts(cfg_o, REPORT_BETA, REPORT_BETA_PRIME))
+    record("p_shift_", level_shift_parts(cfg_p, REPORT_BETA))
+    record("o_shift_", level_shift_parts(cfg_o, REPORT_BETA))
+    record("p_branch_", mode_transfer_parts(cfg_p, REPORT_ETA))
     for name, tau1, tau2 in backlund_catalog():
         record(f"pair_{name}_", backlund_parts(tau1, tau2))
     return out

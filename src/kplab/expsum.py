@@ -490,8 +490,8 @@ class Carried(Ring):
                on a line it is the one vanishing as z -> +infinity
     ydxinv   : exact dx^{-1} dy of the function, or None
     Scalar multiples scale all three (negation and scalar division follow
-    from `Ring`; a Carried has no sum); the level transforms read the
-    nonlocal term dx^{-1} dy from ydxinv, or else from dy of xprim.
+    from `Ring`; a Carried has no sum); the level transforms read their
+    nonlocal term dx^{-1} dy from ydxinv alone and reject a wave without it.
     """
 
     __slots__ = ("value", "xprim", "ydxinv")

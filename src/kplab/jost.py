@@ -1,12 +1,12 @@
 """Jost waves over a soliton background, their duals and residues.
 
-The wave at spectral parameter k multiplies exp(ikx - k^2 y + ik^3 t) by a
-ratio of exponential sums; the dual flips the oscillatory factor and inverts
-the per-phase shifts.  Both come straight out of the minor expansion of tau,
-so every residue at a discrete phase is available in closed form.  The same
-machinery supplies the background potential as an exact rational object,
-products of a wave with a dual carrying their antiderivative data, and the
-off-diagonal resolvent-kernel checks.
+The wave at spectral point beta multiplies exp(beta x + beta^2 y - beta^3 t)
+by a ratio of exponential sums; the dual flips the exponential factor and
+inverts the per-phase shifts.  Both are read off the minor expansion that
+tau itself stores, so every residue at a discrete phase is available in
+closed form.  The module also pairs a wave with a dual into a product
+carrying its antiderivative data, and checks the off-diagonal resolvent
+kernels; the background potential comes from `solitons.potential`.
 
 `heat_parts`, `flow_parts` (the compatibility pair and its adjoint) and
 `linearized_parts` (the linearized KP-II flow) are the only definitions of
@@ -14,15 +14,12 @@ these operators in the package, each as its list of summands.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .branches import Branch
+from .branches import branch_of
 from .errors import PoleAtKappa
 from .expsum import Carried, ExpSum, Gen, Rational, sum_residual, worst_residual
-from .solitons import (SolitonConfig, build_tau, minor_expansion, potential, potential_yprim,
-                       theta_eval, theta_gens)
+from .solitons import SolitonConfig, build_tau, potential, potential_yprim, theta_eval
 
 
 # ----- operators of the compatibility pair and the linearized flow -----
@@ -54,7 +51,7 @@ def linearized_parts(u: Rational, f) -> list:
 
 
 def plane_gen(w: complex) -> Gen:
-    """Oscillatory phase generator (w, w^2, -w^3) with w = ik."""
+    """Phase generator (w, w^2, -w^3) of the plane factor at spectral point w."""
     w = complex(w)
     return (w, w * w, -(w * w * w))
 
@@ -65,34 +62,23 @@ def plane_gen_dual(w: complex) -> Gen:
 
 
 class JostFamily:
-    """Waves, duals and residues for one configuration."""
+    """Waves, duals and residues for one configuration.
+
+    The numerators reweight the terms of tau: each key is the indicator
+    vector of a row subset, each coefficient its minor times Vandermonde.
+    """
 
     def __init__(self, config: SolitonConfig):
         self.config = config
         self.tau = build_tau(config)
-        self._terms = minor_expansion(config.kappa, config.amatrix())
-        self._gens = theta_gens(config.kappa)
-
-    # ----- background potential -----
-
-    @cached_property
-    def u(self) -> Rational:
-        """u = 2 (log tau)_xx as an exact rational object."""
-        return potential(self.tau)
-
-    @cached_property
-    def u_yprim(self) -> Rational:
-        """Exact dx^{-1} dy of u, fixed as 2 (log tau)_xy."""
-        return potential_yprim(self.tau)
-
-    # ----- waves -----
 
     def _shifted_numerator(self, w: complex, inverse: bool) -> ExpSum:
         kappa = self.config.kappa
         items: list[tuple[tuple[int, ...], complex]] = []
-        for subset, weight in self._terms:
-            factor = complex(weight)
-            for m in subset:
+        for key, factor in self.tau.terms.items():
+            for m, bit in enumerate(key):
+                if not bit:
+                    continue
                 d = w - kappa[m]
                 if inverse:
                     if d == 0:
@@ -102,24 +88,18 @@ class JostFamily:
                     factor /= d
                 else:
                     factor *= d
-            items.append((tuple(1 if m in subset else 0 for m in range(len(kappa))), factor))
-        return ExpSum.from_terms(self._gens, items)
+            items.append((key, factor))
+        return ExpSum.from_terms(self.tau.gens, items)
 
-    @staticmethod
-    def _w_of(k, beta) -> complex:
-        if (k is None) == (beta is None):
-            raise ValueError("give exactly one of k, beta")
-        return 1j * complex(k) if k is not None else complex(beta)
-
-    def phi(self, *, k=None, beta=None) -> Rational:
-        """Wave annihilated by both compatibility operators."""
-        w = self._w_of(k, beta)
+    def phi(self, beta: complex) -> Rational:
+        """Wave annihilated by both compatibility operators; beta = ik on the real line."""
+        w = complex(beta)
         num = ExpSum.exponential(1.0, plane_gen(w)) * self._shifted_numerator(w, inverse=False)
         return Rational.from_quotient(num, self.tau)
 
-    def phi_star(self, *, k=None, beta=None) -> Rational:
+    def phi_star(self, beta: complex) -> Rational:
         """Dual wave annihilated by the adjoint pair."""
-        w = self._w_of(k, beta)
+        w = complex(beta)
         num = ExpSum.exponential(1.0, plane_gen_dual(w)) * self._shifted_numerator(w, inverse=True)
         return Rational.from_quotient(num, self.tau)
 
@@ -134,15 +114,14 @@ class JostFamily:
             raise PoleAtKappa(f"phase index {j} out of range 1..{len(kappa)}")
         kj = kappa[j - 1]
         items: list[tuple[tuple[int, ...], complex]] = []
-        for subset, weight in self._terms:
-            if (j - 1) not in subset:
+        for key, factor in self.tau.terms.items():
+            if not key[j - 1]:
                 continue
-            factor = complex(weight)
-            for m in subset:
-                if m != j - 1:
+            for m, bit in enumerate(key):
+                if bit and m != j - 1:
                     factor /= kj - kappa[m]
-            items.append((tuple(1 if m in subset else 0 for m in range(len(kappa))), factor))
-        num = ExpSum.exponential(1.0, plane_gen_dual(kj)) * ExpSum.from_terms(self._gens, items)
+            items.append((key, factor))
+        num = ExpSum.exponential(1.0, plane_gen_dual(kj)) * ExpSum.from_terms(self.tau.gens, items)
         return Rational.from_quotient(num, self.tau)
 
     # ----- residue completeness -----
@@ -164,8 +143,7 @@ def pair_product(wave: Rational, dual: Rational) -> Carried:
     return Carried(wave * dual, xprim=None, ydxinv=dual * wave.dx() - wave * dual.dx())
 
 
-def product_residuals(family: JostFamily, x, y, t, *, k: complex | None = None,
-                      beta: complex | None = None) -> dict[str, float]:
+def product_residuals(family: JostFamily, beta: complex, x, y, t) -> dict[str, float]:
     """Worst relative residuals of the wave-product solution maps.
 
     For a wave and its dual at one spectral point, w = wave*dual satisfies
@@ -174,8 +152,8 @@ def product_residuals(family: JostFamily, x, y, t, *, k: complex | None = None,
     dy w = dx(dual dx wave - wave dx dual), the dx^{-1} dy that
     `pair_product` carries.
     """
-    prod = pair_product(family.phi(k=k, beta=beta), family.phi_star(k=k, beta=beta))
-    u = family.u
+    prod = pair_product(family.phi(beta=beta), family.phi_star(beta=beta))
+    u = potential(family.tau)
     w = prod.value
 
     d1 = w.dy().eval(x, y, t)
@@ -199,7 +177,9 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     """Pointwise checks for the two-sided resolvent kernels.
 
     level 0 pairs the flat background with the (2,3) channel of `kappa`;
-    level 1 the single line soliton on (2,3) with the (1,4) channel.
+    level 1 the single line soliton on (2,3) with the (1,4) channel.  The
+    channel branch is that of the p_type configuration on `kappa`, so
+    phases it rejects raise RejectedConfig.
     Reported worst relative errors:
 
     annihilation    both compatibility operators kill the branch waves
@@ -224,8 +204,8 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     else:
         raise ValueError(f"level must be 0 or 1, got {level}")
     ki, kj = kappa[pair[0] - 1], kappa[pair[1] - 1]
-    a = 0.5 * (ki + kj)
-    br = Branch(a=a, c=0.25 * (kj - ki) ** 2)
+    br = branch_of(SolitonConfig("p_type", kappa), pair)
+    a = br.a
     gam = br.gamma(eta)
     rng = np.random.default_rng(seed)
 
@@ -238,7 +218,7 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
     xg = rng.uniform(-3.0, 3.0, npts)
     yg = rng.uniform(-3.0, 3.0, npts)
     tg = rng.uniform(-1.0, 1.0, npts)
-    u, uy = family.u, family.u_yprim
+    u, uy = potential(family.tau), potential_yprim(family.tau)
     out["annihilation"] = float(np.max([
         worst_residual(parts, xg, yg, tg)
         for w, ws in waves.values()

@@ -43,11 +43,15 @@ def _vandermonde(vals: tuple[float, ...]) -> float:
     return out
 
 
-def minor_expansion(kappa: tuple[float, ...], amatrix: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
-    """Nonzero (row subset, minor times Vandermonde) pairs of tau.
+def wronskian_tau(kappa: tuple[float, ...], amatrix: np.ndarray) -> ExpSum:
+    """tau from phases kappa and an M x N coefficient matrix.
 
-    Subsets are 0-based index tuples.  Minors must be nonnegative and the
-    matrix must have full column rank, else the configuration is rejected.
+    Expands the Wronskian of f_n = sum_m a_{mn} exp(theta_m) into minors:
+    every subset S of N rows contributes det(A[S]) times the Vandermonde
+    of kappa[S] times exp(sum of theta over S).  Each term is keyed by the
+    indicator vector of S, in the order of the subsets, and zero minors are
+    dropped.  Minors must be nonnegative and the matrix must have full
+    column rank, else the configuration is rejected.
     """
     amatrix = np.asarray(amatrix, dtype=float)
     big_m, small_n = amatrix.shape
@@ -56,33 +60,17 @@ def minor_expansion(kappa: tuple[float, ...], amatrix: np.ndarray) -> list[tuple
     if small_n > big_m:
         raise RejectedConfig("more columns than phases")
     scale = max(1.0, float(np.abs(amatrix).max(initial=0.0)) ** small_n)
-    out: list[tuple[tuple[int, ...], float]] = []
-    any_positive = False
+    terms: list[tuple[tuple[int, ...], complex]] = []
     for subset in combinations(range(big_m), small_n):
         minor = float(np.linalg.det(amatrix[list(subset), :])) if small_n else 1.0
         if minor < -1e-12 * scale:
             raise RejectedConfig(f"negative minor {minor:.3e} on rows {tuple(s + 1 for s in subset)}")
         if minor <= 1e-12 * scale:
             continue
-        any_positive = True
-        out.append((subset, minor * _vandermonde(tuple(kappa[s] for s in subset))))
-    if small_n and not any_positive:
+        terms.append((tuple(1 if m in subset else 0 for m in range(big_m)),
+                      complex(minor * _vandermonde(tuple(kappa[s] for s in subset)))))
+    if small_n and (not terms or np.linalg.matrix_rank(amatrix) < small_n):
         raise RejectedConfig("coefficient matrix has rank below its column count")
-    if small_n and np.linalg.matrix_rank(amatrix) < small_n:
-        raise RejectedConfig("coefficient matrix has rank below its column count")
-    return out
-
-
-def wronskian_tau(kappa: tuple[float, ...], amatrix: np.ndarray) -> ExpSum:
-    """tau from phases kappa and an M x N coefficient matrix.
-
-    Expands the Wronskian of f_n = sum_m a_{mn} exp(theta_m) into minors:
-    every subset S of N rows contributes det(A[S]) times the Vandermonde
-    of kappa[S] times exp(sum of theta over S).
-    """
-    big_m = len(kappa)
-    terms = [(tuple(1 if m in subset else 0 for m in range(big_m)), complex(weight))
-             for subset, weight in minor_expansion(kappa, amatrix)]
     return ExpSum.from_terms(theta_gens(kappa), terms)
 
 

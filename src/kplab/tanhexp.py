@@ -242,12 +242,12 @@ def exp_cumulative(grid: PanelGrid, vals, q: complex, side: str) -> np.ndarray:
     raise ConfigMismatch(f"unknown cumulative side {side!r}")
 
 
-def based_cumulative(grid: PanelGrid, vals, q: complex, base: float = 0.0) -> np.ndarray:
-    """Oriented integral from a fixed base edge: e^{q(z'-z)} g over [base, z]."""
-    if not np.any(np.isclose(grid.edges, base)):
-        raise ConfigMismatch("cumulative base must sit on a panel edge")
+def based_cumulative(grid: PanelGrid, vals, q: complex) -> np.ndarray:
+    """Oriented integral from the origin: e^{q(z'-z)} g over [0, z]."""
+    if not np.any(np.isclose(grid.edges, 0.0)):
+        raise ConfigMismatch("based cumulative needs the origin on a panel edge")
     vals = np.asarray(vals, dtype=complex)
-    above = grid.z >= base
+    above = grid.z >= 0.0
     upper = exp_cumulative(grid, np.where(above, vals, 0.0), q, "left")
     lower = exp_cumulative(grid, np.where(above, 0.0, vals), q, "right")
     return np.where(above, upper, -lower)

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kplab.darboux import (
-    LinearDarboux,
     MiuraData,
     OneDimDarboux,
     backlund_catalog,
@@ -29,6 +28,7 @@ from kplab.darboux import (
     sample_points,
     t1_apply,
     t1_roundtrip,
+    transform_parts,
 )
 from kplab.errors import (
     AlphaOutOfRange,
@@ -172,8 +172,8 @@ def test_transform_signs_differ_by_twice_dx():
     data = MiuraData(fam1.tau, fam2.tau)
     wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
     x, y, t = pts(9)
-    plus = LinearDarboux(data.v, 1).parts(wave)
-    minus = LinearDarboux(data.v, -1).parts(wave)
+    plus = transform_parts(data.v, 1, wave)
+    minus = transform_parts(data.v, -1, wave)
     # the adjoint flips only the dx summand
     for p, m in zip(plus[1:], minus[1:]):
         assert np.array_equal(p.eval(x, y, t), m.eval(x, y, t))
@@ -185,14 +185,14 @@ def test_transform_signs_differ_by_twice_dx():
 def test_transform_sign_validated():
     data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0)))
     with pytest.raises(ValueError):
-        LinearDarboux(data.v, 0)
+        transform_parts(data.v, 0, carried_from_primitive(data.h))
 
 
 def test_transform_needs_nonlocal_data():
     data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0)))
     bare = Carried(data.u2)
     with pytest.raises(MissingPrimitive):
-        LinearDarboux(data.v, 1).parts(bare)
+        transform_parts(data.v, 1, bare)
 
 
 # ----- conjugation routes -----

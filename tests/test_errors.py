@@ -49,19 +49,36 @@ def _defined_names(tree: ast.Module) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads."""
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
 def test_every_defined_name_is_used():
-    """Each name src/kplab defines occurs as a word beyond its definitions."""
+    """Each name src/kplab defines occurs as a word beyond its definitions,
+    and each name a src/kplab module imports is read in that module."""
     repo = SRC.parent.parent
     texts = [path.read_text() for folder in ("src", "tests", "kplabbench")
              for path in sorted((repo / folder).rglob("*.py"))]
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
     defined: dict[str, int] = {}
-    for path in SRC.glob("*.py"):
-        for name in _defined_names(ast.parse(path.read_text(), filename=str(path))):
+    for tree in trees.values():
+        for name in _defined_names(tree):
             defined[name] = defined.get(name, 0) + 1
     assert defined
     unused = sorted(name for name, count in defined.items()
                     if sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in texts) <= count)
     assert unused == []
+    unread = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _unread_imports(tree)]
+    assert unread == []
 
 
 KP = (-2.0, -1.0, 0.5, 3.0)

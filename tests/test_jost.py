@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kplab.errors import PoleAtKappa
 from kplab.expsum import worst_residual
 from kplab.jost import (JostFamily, flow_parts, green_kernel_checks, heat_parts,
                         product_residuals)
-from kplab.solitons import SolitonConfig, theta_eval
+from kplab.solitons import SolitonConfig, potential, potential_yprim, theta_eval
 
 KP = (-2.0, -1.0, 0.5, 3.0)
 KO = (-2.0, -1.0, 1.0, 2.0)
@@ -43,7 +45,7 @@ def test_wave_is_shifted_tau_quotient():
     w = 1j * k
     plane = np.exp(w * x + w * w * y - w ** 3 * t)
     expected = plane * ((w - kap[0]) * np.exp(th1) + (w - kap[1]) * np.exp(th2))
-    got = fam.phi(k=k).eval(x, y, t) * fam.tau.eval(x, y, t)
+    got = fam.phi(beta=1j * k).eval(x, y, t) * fam.tau.eval(x, y, t)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -57,7 +59,7 @@ def test_dual_wave_inverts_slope_factors():
     w = 1j * k
     plane = np.exp(-(w * x + w * w * y - w ** 3 * t))
     expected = plane * (np.exp(th1) / (w - kap[0]) + np.exp(th2) / (w - kap[1]))
-    got = fam.phi_star(k=k).eval(x, y, t) * fam.tau.eval(x, y, t)
+    got = fam.phi_star(beta=1j * k).eval(x, y, t) * fam.tau.eval(x, y, t)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -67,28 +69,20 @@ def test_dual_wave_pole_at_phase_slope():
         fam.phi_star(beta=1.0)
 
 
-def test_wave_needs_exactly_one_parameter():
-    fam = families()["flat"]
-    with pytest.raises(ValueError):
-        fam.phi()
-    with pytest.raises(ValueError):
-        fam.phi(k=0.3, beta=1.2)
-
-
 # ----- annihilation by the compatibility operators -----
 
 INSTANCES = [
-    ("p", dict(k=0.37)),
+    ("p", dict(beta=0.37j)),
     ("p", dict(beta=1.9)),
     ("p", dict(beta=-0.8 + 0.6j)),
-    ("o", dict(k=0.2)),
+    ("o", dict(beta=0.2j)),
     ("o", dict(beta=-1.5)),
     ("o", dict(beta=0.9 + 0.3j)),
-    ("one", dict(k=0.5)),
+    ("one", dict(beta=0.5j)),
     ("one", dict(beta=0.3)),
     ("one", dict(beta=1.4 - 0.7j)),
     ("narrow", dict(beta=1.0 + 0.2j)),
-    ("flat", dict(k=0.11)),
+    ("flat", dict(beta=0.11j)),
     ("flat", dict(beta=0.77)),
 ]
 
@@ -99,7 +93,7 @@ def test_operators_annihilate_waves(name, kw):
     x, y, t = sample_points(3)
     wave = fam.phi(**kw)
     dual = fam.phi_star(**kw)
-    u, uy = fam.u, fam.u_yprim
+    u, uy = potential(fam.tau), potential_yprim(fam.tau)
     for kind, parts in (("L", heat_parts(u, wave, False)), ("B", flow_parts(u, uy, wave, False)),
                         ("Lstar", heat_parts(u, dual, True)),
                         ("Bstar", flow_parts(u, uy, dual, True))):
@@ -157,19 +151,44 @@ def test_completeness_at_independent_points(name):
     assert np.max(total / scale) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4, unique=True),
+       st.sampled_from(["p_type", "o_type"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_residues_over_kappa(raw, kind, seed):
+    """Near each phase the scaled dual tends to its residue linearly, and the
+    residues pair to completeness, for any admissible phase speeds."""
+    kappa = tuple(sorted(raw))
+    assume(min(b - a for a, b in zip(kappa, kappa[1:])) >= 0.1)
+    fam = JostFamily(SolitonConfig(kind, kappa))
+    x, y, t = sample_points(seed, n=8, lo=-1.5, hi=1.5)
+    for j, kj in enumerate(kappa, start=1):
+        res = fam.phi_star_residue(j).eval(x, y, t)
+
+        def gap(eps):
+            return np.max(np.abs(eps * fam.phi_star(beta=kj + eps).eval(x, y, t) - res))
+
+        # a gap that halves with eps closes linearly onto the residue
+        coarse, fine = gap(1e-5), gap(5e-6)
+        assert abs(fine / coarse - 0.5) < 0.01, (kind, kappa, j, coarse, fine)
+    xp, yp, tp = sample_points(seed + 1, n=8, lo=-1.5, hi=1.5)
+    total, scale = fam.completeness_sum(x, y, t, xp, yp, tp)
+    assert np.max(total / scale) < 1e-10, (kind, kappa)
+
+
 # ----- product solution maps -----
 
 
 @pytest.mark.parametrize("name,kw", [
-    ("p", dict(k=0.43)),
+    ("p", dict(beta=0.43j)),
     ("p", dict(beta=0.9 + 0.4j)),
-    ("o", dict(k=0.31)),
+    ("o", dict(beta=0.31j)),
     ("one", dict(beta=1.6)),
 ])
 def test_wave_product_solution_maps(name, kw):
     fam = families()[name]
     x, y, t = sample_points(8, n=16, lo=-2.0, hi=2.0)
-    out = product_residuals(fam, x, y, t, **kw)
+    out = product_residuals(fam, kw["beta"], x, y, t)
     assert out["primitive"] < 1e-9
     assert out["product"] < 1e-9
     assert out["derivative"] < 1e-9
