@@ -25,7 +25,8 @@ identity check.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -279,9 +280,18 @@ def transform_parts(v: Rational, sign: int, wave: Carried) -> list[Rational]:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return transform_both(v, wave)[sign]
+
+
+def transform_both(v: Rational, wave: Carried) -> dict[int, list[Rational]]:
+    """`transform_parts` of both signs on one wave, keyed by sign.
+
+    The two lists share their last two summands, so -2 v wave is built once.
+    """
     if wave.ydxinv is None:
         raise MissingPrimitive("the level transform needs the wave's exact dx^{-1} dy")
-    return [float(sign) * wave.value.dx(), wave.ydxinv, -2.0 * (v * wave.value)]
+    wx, lifted = wave.value.dx(), -2.0 * (v * wave.value)
+    return {sign: [float(sign) * wx, wave.ydxinv, lifted] for sign in (1, -1)}
 
 
 def carried_from_primitive(prim: Rational) -> Carried:
@@ -413,6 +423,13 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
     name the identity by what it moves.
     """
     _check_poles(config.kappa, beta, beta_prime)
+    # each wave, dual and product is built once per call, not per use
+    phi, phi_star, phi_residue, phi_star_residue, product, times = map(cache, (
+        JostFamily.phi, JostFamily.phi_star, JostFamily.phi_residue,
+        JostFamily.phi_star_residue, pair_product, mul))
+    steps = _level_steps(config)
+    mixed = {label: transform_both(data.v, carried_from_primitive(
+        phi(lo, beta) * phi_star(hi, beta_prime))) for label, lo, hi, data in steps}
     out: dict[str, list[Rational]] = {}
     for sign, verb in ((1, "raise"), (-1, "lower")):
 
@@ -420,32 +437,31 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
             return f"{verb}_{label}_{what}" if config.kind == "p_type" else f"{verb}_{what}_{label}"
 
         ops = {}
-        for label, lo, hi, data in _level_steps(config):
+        for label, lo, hi, data in steps:
             # the transform acts on products of src and lands on products of dst
             src, dst = (lo, hi) if sign == 1 else (hi, lo)
             ops[label] = (lo, hi, data.v, src)
             out[key(label, "mixed")] = _equation_parts(
-                transform_parts(data.v, sign, carried_from_primitive(
-                    lo.phi(beta=beta) * hi.phi_star(beta=beta_prime))),
-                [2.0 * (dst.phi(beta=beta) * dst.phi_star(beta=beta_prime)).dx()])
+                mixed[label][sign],
+                [2.0 * product(phi(dst, beta), phi_star(dst, beta_prime)).value.dx()])
             out[key(label, "wave")] = _equation_parts(
-                [p.dx() for p in transform_parts(data.v, sign, pair_product(
-                    src.phi(beta=beta), src.phi_star(beta=beta_prime)))],
-                [2.0 * (hi.phi(beta=beta) * lo.phi_star(beta=beta_prime)).dx()])
+                [p.dx() for p in transform_parts(data.v, sign, product(
+                    phi(src, beta), phi_star(src, beta_prime)))],
+                [2.0 * times(phi(hi, beta), phi_star(lo, beta_prime)).dx()])
         if config.kind == "o_type":
             continue
 
         def dual_residue(label: str, j: int, kernel: bool = False) -> list[Rational]:
             lo, hi, v, src = ops[label]
-            rhs = [] if kernel else [2.0 * (hi.phi(beta=beta) * lo.phi_star_residue(j))]
+            rhs = [] if kernel else [2.0 * times(phi(hi, beta), phi_star_residue(lo, j))]
             return _equation_parts(transform_parts(
-                v, sign, pair_product(src.phi(beta=beta), src.phi_star_residue(j))), rhs)
+                v, sign, product(phi(src, beta), phi_star_residue(src, j))), rhs)
 
         def wave_residue(label: str, j: int) -> list[Rational]:
             lo, hi, v, src = ops[label]
             return _equation_parts(
-                transform_parts(v, sign, pair_product(src.phi_residue(j), src.phi_star(beta=beta))),
-                [2.0 * (hi.phi_residue(j) * lo.phi_star(beta=beta))])
+                transform_parts(v, sign, product(phi_residue(src, j), phi_star(src, beta))),
+                [2.0 * times(phi_residue(hi, j), phi_star(lo, beta))])
 
         out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
         out[f"{verb}_two_discrete_wave"] = wave_residue("two", 2)
@@ -471,21 +487,21 @@ def level_shift_parts(config: SolitonConfig, beta: complex) -> dict[str, list[Ra
     chain one step per channel.
     """
     _check_poles(config.kappa, beta)
+    # a family shared by two steps builds its wave and dual once per call
+    phi, phi_star = map(cache, (JostFamily.phi, JostFamily.phi_star))
     out: dict[str, list[Rational]] = {}
     for label, lo, hi, data in _level_steps(config):
         h, hinv = data.h, data.hinv
-        wave_lo = lo.phi(beta=beta)
-        wave_hi = hi.phi(beta=beta)
-        dual_lo = lo.phi_star(beta=beta)
-        dual_hi = hi.phi_star(beta=beta)
-        out["wave_step_" + label] = _equation_parts(
-            [(hinv * wave_lo).dx()], [hinv * wave_hi])
-        out["dual_step_" + label] = _equation_parts(
-            [(h * dual_hi).dx()], [-1.0 * (h * dual_lo)])
+        wave_lo, wave_hi = phi(lo, beta), phi(hi, beta)
+        dual_lo, dual_hi = phi_star(lo, beta), phi_star(hi, beta)
+        wave_lifted = hinv * wave_lo
+        dual_lifted = h * dual_hi
+        out["wave_step_" + label] = _equation_parts([wave_lifted.dx()], [hinv * wave_hi])
+        out["dual_step_" + label] = _equation_parts([dual_lifted.dx()], [-1.0 * (h * dual_lo)])
         out["wave_heat_" + label] = _equation_parts(
-            heat_parts(None, hinv * wave_lo, star=True), [2.0 * (hinv * wave_hi.dx())])
+            heat_parts(None, wave_lifted, star=True), [2.0 * (hinv * wave_hi.dx())])
         out["dual_heat_" + label] = _equation_parts(
-            heat_parts(None, h * dual_hi, star=False), [-2.0 * (h * dual_lo.dx())])
+            heat_parts(None, dual_lifted, star=False), [-2.0 * (h * dual_lo.dx())])
     return out
 
 
@@ -513,6 +529,9 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
     v1, v2 = lower.v, upper.v
+    # the residues two generators share are built once per call
+    phi_residue, phi_star_residue = map(cache, (JostFamily.phi_residue,
+                                                JostFamily.phi_star_residue))
 
     br_in = branch_of(config, (2, 3))
     br_out = branch_of(config, (1, 4))
@@ -522,25 +541,23 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     def gen_plus(fam: JostFamily, br: Branch, gap: float, j: int) -> Carried:
         b = br.beta(eta, -1)
         _check_poles(k, b)
-        return (gap / br.gamma(eta)) * pair_product(fam.phi(beta=b),
-                                                    fam.phi_star_residue(j))
+        return (gap / br.gamma(eta)) * pair_product(fam.phi(beta=b), phi_star_residue(fam, j))
 
     def gen_minus(fam: JostFamily, br: Branch, j: int) -> Carried:
         b = br.beta(-eta, 1)
         _check_poles(k, b)
         scale = 1j * eta * (-1.0 / br.gamma(-eta))
-        return scale * pair_product(fam.phi_residue(j), fam.phi_star(beta=b))
+        return scale * pair_product(phi_residue(fam, j), fam.phi_star(beta=b))
 
     def dual_plus(fam: JostFamily, br: Branch, gap: float, j: int) -> Carried:
         b = br.beta(-etac, -1)
         _check_poles(k, b)
-        return (-1j * etac / gap) * pair_product(fam.phi_residue(j),
-                                                 fam.phi_star(beta=b))
+        return (-1j * etac / gap) * pair_product(phi_residue(fam, j), fam.phi_star(beta=b))
 
     def dual_minus(fam: JostFamily, br: Branch, j: int, flip: float) -> Carried:
         b = br.beta(etac, 1)
         _check_poles(k, b)
-        return flip * pair_product(fam.phi(beta=b), fam.phi_star_residue(j))
+        return flip * pair_product(fam.phi(beta=b), phi_star_residue(fam, j))
 
     w_in_1 = gen_plus(fam1, br_in, gap_in, 2)
     w_in_2 = gen_plus(fam2, br_in, gap_in, 2)
@@ -558,13 +575,14 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
         return _equation_parts(transform_parts(v2, -1, upper_wave),
                                transform_parts(v2, 1, lower_wave))
 
+    on_one, on_two = transform_both(v1, w_in_1), transform_both(v2, w_out_2)
     return {
-        "kernel_one": transform_parts(v1, -1, w_in_1),
-        "kernel_two": transform_parts(v2, -1, w_out_2),
+        "kernel_one": on_one[-1],
+        "kernel_two": on_two[-1],
         "dual_kernel_one": transform_parts(v1, -1, dm_in_1),
         "dual_kernel_two": transform_parts(v2, -1, dm_out_2),
-        "eigen_one": _equation_parts(transform_parts(v1, 1, w_in_1), [2.0 * w_in_1.value.dx()]),
-        "eigen_two": _equation_parts(transform_parts(v2, 1, w_out_2), [2.0 * w_out_2.value.dx()]),
+        "eigen_one": _equation_parts(on_one[1], [2.0 * w_in_1.value.dx()]),
+        "eigen_two": _equation_parts(on_two[1], [2.0 * w_out_2.value.dx()]),
         "transfer_plus": transfer(w_in_1, w_in_2),
         "transfer_minus": transfer(wm_in_1, wm_in_2),
         "dual_transfer_plus": transfer(d_in_1, d_in_2),
@@ -884,7 +902,11 @@ def identity_report(seed: int = 7, npts: int = 16) -> dict[str, float]:
     The flat key set is stable, so the report can be serialized and diffed;
     all values are worst relative residuals over the shared sample points.
     Each family's parts are reduced as soon as they are built, so only one
-    family's algebra is alive at a time.
+    family's algebra is alive at a time.  Within a family each wave, dual
+    and product is built once, and `worst_residual` evaluates each distinct
+    sum of an identity once; a sum or Rational keeps its own partials, and
+    a sum its sorted arrays, on the object.  Nothing is kept from one call
+    to the next but what the shared taus and level chains keep on themselves.
     """
     x, y, t = sample_points(seed, npts)
     cfg_p = SolitonConfig("p_type", REPORT_KAPPA_P)

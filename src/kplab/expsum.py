@@ -15,12 +15,19 @@ A Rational divides an ExpSum by powers of ExpSum bases held in a dict keyed
 by base identity.  ExpSum, Rational, Carried and the line profiles of
 `tanhexp` write only __add__ and __mul__; the `Ring` base derives the
 reflected forms, negation, subtraction and scalar division from those.
+
+ExpSum and Rational objects are never changed once built, so each keeps
+what it derives from itself: an ExpSum its partials and its sorted,
+read-only `arrays()`, a Rational its partials.  Nothing kept holds point
+data.  Sums whose generator tuples already line up (equal, or one
+starting the other) add and multiply without remapping their keys.
+`worst_residual` evaluates each distinct ExpSum of an identity once.
 """
 from __future__ import annotations
 
 from functools import reduce
 from math import comb, inf
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +55,14 @@ def _remap(key: tuple[int, ...], mapping: Sequence[int], width: int) -> tuple[in
     for pos, count in zip(mapping, key):
         out[pos] += count
     return tuple(out)
+
+
+def _padded(terms: dict[tuple[int, ...], complex], extra: int):
+    """The items of terms, each key followed by `extra` zeros."""
+    if not extra:
+        return terms.items()
+    pad = (0,) * extra
+    return [(k + pad, c) for k, c in terms.items()]
 
 
 def _points(x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -93,13 +108,18 @@ class Ring:
 
 
 class ExpSum(Ring):
-    """Finite exponential sum with exact phase-lattice merging."""
+    """Finite exponential sum with exact phase-lattice merging.
 
-    __slots__ = ("gens", "terms")
+    The generators in `gens` are distinct.  A sum is never changed after it
+    is built, so it keeps its own partials and sorted arrays once asked.
+    """
+
+    __slots__ = ("gens", "terms", "_partials", "_arrays")
 
     def __init__(self, gens: tuple[Gen, ...], terms: dict[tuple[int, ...], complex]):
         self.gens = gens
         self.terms = {k: v for k, v in terms.items() if v != 0}
+        self._partials = self._arrays = None
 
     # ----- constructors -----
 
@@ -124,22 +144,39 @@ class ExpSum(Ring):
         return not self.terms
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(terms, 3) phase vectors and the coefficients, in sorted key order."""
-        items = sorted(self.terms.items())
-        keys = np.asarray([k for k, _ in items], dtype=float).reshape(len(items), len(self.gens))
-        gens = np.asarray(self.gens, dtype=complex).reshape(len(self.gens), 3)
-        return keys @ gens, np.asarray([c for _, c in items], dtype=complex)
+        """(terms, 3) phase vectors and the coefficients, in sorted key order.
+
+        Built on the first call and kept; both arrays are read-only.
+        """
+        if self._arrays is None:
+            items = sorted(self.terms.items())
+            keys = np.asarray([k for k, _ in items], dtype=float)
+            keys = keys.reshape(len(items), len(self.gens))
+            gens = np.asarray(self.gens, dtype=complex).reshape(len(self.gens), 3)
+            self._arrays = (keys @ gens, np.asarray([c for _, c in items], dtype=complex))
+            for arr in self._arrays:
+                arr.flags.writeable = False
+        return self._arrays
 
     # ----- algebra -----
 
     def _operands(self, other: "ExpSum"):
-        """Merged gens, self's items and other's items, keyed over the merged gens."""
-        gens, map_b = _unify(self.gens, other.gens)
-        width = len(gens)
-        pad = (0,) * (width - len(self.gens))
-        left = [(k + pad, c) for k, c in self.terms.items()]
-        right = [(_remap(k, map_b, width), c) for k, c in other.terms.items()]
-        return gens, left, right
+        """Merged gens, self's items and other's items, keyed over the merged gens.
+
+        When one operand's gens start the other's, the longer tuple is the
+        merged one and the shorter operand's keys only gain trailing zeros.
+        """
+        ga, gb = self.gens, other.gens
+        if ga[:len(gb)] == gb:
+            gens = ga
+        elif gb[:len(ga)] == ga:
+            gens = gb
+        else:
+            gens, map_b = _unify(ga, gb)
+            return (gens, _padded(self.terms, len(gens) - len(ga)),
+                    [(_remap(k, map_b, len(gens)), c) for k, c in other.terms.items()])
+        return (gens, _padded(self.terms, len(gens) - len(ga)),
+                _padded(other.terms, len(gens) - len(gb)))
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -161,22 +198,28 @@ class ExpSum(Ring):
             return NotImplemented
         gens, left, right = self._operands(other)
         acc: dict[tuple[int, ...], complex] = {}
+        get = acc.get
         for ka, ca in left:
             for kb, cb in right:
-                key = tuple(a + b for a, b in zip(ka, kb))
-                acc[key] = acc.get(key, 0) + ca * cb
+                key = tuple(map(add, ka, kb))
+                acc[key] = get(key, 0) + ca * cb
         return ExpSum(gens, acc)
 
     # ----- calculus -----
 
     def _partial(self, axis: int) -> "ExpSum":
-        slopes = [g[axis] for g in self.gens]
-        out: dict[tuple[int, ...], complex] = {}
-        for key, c in self.terms.items():
-            slope = complex(sum(k * g for k, g in zip(key, slopes)))
-            if slope != 0 and c != 0:
-                out[key] = c * slope
-        return ExpSum(self.gens, out)
+        """d/dx, d/dy or d/dt for axis 0, 1, 2; built on the first call and kept."""
+        if self._partials is None:
+            self._partials = [None, None, None]
+        if self._partials[axis] is None:
+            slopes = [g[axis] for g in self.gens]
+            out: dict[tuple[int, ...], complex] = {}
+            for key, c in self.terms.items():
+                slope = complex(sum(k * g for k, g in zip(key, slopes)))
+                if slope != 0 and c != 0:
+                    out[key] = c * slope
+            self._partials[axis] = ExpSum(self.gens, out)
+        return self._partials[axis]
 
     def dx(self):
         return self._partial(0)
@@ -385,11 +428,12 @@ class Rational(Ring):
     overflow cancel exactly.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_partials")
 
     def __init__(self, num: ExpSum, den: dict[ExpSum, int] | None = None):
         self.num = num
         self.den = {} if den is None else den
+        self._partials = None
 
     @staticmethod
     def from_quotient(num: ExpSum, *bases: ExpSum) -> "Rational":
@@ -444,17 +488,25 @@ class Rational(Ring):
     # -- calculus --
 
     def _partial(self, axis: int) -> "Rational":
+        """d/dx, d/dy or d/dt for axis 0, 1, 2; built on the first call and kept."""
+        if self._partials is None:
+            self._partials = [None, None, None]
+        if self._partials[axis] is not None:
+            return self._partials[axis]
         if not self.den:
-            return Rational(self.num._partial(axis))
-        bases = list(self.den)
-        new_num = self.num._partial(axis) * reduce(mul, bases)
-        for i, (base, power) in enumerate(self.den.items()):
-            term = power * self.num * base._partial(axis)
-            rest = bases[:i] + bases[i + 1:]
-            if rest:
-                term = term * reduce(mul, rest)
-            new_num = new_num - term
-        return Rational(new_num, {base: power + 1 for base, power in self.den.items()})
+            out = Rational(self.num._partial(axis))
+        else:
+            bases = list(self.den)
+            new_num = self.num._partial(axis) * reduce(mul, bases)
+            for i, (base, power) in enumerate(self.den.items()):
+                term = power * self.num * base._partial(axis)
+                rest = bases[:i] + bases[i + 1:]
+                if rest:
+                    term = term * reduce(mul, rest)
+                new_num = new_num - term
+            out = Rational(new_num, {base: power + 1 for base, power in self.den.items()})
+        self._partials[axis] = out
+        return out
 
     def dx(self):
         return self._partial(0)
@@ -469,9 +521,13 @@ class Rational(Ring):
 
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Return (m, s) with value = s * exp(m); never overflows by itself."""
-        m, s = self.num.eval_scaled(x, y, t)
+        return self._scaled_from(lambda e: e.eval_scaled(x, y, t))
+
+    def _scaled_from(self, scaled) -> tuple[np.ndarray, np.ndarray]:
+        """(m, s) of the quotient, given `scaled(e)`, the eval_scaled pair of each ExpSum."""
+        m, s = scaled(self.num)
         for base, power in self.den.items():
-            mb, sb = base.eval_scaled(x, y, t)
+            mb, sb = scaled(base)
             m = m - power * mb
             s = s / sb ** power
         return m, s
@@ -524,13 +580,17 @@ def sum_residual(parts) -> tuple[np.ndarray, np.ndarray]:
     The evaluated parts of an identity add to zero; its relative residual
     is the ratio of the two arrays.  NaN in any part is NaN in both, so an
     np.max of the ratio reports it.  Parts are accumulated, never stacked.
+    No parts at all raise ValueError.
 
     Known limit: a part that is itself a small difference of large terms
     carries rounding error above the scale, so the ratio drifts up with
     those terms (as sample sets grow or move out) though the identity holds.
     """
     parts = iter(parts)
-    total = np.asarray(next(parts))
+    try:
+        total = np.asarray(next(parts))
+    except StopIteration:
+        raise ValueError("the identity has no parts") from None
     scale = np.abs(total)
     for part in parts:
         total = total + part
@@ -544,9 +604,24 @@ def worst_residual(parts, *pts) -> float:
     Each part's `eval_scaled` pair (m, s) enters as s * exp(m - M), with M
     the per-point largest m (0 where every part is empty): a common factor
     the ratio does not see, so no value overflows however far out pts lie.
+    Each distinct ExpSum object among the parts, the numerators of Rational
+    parts and their denominator bases is evaluated once per call, through
+    `ExpSum.eval_scaled`; the pairs are dropped when the call returns.
+    No parts at all raise ValueError.
     """
-    scaled = [p.eval_scaled(*pts) for p in parts]
-    top = reduce(np.maximum, (m for m, _ in scaled))
+    pairs: dict[ExpSum, tuple[np.ndarray, np.ndarray]] = {}  # keyed by identity
+
+    def scaled(e: ExpSum):
+        if e not in pairs:
+            pairs[e] = e.eval_scaled(*pts)
+        return pairs[e]
+
+    scaled_parts = [scaled(p) if isinstance(p, ExpSum)
+                    else p._scaled_from(scaled) if isinstance(p, Rational)
+                    else p.eval_scaled(*pts) for p in parts]
+    if not scaled_parts:
+        raise ValueError("the identity has no parts")
+    top = reduce(np.maximum, (m for m, _ in scaled_parts))
     top = np.where(np.isneginf(top), 0.0, top)
-    res, scale = sum_residual(s * np.exp(m - top) for m, s in scaled)
+    res, scale = sum_residual(s * np.exp(m - top) for m, s in scaled_parts)
     return float(np.max(res / scale))

@@ -7,6 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kplab.darboux import (
+    REPORT_BETA,
+    REPORT_BETA_PRIME,
+    REPORT_ETA,
+    REPORT_KAPPA_O,
+    REPORT_KAPPA_P,
     MiuraData,
     OneDimDarboux,
     backlund_catalog,
@@ -41,7 +46,7 @@ from kplab.errors import (
     PoleAtKappa,
     RegionViolation,
 )
-from kplab.expsum import Carried, worst_residual
+from kplab.expsum import Carried, ExpSum, sum_residual, worst_residual
 from kplab.jost import JostFamily, pair_product
 from kplab.solitons import SolitonConfig, sech2, theta_eval
 
@@ -552,6 +557,61 @@ def test_identity_report_is_green_and_stable():
     assert np.all(np.isfinite(vals)), [k for k, v in rep.items() if not np.isfinite(v)]
     worst = np.max(vals)
     assert worst < 1e-9, f"worst residual {worst:.2e}"
+
+
+def _report_families():
+    """(prefix, family) in the order `identity_report` reduces them."""
+    cfg_p, cfg_o = SolitonConfig("p_type", REPORT_KAPPA_P), SolitonConfig("o_type", REPORT_KAPPA_O)
+    yield "p_", darboux_map_parts(cfg_p, REPORT_BETA, REPORT_BETA_PRIME)
+    yield "o_", darboux_map_parts(cfg_o, REPORT_BETA, REPORT_BETA_PRIME)
+    yield "p_shift_", level_shift_parts(cfg_p, REPORT_BETA)
+    yield "o_shift_", level_shift_parts(cfg_o, REPORT_BETA)
+    yield "p_branch_", mode_transfer_parts(cfg_p, REPORT_ETA)
+    for name, tau1, tau2 in backlund_catalog():
+        yield f"pair_{name}_", backlund_parts(tau1, tau2)
+
+
+def _part_by_part(parts, x, y, t) -> float:
+    """The worst residual with each part evaluated on its own, nothing shared."""
+    scaled = [p.eval_scaled(x, y, t) for p in parts]
+    top = np.max([m for m, _ in scaled], axis=0)
+    top = np.where(np.isneginf(top), 0.0, top)
+    res, scale = sum_residual([s * np.exp(m - top) for m, s in scaled])
+    return float(np.max(res / scale))
+
+
+@pytest.mark.parametrize("npts", [16, 64])
+@pytest.mark.parametrize("seed", [0, 5, 1025828390])
+def test_report_equals_part_by_part_reduction(seed, npts):
+    x, y, t = sample_points(seed, npts)
+    expected = {prefix + name: _part_by_part(parts, x, y, t)
+                for prefix, family in _report_families() for name, parts in family.items()}
+    rep = identity_report(seed=seed, npts=npts)
+    assert list(rep) == list(expected)
+    assert all(rep[key] == val for key, val in expected.items()), \
+        [key for key, val in expected.items() if rep[key] != val]
+
+
+def test_each_distinct_sum_is_evaluated_once_per_identity(monkeypatch):
+    x, y, t = pts(4)
+    evaluate = ExpSum.eval_scaled
+    calls: list[ExpSum] = []
+
+    def counted(self, *points):
+        calls.append(self)
+        return evaluate(self, *points)
+
+    monkeypatch.setattr(ExpSum, "eval_scaled", counted)
+    shared = 0
+    for _, family in _report_families():
+        for name, parts in family.items():
+            refs = [e for p in parts for e in ([p] if isinstance(p, ExpSum) else [p.num, *p.den])]
+            sums = {id(e) for e in refs}
+            calls.clear()
+            worst_residual(parts, x, y, t)
+            assert sorted(map(id, calls)) == sorted(sums), name
+            shared += len(refs) > len(sums)
+    assert shared  # in some identities the parts share a sum
 
 
 # ----- sweep over the phase speeds -----

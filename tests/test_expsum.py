@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kplab import expsum
 from kplab.errors import MissingPrimitive
-from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, log_derivatives, sum_residual,
-                          worst_residual)
+from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, _remap, _unify, log_derivatives,
+                          sum_residual, worst_residual)
+from kplab.solitons import SolitonConfig, build_tau
 from kplab.tanhexp import TanhExp
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
@@ -40,6 +45,67 @@ def test_difference_of_squares_cancels_exactly():
     assert len(prod.terms) == 2
     baseline = a * a - b * b
     assert (prod - baseline).is_zero()
+
+
+def _reference_operation(a: ExpSum, b: ExpSum, op: str) -> ExpSum:
+    """a + b or a * b with every key remapped through `_unify`, as the general path does."""
+    gens, map_b = _unify(a.gens, b.gens)
+    width = len(gens)
+    pad = (0,) * (width - len(a.gens))
+    left = [(k + pad, c) for k, c in a.terms.items()]
+    right = [(_remap(k, map_b, width), c) for k, c in b.terms.items()]
+    if op == "+":
+        acc = dict(left)
+        for k, c in right:
+            acc[k] = acc.get(k, 0) + c
+        return ExpSum(gens, acc)
+    acc = {}
+    for ka, ca in left:
+        for kb, cb in right:
+            key = tuple(x + y for x, y in zip(ka, kb))
+            acc[key] = acc.get(key, 0) + ca * cb
+    return ExpSum(gens, acc)
+
+
+POOL = tuple((complex(k), complex(k * k), complex(-k ** 3)) for k in (-2.0, -1.0, 0.5, 1.5, 3.0))
+_coeffs = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _aligned_operands(draw):
+    """Two sums whose gens are equal, one a prefix of the other, or permuted."""
+    n = draw(st.integers(0, len(POOL)))
+    gens = tuple(draw(st.permutations(POOL))[:n])
+    how = draw(st.sampled_from(["equal", "second_is_prefix", "first_is_prefix", "permuted"]))
+    cut = draw(st.integers(0, n))
+    other = {"equal": gens, "second_is_prefix": gens[:cut], "first_is_prefix": gens[:cut],
+             "permuted": tuple(draw(st.permutations(gens)))}[how]
+    first, second = (other, gens) if how == "first_is_prefix" else (gens, other)
+
+    def build(g):
+        keys = st.tuples(*[st.integers(0, 2)] * len(g))
+        return ExpSum(g, draw(st.dictionaries(keys, _coeffs, max_size=6)))
+
+    return build(first), build(second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_aligned_operands(), st.sampled_from(["+", "*"]))
+def test_aligned_operands_match_the_remapped_reference(operands, op):
+    """Operands whose gens line up skip `_unify`; the result is the remapped one exactly."""
+    a, b = operands
+    ref = _reference_operation(a, b, op)
+    aligned = a.gens[:len(b.gens)] == b.gens or b.gens[:len(a.gens)] == a.gens
+    with mock.patch.object(expsum, "_unify", wraps=_unify) as unify:
+        out = a + b if op == "+" else a * b
+    assert unify.called != aligned
+    assert out.gens == ref.gens
+    assert list(out.terms) == list(ref.terms)
+
+    def bits(s):
+        return [(c.real.hex(), c.imag.hex()) for c in s.terms.values()]
+
+    assert bits(out) == bits(ref)
 
 
 def test_derivatives_match_finite_differences():
@@ -219,6 +285,15 @@ def test_sum_residual_of_zero_parts_is_zero():
     assert np.all(scale == 1e-300)
 
 
+def test_an_identity_without_parts_is_rejected():
+    x = np.array([0.3, -1.0])
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="no parts"):
+            sum_residual(empty)
+    with pytest.raises(ValueError, match="no parts"):
+        worst_residual([], x, 0.0, 0.0)
+
+
 def test_sum_residual_scales_by_largest_part():
     res, scale = sum_residual(iter([np.array([3.0 + 4j]), np.array([-1.0]), np.array([-2.0])]))
     assert res[0] == 4.0 and scale[0] == 5.0
@@ -257,6 +332,24 @@ def test_worst_residual_leaves_line_profiles_unscaled():
     zs = np.linspace(-5.0, 5.0, 11)
     res, scale = sum_residual([f.eval(zs), -0.5 * f.eval(zs), -0.25 * f.eval(zs)])
     assert worst_residual([f, -0.5 * f, -0.25 * f], zs) == float(np.max(res / scale))
+
+
+def test_kept_arrays_are_read_only_and_evaluate_as_a_fresh_copy():
+    rng = np.random.default_rng(17)
+    x, y, t = _pts(rng, n=30, span=3.0)
+    for tau in (build_tau(SolitonConfig("p_type", (-2.0, -1.0, 0.5, 3.0))), _mixed_tau()[1]):
+        ph, coeff = tau.arrays()
+        assert tau.arrays()[0] is ph
+        for arr in (ph, coeff):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh = ExpSum(tau.gens, dict(tau.terms))
+        for got, want in zip(tau.eval_scaled(x, y, t), fresh.eval_scaled(x, y, t)):
+            assert np.array_equal(got, want)
+        kept = log_derivatives(tau, (3, 1, 1), x, y, t)
+        rebuilt = log_derivatives(ExpSum(tau.gens, dict(tau.terms)), (3, 1, 1), x, y, t)
+        for key, val in kept.items():
+            assert np.array_equal(val, rebuilt[key]), key
 
 
 def test_carried_prim_requires_primitive():
