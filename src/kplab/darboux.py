@@ -81,12 +81,8 @@ def pair_wronskian(kappa, coeffs_a, coeffs_b) -> ExpSum:
     coefficients, so it can realize couplings whose lower tau is not itself
     a regular configuration.
     """
-    ka = tuple(float(v) for v in kappa)
-    fa = phase_sum(ka, coeffs_a)
-    fb = phase_sum(ka, coeffs_b)
-    fax = phase_sum(ka, [c * kv for c, kv in zip(coeffs_a, ka)])
-    fbx = phase_sum(ka, [c * kv for c, kv in zip(coeffs_b, ka)])
-    return fa * fbx - fb * fax
+    fa, fb = phase_sum(kappa, coeffs_a), phase_sum(kappa, coeffs_b)
+    return fa * fb.dx() - fb * fa.dx()
 
 
 def phase_sum(kappa, coeffs) -> ExpSum:
@@ -423,13 +419,11 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
     name the identity by what it moves.
     """
     _check_poles(config.kappa, beta, beta_prime)
-    # each wave, dual and product is built once per call, not per use
-    phi, phi_star, phi_residue, phi_star_residue, product, times = map(cache, (
-        JostFamily.phi, JostFamily.phi_star, JostFamily.phi_residue,
-        JostFamily.phi_star_residue, pair_product, mul))
+    # the families keep their waves; each product is built once per call
+    product, times = cache(pair_product), cache(mul)
     steps = _level_steps(config)
     mixed = {label: transform_both(data.v, carried_from_primitive(
-        phi(lo, beta) * phi_star(hi, beta_prime))) for label, lo, hi, data in steps}
+        lo.phi(beta) * hi.phi_star(beta_prime))) for label, lo, hi, data in steps}
     out: dict[str, list[Rational]] = {}
     for sign, verb in ((1, "raise"), (-1, "lower")):
 
@@ -443,25 +437,25 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
             ops[label] = (lo, hi, data.v, src)
             out[key(label, "mixed")] = _equation_parts(
                 mixed[label][sign],
-                [2.0 * product(phi(dst, beta), phi_star(dst, beta_prime)).value.dx()])
+                [2.0 * product(dst.phi(beta), dst.phi_star(beta_prime)).value.dx()])
             out[key(label, "wave")] = _equation_parts(
                 [p.dx() for p in transform_parts(data.v, sign, product(
-                    phi(src, beta), phi_star(src, beta_prime)))],
-                [2.0 * times(phi(hi, beta), phi_star(lo, beta_prime)).dx()])
+                    src.phi(beta), src.phi_star(beta_prime)))],
+                [2.0 * times(hi.phi(beta), lo.phi_star(beta_prime)).dx()])
         if config.kind == "o_type":
             continue
 
         def dual_residue(label: str, j: int, kernel: bool = False) -> list[Rational]:
             lo, hi, v, src = ops[label]
-            rhs = [] if kernel else [2.0 * times(phi(hi, beta), phi_star_residue(lo, j))]
+            rhs = [] if kernel else [2.0 * times(hi.phi(beta), lo.phi_star_residue(j))]
             return _equation_parts(transform_parts(
-                v, sign, product(phi(src, beta), phi_star_residue(src, j))), rhs)
+                v, sign, product(src.phi(beta), src.phi_star_residue(j))), rhs)
 
         def wave_residue(label: str, j: int) -> list[Rational]:
             lo, hi, v, src = ops[label]
             return _equation_parts(
-                transform_parts(v, sign, product(phi_residue(src, j), phi_star(src, beta))),
-                [2.0 * times(phi_residue(hi, j), phi_star(lo, beta))])
+                transform_parts(v, sign, product(src.phi_residue(j), src.phi_star(beta))),
+                [2.0 * times(hi.phi_residue(j), lo.phi_star(beta))])
 
         out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
         out[f"{verb}_two_discrete_wave"] = wave_residue("two", 2)
@@ -487,13 +481,11 @@ def level_shift_parts(config: SolitonConfig, beta: complex) -> dict[str, list[Ra
     chain one step per channel.
     """
     _check_poles(config.kappa, beta)
-    # a family shared by two steps builds its wave and dual once per call
-    phi, phi_star = map(cache, (JostFamily.phi, JostFamily.phi_star))
     out: dict[str, list[Rational]] = {}
     for label, lo, hi, data in _level_steps(config):
         h, hinv = data.h, data.hinv
-        wave_lo, wave_hi = phi(lo, beta), phi(hi, beta)
-        dual_lo, dual_hi = phi_star(lo, beta), phi_star(hi, beta)
+        wave_lo, wave_hi = lo.phi(beta), hi.phi(beta)
+        dual_lo, dual_hi = lo.phi_star(beta), hi.phi_star(beta)
         wave_lifted = hinv * wave_lo
         dual_lifted = h * dual_hi
         out["wave_step_" + label] = _equation_parts([wave_lifted.dx()], [hinv * wave_hi])
@@ -529,46 +521,35 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
     v1, v2 = lower.v, upper.v
-    # the residues two generators share are built once per call
-    phi_residue, phi_star_residue = map(cache, (JostFamily.phi_residue,
-                                                JostFamily.phi_star_residue))
 
     br_in = branch_of(config, (2, 3))
     br_out = branch_of(config, (1, 4))
     gap_in = k[2] - k[1]
     gap_out = k[3] - k[0]
 
-    def gen_plus(fam: JostFamily, br: Branch, gap: float, j: int) -> Carried:
-        b = br.beta(eta, -1)
+    def generator(fam: JostFamily, br: Branch, eta_at: complex, side: int, j: int,
+                  scale: complex, wave_at_branch: bool) -> Carried:
+        """scale times the product of the wave (or dual) at br.beta(eta_at, side)
+        with the j-th dual residue (or wave residue)."""
+        b = br.beta(eta_at, side)
         _check_poles(k, b)
-        return (gap / br.gamma(eta)) * pair_product(fam.phi(beta=b), phi_star_residue(fam, j))
+        if wave_at_branch:
+            return scale * pair_product(fam.phi(b), fam.phi_star_residue(j))
+        return scale * pair_product(fam.phi_residue(j), fam.phi_star(b))
 
-    def gen_minus(fam: JostFamily, br: Branch, j: int) -> Carried:
-        b = br.beta(-eta, 1)
-        _check_poles(k, b)
-        scale = 1j * eta * (-1.0 / br.gamma(-eta))
-        return scale * pair_product(phi_residue(fam, j), fam.phi_star(beta=b))
-
-    def dual_plus(fam: JostFamily, br: Branch, gap: float, j: int) -> Carried:
-        b = br.beta(-etac, -1)
-        _check_poles(k, b)
-        return (-1j * etac / gap) * pair_product(phi_residue(fam, j), fam.phi_star(beta=b))
-
-    def dual_minus(fam: JostFamily, br: Branch, j: int, flip: float) -> Carried:
-        b = br.beta(etac, 1)
-        _check_poles(k, b)
-        return flip * pair_product(fam.phi(beta=b), phi_star_residue(fam, j))
-
-    w_in_1 = gen_plus(fam1, br_in, gap_in, 2)
-    w_in_2 = gen_plus(fam2, br_in, gap_in, 2)
-    w_out_2 = gen_plus(fam2, br_out, gap_out, 1)
-    wm_in_1 = gen_minus(fam1, br_in, 2)
-    wm_in_2 = gen_minus(fam2, br_in, 2)
-    d_in_1 = dual_plus(fam1, br_in, gap_in, 2)
-    d_in_2 = dual_plus(fam2, br_in, gap_in, 2)
-    dm_in_1 = dual_minus(fam1, br_in, 2, 1.0)
-    dm_in_2 = dual_minus(fam2, br_in, 2, 1.0)
-    dm_out_2 = dual_minus(fam2, br_out, 1, -1.0)
+    plus_in = gap_in / br_in.gamma(eta)
+    minus_in = 1j * eta * (-1.0 / br_in.gamma(-eta))
+    dual_in = -1j * etac / gap_in
+    w_in_1 = generator(fam1, br_in, eta, -1, 2, plus_in, True)
+    w_in_2 = generator(fam2, br_in, eta, -1, 2, plus_in, True)
+    w_out_2 = generator(fam2, br_out, eta, -1, 1, gap_out / br_out.gamma(eta), True)
+    wm_in_1 = generator(fam1, br_in, -eta, 1, 2, minus_in, False)
+    wm_in_2 = generator(fam2, br_in, -eta, 1, 2, minus_in, False)
+    d_in_1 = generator(fam1, br_in, -etac, -1, 2, dual_in, False)
+    d_in_2 = generator(fam2, br_in, -etac, -1, 2, dual_in, False)
+    dm_in_1 = generator(fam1, br_in, etac, 1, 2, 1.0, True)
+    dm_in_2 = generator(fam2, br_in, etac, 1, 2, 1.0, True)
+    dm_out_2 = generator(fam2, br_out, etac, 1, 1, -1.0, True)
 
     def transfer(lower_wave: Carried, upper_wave: Carried) -> list[Rational]:
         """Minus transform of the upper-level product against plus of the lower-level one."""
@@ -902,11 +883,13 @@ def identity_report(seed: int = 7, npts: int = 16) -> dict[str, float]:
     The flat key set is stable, so the report can be serialized and diffed;
     all values are worst relative residuals over the shared sample points.
     Each family's parts are reduced as soon as they are built, so only one
-    family's algebra is alive at a time.  Within a family each wave, dual
-    and product is built once, and `worst_residual` evaluates each distinct
-    sum of an identity once; a sum or Rational keeps its own partials, and
-    a sum its sorted arrays, on the object.  Nothing is kept from one call
-    to the next but what the shared taus and level chains keep on themselves.
+    family's algebra is alive at a time.  The `JostFamily` objects of the
+    shared level chains keep every wave, dual and residue they build, so a
+    later report builds none of them again; each product of them lasts one
+    family call, and `worst_residual` evaluates each distinct sum of an
+    identity once.  A sum or Rational keeps its own partials, and a sum its
+    sorted arrays, on the object.  Nothing else is kept from one call to the
+    next.
     """
     x, y, t = sample_points(seed, npts)
     cfg_p = SolitonConfig("p_type", REPORT_KAPPA_P)

@@ -4,9 +4,11 @@ The wave at spectral point beta multiplies exp(beta x + beta^2 y - beta^3 t)
 by a ratio of exponential sums; the dual flips the exponential factor and
 inverts the per-phase shifts.  Both are read off the minor expansion that
 tau itself stores, so every residue at a discrete phase is available in
-closed form.  The module also pairs a wave with a dual into a product
-carrying its antiderivative data, and checks the off-diagonal resolvent
-kernels; the background potential comes from `solitons.potential`.
+closed form.  One routine, `JostFamily._wave`, builds all four kinds, and
+each family keeps what it built.  The module also pairs a wave with a dual
+into a product carrying its antiderivative data (`pair_product`, which
+keeps nothing), and checks the off-diagonal resolvent kernels; the
+background potential comes from `solitons.potential`.
 
 `heat_parts`, `flow_parts` (the compatibility pair and its adjoint) and
 `linearized_parts` (the linearized KP-II flow) are the only definitions of
@@ -56,73 +58,79 @@ def plane_gen(w: complex) -> Gen:
     return (w, w * w, -(w * w * w))
 
 
-def plane_gen_dual(w: complex) -> Gen:
-    g = plane_gen(w)
-    return (-g[0], -g[1], -g[2])
-
-
 class JostFamily:
-    """Waves, duals and residues for one configuration.
+    """Waves, duals and residues for one configuration, each built once and kept.
 
     The numerators reweight the terms of tau: each key is the indicator
     vector of a row subset, each coefficient its minor times Vandermonde.
+    A family never changes after it is built, so it keeps every wave, dual
+    and residue it builds, keyed by what `_wave` was asked for.
     """
 
     def __init__(self, config: SolitonConfig):
         self.config = config
         self.tau = build_tau(config)
+        self._waves: dict[tuple, Rational] = {}
 
-    def _shifted_numerator(self, w: complex, inverse: bool) -> ExpSum:
+    def _wave(self, w: complex | None, dual: bool, pole: int | None = None) -> Rational:
+        """The wave (dual False) or dual wave at w over tau, built on the first call.
+
+        Each term of tau on row subset S is weighted by prod over m in S of
+        (w - kappa_m), inverted for the dual, and the numerator carries the
+        plane factor exp(+-(w x + w^2 y - w^3 t)) as its first generator.
+        With pole = j (1-based), w (passed as None) is kappa_j: the dual
+        keeps the subsets that hold j and drops their vanishing factor, which
+        is its residue there, and the wave keeps the subsets without j, whose
+        weights do not vanish, which is its value there.
+        """
+        key = (w, dual, pole)
+        if key in self._waves:
+            return self._waves[key]
         kappa = self.config.kappa
+        skip = -1
+        if pole is not None:
+            if not 1 <= pole <= len(kappa):
+                raise PoleAtKappa(f"phase index {pole} out of range 1..{len(kappa)}")
+            skip, w = pole - 1, kappa[pole - 1]
         items: list[tuple[tuple[int, ...], complex]] = []
-        for key, factor in self.tau.terms.items():
-            for m, bit in enumerate(key):
-                if not bit:
+        for subset, factor in self.tau.terms.items():
+            if pole is not None and subset[skip] != dual:
+                continue
+            for m, bit in enumerate(subset):
+                if not bit or m == skip:
                     continue
                 d = w - kappa[m]
-                if inverse:
-                    if d == 0:
-                        raise PoleAtKappa(
-                            f"dual wave has a pole at phase {m + 1} (kappa={kappa[m]}); "
-                            "use phi_star_residue")
-                    factor /= d
-                else:
+                if not dual:
                     factor *= d
-            items.append((key, factor))
-        return ExpSum.from_terms(self.tau.gens, items)
+                elif d == 0:
+                    raise PoleAtKappa(
+                        f"dual wave has a pole at phase {m + 1} (kappa={kappa[m]}); "
+                        "use phi_star_residue")
+                else:
+                    factor /= d
+            items.append((subset, factor))
+        gen = plane_gen(w)
+        if dual:
+            gen = tuple(-g for g in gen)
+        num = ExpSum.exponential(1.0, gen) * ExpSum.from_terms(self.tau.gens, items)
+        self._waves[key] = Rational.from_quotient(num, self.tau)
+        return self._waves[key]
 
     def phi(self, beta: complex) -> Rational:
         """Wave annihilated by both compatibility operators; beta = ik on the real line."""
-        w = complex(beta)
-        num = ExpSum.exponential(1.0, plane_gen(w)) * self._shifted_numerator(w, inverse=False)
-        return Rational.from_quotient(num, self.tau)
+        return self._wave(complex(beta), False)
 
     def phi_star(self, beta: complex) -> Rational:
         """Dual wave annihilated by the adjoint pair."""
-        w = complex(beta)
-        num = ExpSum.exponential(1.0, plane_gen_dual(w)) * self._shifted_numerator(w, inverse=True)
-        return Rational.from_quotient(num, self.tau)
+        return self._wave(complex(beta), True)
 
     def phi_residue(self, j: int) -> Rational:
         """The wave evaluated at the j-th discrete phase, 1-based."""
-        return self.phi(beta=self.config.kappa[j - 1])
+        return self._wave(None, False, pole=j)
 
     def phi_star_residue(self, j: int) -> Rational:
         """Residue of the dual at the j-th discrete phase, 1-based."""
-        kappa = self.config.kappa
-        if not 1 <= j <= len(kappa):
-            raise PoleAtKappa(f"phase index {j} out of range 1..{len(kappa)}")
-        kj = kappa[j - 1]
-        items: list[tuple[tuple[int, ...], complex]] = []
-        for key, factor in self.tau.terms.items():
-            if not key[j - 1]:
-                continue
-            for m, bit in enumerate(key):
-                if bit and m != j - 1:
-                    factor /= kj - kappa[m]
-            items.append((key, factor))
-        num = ExpSum.exponential(1.0, plane_gen_dual(kj)) * ExpSum.from_terms(self.tau.gens, items)
-        return Rational.from_quotient(num, self.tau)
+        return self._wave(None, True, pole=j)
 
     # ----- residue completeness -----
 

@@ -216,8 +216,13 @@ class Profile:
 def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int) -> Profile:
     """Far-field soliton on `pair` as y_sign * y grows large.
 
-    The phase shift mu depends on which side of the interaction region the
-    channel is observed from; y_sign is the sign of y along the excursion.
+    Along the crest of the channel (i, j), x = -(kappa_i + kappa_j) y at
+    t = 0, the term of tau on row subset S grows with y_sign * y at the rate
+    y_sign * sum over m in S of (kappa_m - kappa_i)(kappa_m - kappa_j), up
+    to a rate all subsets of one size share.  The two leading terms are
+    S+i and S+j, which tie exactly, and their coefficients give the phase
+    shift mu = log(c_{S+j} / c_{S+i}) / 2; it depends on which side of the
+    interaction region the channel is observed from.
     """
     if y_sign not in (1, -1):
         raise InvalidBranch(f"y_sign must be +1 or -1, got {y_sign}")
@@ -225,28 +230,19 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     if pair not in config.channel_pairs():
         raise InvalidBranch(f"{pair} is not a channel of this {config.kind} configuration")
     k = config.kappa
-    amp = 2.0 * config.c_of(pair)
-    if config.kind == "one_line":
-        return Profile(k, pair, amp, 0.0)
-
-    def lg(num: float, den: float) -> float:
-        return 0.5 * math.log(num / den)
-
-    if config.kind == "p_type":
-        label = y_sign * (1 if config.a_of((1, 4)) > config.a_of((2, 3)) else -1)
-        if pair == (2, 3):
-            mu = lg(k[3] - k[2], k[3] - k[1]) if label > 0 else lg(k[2] - k[0], k[1] - k[0])
-        else:
-            lbl = -label
-            mu = lg(k[3] - k[2], k[2] - k[0]) if lbl > 0 else lg(k[3] - k[1], k[1] - k[0])
-    else:
-        label = y_sign
-        if pair == (1, 2):
-            mu = lg(k[3] - k[1], k[3] - k[0]) if label > 0 else lg(k[2] - k[1], k[2] - k[0])
-        else:
-            lbl = -label
-            mu = lg(k[3] - k[1], k[2] - k[1]) if lbl > 0 else lg(k[3] - k[0], k[2] - k[0])
-    return Profile(k, pair, amp, mu)
+    i, j = pair[0] - 1, pair[1] - 1
+    terms = build_tau(config).terms
+    rates = {subset: y_sign * sum((k[m] - k[i]) * (k[m] - k[j])
+                                  for m, bit in enumerate(subset) if bit)
+             for subset in terms}
+    top = max(rates.values())
+    lead = sorted((subset for subset, rate in rates.items() if rate == top),
+                  key=lambda subset: subset[j])
+    if len(lead) != 2 or [m for m, (a, b) in enumerate(zip(*lead)) if a != b] != [i, j]:
+        raise InvalidBranch(f"the leading terms {lead} on channel {pair} are not one i<->j pair")
+    with_i, with_j = lead
+    mu = 0.5 * math.log(terms[with_j].real / terms[with_i].real)
+    return Profile(k, pair, 2.0 * config.c_of(pair), mu)
 
 
 # The partials of log tau that kpii_residual reads: u = 2 (log tau)_xx and

@@ -14,6 +14,7 @@ from kplab.darboux import (
     REPORT_KAPPA_P,
     MiuraData,
     OneDimDarboux,
+    _level_steps,
     backlund_catalog,
     backlund_parts,
     bump_profile,
@@ -612,6 +613,26 @@ def test_each_distinct_sum_is_evaluated_once_per_identity(monkeypatch):
             assert sorted(map(id, calls)) == sorted(sums), name
             shared += len(refs) > len(sums)
     assert shared  # in some identities the parts share a sum
+
+
+def test_second_report_builds_no_wave(monkeypatch):
+    wave = JostFamily._wave
+    built: list[tuple] = []
+
+    def counted(self, *args, **kwargs):
+        kept = set(map(id, self._waves.values()))
+        out = wave(self, *args, **kwargs)
+        if id(out) not in kept:
+            built.append(args)
+        return out
+
+    monkeypatch.setattr(JostFamily, "_wave", counted)
+    _level_steps.cache_clear()
+    identity_report(npts=4)
+    assert built
+    built.clear()
+    identity_report(npts=4)
+    assert built == []
 
 
 # ----- sweep over the phase speeds -----

@@ -1,4 +1,5 @@
-"""Every declared exception is raised somewhere; bad input raises a typed one."""
+"""Every declared exception is raised somewhere and named by a test; bad input
+raises a typed one."""
 from __future__ import annotations
 
 import ast
@@ -6,10 +7,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kplab
 from kplab import errors
+from kplab.branches import Branch
 from kplab.darboux import OneDimDarboux, bump_profile, kink_profile, minus_kernel_profile
 from kplab.solitons import SolitonConfig
 
@@ -35,6 +38,17 @@ def test_every_declared_error_is_raised():
                 and obj is not errors.KplabError}
     assert declared
     assert declared - _raised_names() == set()
+    tests = [path.read_text() for path in sorted(Path(__file__).parent.rglob("*.py"))]
+    unnamed = {name for name in declared
+               if not any(re.search(rf"\b{name}\b", text) for text in tests)}
+    assert unnamed == set()
+
+
+@pytest.mark.parametrize("eta", [1j, np.array([0.3, 1j, -0.4])], ids=["scalar", "array"])
+def test_eta_on_the_cut_raises(eta):
+    # c + i eta = 0.5 - 1 lies on the negative real axis
+    with pytest.raises(errors.BranchCutCrossing):
+        Branch(0.0, 0.5).gamma(eta)
 
 
 def _defined_names(tree: ast.Module) -> list[str]:

@@ -69,6 +69,21 @@ def test_dual_wave_pole_at_phase_slope():
         fam.phi_star(beta=1.0)
 
 
+@pytest.mark.parametrize("j", [0, 5])
+def test_residue_index_is_checked(j):
+    fam = families()["p"]
+    for residue in (fam.phi_residue, fam.phi_star_residue):
+        with pytest.raises(PoleAtKappa):
+            residue(j)
+
+
+def test_family_keeps_its_waves():
+    fam = families()["p"]
+    for build, arg in ((fam.phi, 1.7), (fam.phi_star, 0.3 + 0.4j),
+                       (fam.phi_residue, 2), (fam.phi_star_residue, 3)):
+        assert build(arg) is build(arg)
+
+
 # ----- annihilation by the compatibility operators -----
 
 INSTANCES = [

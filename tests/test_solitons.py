@@ -249,6 +249,28 @@ def test_profile_shift_values_crossing_type():
     assert abs(mu - 0.5 * np.log((k4 - k3) / (k3 - k1))) < 1e-14
 
 
+def test_profile_shift_values_parallel_type():
+    cfg = o_config()
+    k1, k2, k3, k4 = KO
+    mu = asymptotic_profile(cfg, (1, 2), 1).mu
+    assert abs(mu - 0.5 * np.log((k4 - k2) / (k4 - k1))) < 1e-14
+    mu = asymptotic_profile(cfg, (1, 2), -1).mu
+    assert abs(mu - 0.5 * np.log((k3 - k2) / (k3 - k1))) < 1e-14
+    mu = asymptotic_profile(cfg, (3, 4), 1).mu
+    assert abs(mu - 0.5 * np.log((k4 - k1) / (k3 - k1))) < 1e-14
+    mu = asymptotic_profile(cfg, (3, 4), -1).mu
+    assert abs(mu - 0.5 * np.log((k4 - k2) / (k3 - k2))) < 1e-14
+
+
+def test_profile_rejects_parallel_channels():
+    # a_14 = a_23: along either crest all four terms of tau lead together
+    cfg = SolitonConfig("p_type", (-2.0, -1.0, 1.0, 2.0))
+    for pair in cfg.channel_pairs():
+        for y_sign in (1, -1):
+            with pytest.raises(InvalidBranch):
+                asymptotic_profile(cfg, pair, y_sign)
+
+
 def test_profile_rejects_foreign_pair():
     with pytest.raises(InvalidBranch):
         asymptotic_profile(p_config(), (1, 2), 1)
