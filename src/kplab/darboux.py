@@ -10,8 +10,9 @@ transform factors through a heat or flow operator conjugated by the tau
 ratio.  Every identity here is checked in two independent ways wherever
 the factorization offers one.
 
-Each identity family is a builder that takes no sample points and returns
-a dict of named part lists, the parts of one identity summing to zero.
+Each identity family is a builder that takes no sample points and no
+selector: one call returns a dict of all its named part lists, the parts
+of one identity summing to zero.
 `identity_report` is the one place that reduces them, each to its worst
 relative residual (`worst_residual`) on shared sample points.
 
@@ -267,22 +268,12 @@ class MiuraData:
 # ----- first-order level transforms -----
 
 
-def transform_parts(v: Rational, sign: int, wave: Carried) -> list[Rational]:
-    """Summands [sign dx wave, dx^{-1}dy wave, -2 v wave] of  sign*dx + dx^{-1}dy - 2v.
+def transform_parts(v: Rational, wave: Carried) -> dict[int, list[Rational]]:
+    """Summands [sign dx wave, dx^{-1}dy wave, -2 v wave] of  sign*dx + dx^{-1}dy - 2v, by sign.
 
     The nonlocal term is the wave's carried dx^{-1}dy; a wave without one
     raises MissingPrimitive.  The formal adjoint is the transform with the
-    opposite sign.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return transform_both(v, wave)[sign]
-
-
-def transform_both(v: Rational, wave: Carried) -> dict[int, list[Rational]]:
-    """`transform_parts` of both signs on one wave, keyed by sign.
-
-    The two lists share their last two summands, so -2 v wave is built once.
+    opposite sign; the two lists share their last two summands.
     """
     if wave.ydxinv is None:
         raise MissingPrimitive("the level transform needs the wave's exact dx^{-1} dy")
@@ -298,85 +289,84 @@ def carried_from_primitive(prim: Rational) -> Carried:
 # ----- conjugation routes -----
 
 
-def miura_lax_parts(data: MiuraData, which: int, wave: Carried) -> dict[str, list[Rational]]:
-    """Parts of one of the eight conjugation routes, in both of its forms.
+def miura_lax_parts(data: MiuraData, wave: Carried) -> dict[str, list[Rational]]:
+    """Parts of the eight conjugation routes, each in both of its forms.
 
-    which 1..4 factor the transforms and companion maps of the pair's ratio
-    through the heat and flow operators of the two levels; which 5..8 are
-    routes 1..4 on the base pair (1, tau1), where the lower level is the
-    constant background.  Each route has an undifferentiated form acting
-    on the carried x-primitive ("primitive") and a differentiated form
-    acting on the wave itself ("direct"); a pass of both certifies the
-    operator identity and not a lucky cancellation.
+    Routes 1..4 factor the transforms and companion maps of the pair's
+    ratio through the heat and flow operators of the two levels; routes
+    5..8 are routes 1..4 on the base pair (1, tau1), where the lower level
+    is the constant background.  Each route has an undifferentiated form
+    acting on the carried x-primitive ("route<n>_primitive") and a
+    differentiated form acting on the wave itself ("route<n>_direct"); a
+    pass of both certifies the operator identity and not a lucky
+    cancellation.
 
     The input must carry an exact x-primitive; the odd routes also read its
     dy.  Routes 5..8 assume tau1 has a single Wronskian entry (or is
     constant), which makes its y-derivative equal its second x-derivative.
     """
-    if which not in range(1, 9):
-        raise ValueError(f"route index must be 1..8, got {which}")
     w = wave.value
     big_w = wave.prim()
-    if which > 4:
-        data, which = data.base, which - 4
-    v = data.v
-    h, hinv = data.h, data.hinv
-    u1, u2, u1y, u2y = data.u1, data.u2, data.u1y, data.u2y
     wx = w.dx()
-
-    if which == 1:
-        lhs = transform_parts(v, 1, wave)
-        rhs_a = [h * p for p in heat_parts(u2, hinv * big_w, star=True)]
-        rhs_b = [h * p for p in heat_parts(u1, hinv * w, star=True)]
-    elif which == 2:
-        lhs = transform_parts(v, -1, wave)
-        rhs_a = [-1.0 * (hinv * p) for p in heat_parts(u1, h * big_w, star=False)]
-        rhs_b = [-1.0 * (hinv * p) for p in heat_parts(u2, h * w, star=False)]
-    elif which == 3:
-        lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u1 * w),
-               -12.0 * (v * wx), 12.0 * (v * (v * w))]
-        rhs_a = [-1.0 * (h * p) for p in flow_parts(u2, u2y, hinv * big_w, star=True)]
-        rhs_b = [-1.0 * (h * p) for p in flow_parts(u1, u1y, hinv * w, star=True)]
-    else:
-        lhs = [4.0 * big_w.dt(), 4.0 * wx.dx(), 6.0 * (u2 * w),
-               12.0 * (v * wx), 12.0 * (v * (v * w))]
-        rhs_a = [hinv * p for p in flow_parts(u1, u1y, h * big_w, star=False)]
-        rhs_b = [hinv * p for p in flow_parts(u2, u2y, h * w, star=False)]
-
-    return {"primitive": _equation_parts(lhs, rhs_a),
-            "direct": _equation_parts([p.dx() for p in lhs], rhs_b)}
+    flow_w = [4.0 * big_w.dt(), 4.0 * wx.dx()]
+    out: dict[str, list[Rational]] = {}
+    for first, step in ((1, data), (5, data.base)):
+        v, h, hinv = step.v, step.h, step.hinv
+        u1, u2, u1y, u2y = step.u1, step.u2, step.u1y, step.u2y
+        both = transform_parts(v, wave)
+        vvw = 12.0 * (v * (v * w))
+        # (lhs on the primitive, rhs of the primitive form, rhs of the direct form)
+        routes = (
+            (both[1], [h * p for p in heat_parts(u2, hinv * big_w, star=True)],
+             [h * p for p in heat_parts(u1, hinv * w, star=True)]),
+            (both[-1], [-1.0 * (hinv * p) for p in heat_parts(u1, h * big_w, star=False)],
+             [-1.0 * (hinv * p) for p in heat_parts(u2, h * w, star=False)]),
+            ([*flow_w, 6.0 * (u1 * w), -12.0 * (v * wx), vvw],
+             [-1.0 * (h * p) for p in flow_parts(u2, u2y, hinv * big_w, star=True)],
+             [-1.0 * (h * p) for p in flow_parts(u1, u1y, hinv * w, star=True)]),
+            ([*flow_w, 6.0 * (u2 * w), 12.0 * (v * wx), vvw],
+             [hinv * p for p in flow_parts(u1, u1y, h * big_w, star=False)],
+             [hinv * p for p in flow_parts(u2, u2y, h * w, star=False)]),
+        )
+        for n, (lhs, rhs_a, rhs_b) in enumerate(routes, start=first):
+            out[f"route{n}_primitive"] = _equation_parts(lhs, rhs_a)
+            out[f"route{n}_direct"] = _equation_parts([p.dx() for p in lhs], rhs_b)
+    return out
 
 
 # ----- linearized flow intertwining -----
 
 
-def flow_intertwining_parts(data: MiuraData, sign: int,
-                            wave: Carried) -> dict[str, list[Rational]]:
-    """The transform of chosen sign intertwines the two linearized flows.
+def flow_intertwining_parts(data: MiuraData, wave: Carried) -> dict[str, list[Rational]]:
+    """Each transform intertwines the linearized flows of its two levels.
 
-    Stated in x-differentiated form ("direct"), which keeps every term
-    local: with F the transformed wave and G the linearized modified flow
-    of the wave, dx applied to the linearized flow of level u_i acting on F
-    must equal dx of the transform acting on G.
+    Stated in x-differentiated form, which keeps every term local: with F
+    the transformed wave and G the linearized modified flow of the wave, dx
+    applied to the linearized flow of the target level acting on F must
+    equal dx of the transform acting on G.  "plus" lands on level u_2,
+    "minus" on u_1; both share one G.
     """
     v = data.v
-    parts = transform_parts(v, sign, wave)
-    big_f = parts[0] + parts[1] + parts[2]
-
-    wv, ydx = wave.value, parts[1]
+    both = transform_parts(v, wave)
+    wv, ydx = wave.value, wave.ydxinv
     g = (4.0 * wv.dt() + wv.dx().dx().dx() + 3.0 * ydx.dy()
          - 6.0 * ((v * (v * wv)).dx()) + 6.0 * (v.dx() * ydx)
          + 6.0 * (wv.dx() * data.vy))
-
-    lhs = linearized_parts(data.u2 if sign == 1 else data.u1, big_f)
-    rhs = [float(sign) * g.dx().dx(), g.dy(), -2.0 * ((v * g).dx())]
-    return {"direct": _equation_parts(lhs, rhs)}
+    out: dict[str, list[Rational]] = {}
+    for sign, name, u in ((1, "plus", data.u2), (-1, "minus", data.u1)):
+        a, b, c = both[sign]
+        lhs = linearized_parts(u, a + b + c)
+        rhs = [float(sign) * g.dx().dx(), g.dy(), -2.0 * ((v * g).dx())]
+        out[name] = _equation_parts(lhs, rhs)
+    return out
 
 
 # ----- level maps on wave-dual products -----
 
 
-@lru_cache(maxsize=None)
+# the report reads two configurations (P and O type); a sweep over phase
+# speeds keeps only the last two chains and every wave they hold
+@lru_cache(maxsize=2)
 def _level_steps(config: SolitonConfig) -> tuple[tuple[str, JostFamily, JostFamily, MiuraData], ...]:
     """(label, lower family, upper family, MiuraData) for each adjacent step.
 
@@ -422,7 +412,7 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
     # the families keep their waves; each product is built once per call
     product, times = cache(pair_product), cache(mul)
     steps = _level_steps(config)
-    mixed = {label: transform_both(data.v, carried_from_primitive(
+    mixed = {label: transform_parts(data.v, carried_from_primitive(
         lo.phi(beta) * hi.phi_star(beta_prime))) for label, lo, hi, data in steps}
     out: dict[str, list[Rational]] = {}
     for sign, verb in ((1, "raise"), (-1, "lower")):
@@ -439,8 +429,8 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
                 mixed[label][sign],
                 [2.0 * product(dst.phi(beta), dst.phi_star(beta_prime)).value.dx()])
             out[key(label, "wave")] = _equation_parts(
-                [p.dx() for p in transform_parts(data.v, sign, product(
-                    src.phi(beta), src.phi_star(beta_prime)))],
+                [p.dx() for p in transform_parts(data.v, product(
+                    src.phi(beta), src.phi_star(beta_prime)))[sign]],
                 [2.0 * times(hi.phi(beta), lo.phi_star(beta_prime)).dx()])
         if config.kind == "o_type":
             continue
@@ -449,12 +439,12 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
             lo, hi, v, src = ops[label]
             rhs = [] if kernel else [2.0 * times(hi.phi(beta), lo.phi_star_residue(j))]
             return _equation_parts(transform_parts(
-                v, sign, product(src.phi(beta), src.phi_star_residue(j))), rhs)
+                v, product(src.phi(beta), src.phi_star_residue(j)))[sign], rhs)
 
         def wave_residue(label: str, j: int) -> list[Rational]:
             lo, hi, v, src = ops[label]
             return _equation_parts(
-                transform_parts(v, sign, product(src.phi_residue(j), src.phi_star(beta))),
+                transform_parts(v, product(src.phi_residue(j), src.phi_star(beta)))[sign],
                 [2.0 * times(hi.phi_residue(j), lo.phi_star(beta))])
 
         out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
@@ -553,15 +543,15 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
 
     def transfer(lower_wave: Carried, upper_wave: Carried) -> list[Rational]:
         """Minus transform of the upper-level product against plus of the lower-level one."""
-        return _equation_parts(transform_parts(v2, -1, upper_wave),
-                               transform_parts(v2, 1, lower_wave))
+        return _equation_parts(transform_parts(v2, upper_wave)[-1],
+                               transform_parts(v2, lower_wave)[1])
 
-    on_one, on_two = transform_both(v1, w_in_1), transform_both(v2, w_out_2)
+    on_one, on_two = transform_parts(v1, w_in_1), transform_parts(v2, w_out_2)
     return {
         "kernel_one": on_one[-1],
         "kernel_two": on_two[-1],
-        "dual_kernel_one": transform_parts(v1, -1, dm_in_1),
-        "dual_kernel_two": transform_parts(v2, -1, dm_out_2),
+        "dual_kernel_one": transform_parts(v1, dm_in_1)[-1],
+        "dual_kernel_two": transform_parts(v2, dm_out_2)[-1],
         "eigen_one": _equation_parts(on_one[1], [2.0 * w_in_1.value.dx()]),
         "eigen_two": _equation_parts(on_two[1], [2.0 * w_out_2.value.dx()]),
         "transfer_plus": transfer(w_in_1, w_in_2),
@@ -593,7 +583,7 @@ def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
     root = _channel_root(c)
     value = TanhExp.sech(root, 2)
-    prim = TanhExp.tanh(root, 1.0 / root) + TanhExp.const(root, -1.0 / root)
+    prim = TanhExp.tanh(root, 1.0 / root) + TanhExp.term(root, -1.0 / root)
     return Carried(value, xprim=prim)
 
 

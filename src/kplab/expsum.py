@@ -442,10 +442,6 @@ class Rational(Ring):
             den[base] = den.get(base, 0) + 1
         return Rational(num, den)
 
-    @staticmethod
-    def constant(c: complex) -> "Rational":
-        return Rational(ExpSum.constant(c))
-
     # -- algebra --
 
     def __mul__(self, other):
@@ -460,7 +456,7 @@ class Rational(Ring):
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = Rational.constant(other)
+            other = Rational(ExpSum.constant(other))
         elif isinstance(other, ExpSum):
             other = Rational(other)
         if not isinstance(other, Rational):

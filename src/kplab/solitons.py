@@ -125,9 +125,6 @@ class SolitonConfig:
             return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
         return np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
-    def tau(self) -> ExpSum:
-        return build_tau(self)
-
     def field(self) -> "SolitonField":
         return SolitonField(self)
 
@@ -251,14 +248,14 @@ _KP_PARTIALS = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1), (2, 2, 0)
 
 
 class SolitonField:
-    """Evaluates u = 2 (log tau)_xx and its mixed partials on point sets."""
+    """Evaluates the KP-II residual of u = 2 (log tau)_xx on point sets.
+
+    The field u itself has one route, the exact `potential` of the tau.
+    """
 
     def __init__(self, config: SolitonConfig):
         self.config = config
         self.tau = build_tau(config)
-
-    def u(self, x, y, t) -> np.ndarray:
-        return 2.0 * log_derivatives(self.tau, (2, 0, 0), x, y, t, only=((2, 0, 0),))[(2, 0, 0)].real
 
     def kpii_residual(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise |4u_xt + u_xxxx + 3(u^2)_xx + 3u_yy| and its term scale."""

@@ -58,10 +58,6 @@ class TanhExp(Ring):
         return TanhExp(rate, acc)
 
     @staticmethod
-    def const(rate: float, coef: complex) -> "TanhExp":
-        return TanhExp.term(rate, coef)
-
-    @staticmethod
     def sech(rate: float, power: int = 1, coef: complex = 1.0) -> "TanhExp":
         return TanhExp.term(rate, coef, 0, power)
 
@@ -79,7 +75,7 @@ class TanhExp(Ring):
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = TanhExp.const(self.rate, other)
+            other = TanhExp.term(self.rate, other)
         if not isinstance(other, TanhExp):
             return NotImplemented
         self._check(other)

@@ -1,6 +1,9 @@
 """Level transforms: couplings, routes, product maps, and line inverses."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -173,13 +176,18 @@ def test_invariants_refute_uncoupled_pair():
 # ----- first-order transforms -----
 
 
+def mixed_wave(lo: JostFamily, hi: JostFamily) -> Carried:
+    return carried_from_primitive(lo.phi(beta=0.9) * hi.phi_star(beta=0.37))
+
+
 def test_transform_signs_differ_by_twice_dx():
     fam1, fam2 = p_chain()
     data = MiuraData(fam1.tau, fam2.tau)
-    wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
+    wave = mixed_wave(fam1, fam2)
     x, y, t = pts(9)
-    plus = transform_parts(data.v, 1, wave)
-    minus = transform_parts(data.v, -1, wave)
+    both = transform_parts(data.v, wave)
+    assert set(both) == {1, -1}
+    plus, minus = both[1], both[-1]
     # the adjoint flips only the dx summand
     for p, m in zip(plus[1:], minus[1:]):
         assert np.array_equal(p.eval(x, y, t), m.eval(x, y, t))
@@ -188,34 +196,36 @@ def test_transform_signs_differ_by_twice_dx():
     assert np.max(np.abs(diff - twice)) < 1e-12 * np.max(np.abs(twice))
 
 
-def test_transform_sign_validated():
-    data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0)))
-    with pytest.raises(ValueError):
-        transform_parts(data.v, 0, carried_from_primitive(data.h))
-
-
 def test_transform_needs_nonlocal_data():
     data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0)))
     bare = Carried(data.u2)
     with pytest.raises(MissingPrimitive):
-        transform_parts(data.v, 1, bare)
+        transform_parts(data.v, bare)
 
 
 # ----- conjugation routes -----
 
 
-@pytest.mark.parametrize("which", range(1, 9))
-def test_conjugation_routes_on_mixed_product(which):
+ROUTE_KEYS = {f"route{n}_{form}" for n in range(1, 9) for form in ("primitive", "direct")}
+
+
+@pytest.fixture(scope="module")
+def mixed_routes():
+    """Worst residuals of all routes on the mixed product of the p chain."""
     fam1, fam2 = p_chain()
     data = MiuraData(fam1.tau, fam2.tau)
-    wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
-    x, y, t = pts(10, n=10)
-    res = worst(miura_lax_parts(data, which, wave), x, y, t)
+    return worst(miura_lax_parts(data, mixed_wave(fam1, fam2)), *pts(10, n=10))
+
+
+@pytest.mark.parametrize("which", range(1, 9))
+def test_conjugation_routes_on_mixed_product(mixed_routes, which):
+    assert set(mixed_routes) == ROUTE_KEYS
+    res = {form: mixed_routes[f"route{which}_{form}"] for form in ("primitive", "direct")}
     assert res["primitive"] < 1e-9 and res["direct"] < 1e-9, res
 
 
 def test_routes_on_plane_pair_with_manual_carry():
-    """A bare exponential pair carried by hand passes the base routes."""
+    """A bare exponential pair carried by hand passes the routes of its step."""
     beta, beta_prime = 1.1, 0.25
     fam0 = JostFamily(SolitonConfig("vacuum", ()))
     fam1 = JostFamily(SolitonConfig("one_line", K3, pair=(1, 2)))
@@ -223,10 +233,13 @@ def test_routes_on_plane_pair_with_manual_carry():
     wave = Carried(prod, xprim=prod * (1.0 / (beta - beta_prime)),
                    ydxinv=(beta + beta_prime) * prod)
     data = MiuraData(None, fam1.tau)
-    x, y, t = pts(11, n=10)
-    for which, bound in ((4, 1e-12), (2, 1e-9)):
-        res = worst(miura_lax_parts(data, which, wave), x, y, t)
-        assert res["primitive"] < bound and res["direct"] < bound, (which, res)
+    res = worst(miura_lax_parts(data, wave), *pts(11, n=10))
+    assert set(res) == ROUTE_KEYS
+    # routes 5..8 act on the base step (1, 1), which is trivial, so they
+    # hold exactly and say nothing here
+    for n in range(1, 5):
+        for form in ("primitive", "direct"):
+            assert res[f"route{n}_{form}"] < 1e-12, (n, form, res)
 
 
 def test_routes_need_exact_primitive():
@@ -234,45 +247,63 @@ def test_routes_need_exact_primitive():
     data = MiuraData(fam1.tau, fam2.tau)
     wave = pair_product(fam1.phi(beta=0.9), fam1.phi_star(beta=0.37))
     with pytest.raises(MissingPrimitive):
-        miura_lax_parts(data, 1, wave)
-
-
-def test_route_index_validated():
-    fam1, fam2 = p_chain()
-    data = MiuraData(fam1.tau, fam2.tau)
-    wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
-    with pytest.raises(ValueError):
-        miura_lax_parts(data, 9, wave)
+        miura_lax_parts(data, wave)
 
 
 # ----- linearized flow intertwining -----
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_flow_intertwining_over_vacuum(sign):
+SIGN_NAMES = {1: "plus", -1: "minus"}
+
+
+@pytest.fixture(scope="module")
+def vacuum_flows():
     fam0 = JostFamily(SolitonConfig("vacuum", ()))
     fam1 = JostFamily(SolitonConfig("one_line", K3, pair=(1, 2)))
     data = MiuraData(None, fam1.tau)
-    wave = carried_from_primitive(fam0.phi(beta=0.9) * fam1.phi_star(beta=0.37))
-    x, y, t = pts(14, n=6)
-    assert worst(flow_intertwining_parts(data, sign, wave), x, y, t)["direct"] < 1e-9
+    return worst(flow_intertwining_parts(data, mixed_wave(fam0, fam1)), *pts(14, n=6))
+
+
+@pytest.fixture(scope="module")
+def four_phase_flows():
+    fam1, fam2 = p_chain()
+    data = MiuraData(fam1.tau, fam2.tau)
+    return worst(flow_intertwining_parts(data, mixed_wave(fam1, fam2)), *pts(15, n=4))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_flow_intertwining_on_four_phase_chain(sign):
-    fam1, fam2 = p_chain()
-    data = MiuraData(fam1.tau, fam2.tau)
-    wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
-    x, y, t = pts(15, n=4)
-    assert worst(flow_intertwining_parts(data, sign, wave), x, y, t)["direct"] < 1e-9
+def test_flow_intertwining_over_vacuum(vacuum_flows, sign):
+    assert set(vacuum_flows) == set(SIGN_NAMES.values())
+    assert vacuum_flows[SIGN_NAMES[sign]] < 1e-9
 
 
-def test_flow_intertwining_sign_validated():
-    fam1, fam2 = p_chain()
-    data = MiuraData(fam1.tau, fam2.tau)
-    wave = carried_from_primitive(fam1.phi(beta=0.9) * fam2.phi_star(beta=0.37))
-    with pytest.raises(ValueError):
-        flow_intertwining_parts(data, 2, wave)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_flow_intertwining_on_four_phase_chain(four_phase_flows, sign):
+    assert set(four_phase_flows) == set(SIGN_NAMES.values())
+    assert four_phase_flows[SIGN_NAMES[sign]] < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["p_type", "o_type"])
+@settings(max_examples=12, deadline=None)
+@given(raw=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4, unique=True),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_routes_and_flows_over_kappa(kind, raw, seed):
+    """All routes and both flows hold on the top step of either chain, the
+    line (2, 3) under a p_type and the line (1, 2) under an o_type, for any
+    admissible phase speeds."""
+    kappa = tuple(sorted(raw))
+    assume(min(b - a for a, b in zip(kappa, kappa[1:])) >= 0.1)
+    assume(min(abs(b - k) for b in (0.9, 0.37) for k in kappa) >= 0.1)
+    pair = (2, 3) if kind == "p_type" else (1, 2)
+    lo = JostFamily(SolitonConfig("one_line", kappa, pair=pair))
+    hi = JostFamily(SolitonConfig(kind, kappa))
+    data, wave = MiuraData(lo.tau, hi.tau), mixed_wave(lo, hi)
+    x, y, t = pts(seed, n=10)
+    routes = worst(miura_lax_parts(data, wave), x, y, t)
+    flows = worst(flow_intertwining_parts(data, wave), x, y, t)
+    assert set(routes) == ROUTE_KEYS and set(flows) == {"plus", "minus"}
+    for name, val in {**routes, **flows}.items():
+        assert val < 1e-9, f"{kind} {kappa} {name}: {val:.2e}"
 
 
 # ----- level maps on wave-dual products -----
@@ -633,6 +664,19 @@ def test_second_report_builds_no_wave(monkeypatch):
     built.clear()
     identity_report(npts=4)
     assert built == []
+
+
+def test_level_chains_are_bounded():
+    """A sweep over phase speeds keeps at most two chains and their waves."""
+    first = None
+    for shift in np.linspace(0.0, 0.9, 10):
+        cfg = SolitonConfig("p_type", tuple(k + shift for k in KP))
+        level_shift_parts(cfg, 1.7 + shift)
+        if first is None:
+            first = weakref.ref(_level_steps(cfg)[0][2])
+    assert _level_steps.cache_info().currsize <= 2
+    gc.collect()
+    assert first() is None
 
 
 # ----- sweep over the phase speeds -----

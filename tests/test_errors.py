@@ -95,6 +95,31 @@ def test_every_defined_name_is_used():
     assert unread == []
 
 
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """function.parameter for each parameter its function's body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {leaf.id for stmt in body for leaf in ast.walk(stmt)
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}.{param}" for param in params if param not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each src/kplab function is read in that function's
+    body, so an option that nothing consults any more cannot linger."""
+    unread = [f"{path.stem}.{entry}" for path in sorted(SRC.glob("*.py"))
+              for entry in _unread_parameters(ast.parse(path.read_text(), filename=str(path)))]
+    assert unread == []
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kplab.errors import DegenerateFrame, InvalidBranch, RejectedConfig
-from kplab.expsum import ExpSum
-from kplab.solitons import (SolitonConfig, asymptotic_profile, frame_of,
-                            theta_eval, wronskian_tau)
+from kplab.expsum import ExpSum, log_derivatives
+from kplab.solitons import (SolitonConfig, asymptotic_profile, build_tau, frame_of,
+                            potential, theta_eval, wronskian_tau)
 
 KP = (-2.0, -1.0, 0.5, 3.0)   # two-line type with crossing channels (2,3), (1,4)
 KO = (-2.0, -1.0, 1.0, 2.0)   # two-line type with parallel-ordered channels (1,2), (3,4)
@@ -25,11 +25,16 @@ def o_config():
     return SolitonConfig("o_type", KO)
 
 
+def field_u(cfg, x, y, t):
+    """u = 2 (log tau)_xx through its one route, the exact potential."""
+    return potential(build_tau(cfg)).eval(x, y, t).real
+
+
 # ----- tau assembly -----
 
 
 def test_p_type_tau_terms():
-    tau = p_config().tau()
+    tau = build_tau(p_config())
     k1, k2, k3, k4 = KP
     expected = {
         (1, 1, 0, 0): k2 - k1,
@@ -43,7 +48,7 @@ def test_p_type_tau_terms():
 
 
 def test_o_type_tau_terms():
-    tau = o_config().tau()
+    tau = build_tau(o_config())
     k1, k2, k3, k4 = KO
     expected = {
         (1, 0, 1, 0): k3 - k1,
@@ -58,19 +63,18 @@ def test_o_type_tau_terms():
 
 def test_one_line_field_matches_sech_formula():
     cfg = SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2))
-    fld = cfg.field()
     rng = np.random.default_rng(3)
     x, y, t = rng.uniform(-5, 5, (3, 50))
     z = 0.5 * (theta_eval(cfg.kappa, 2, x, y, t) - theta_eval(cfg.kappa, 1, x, y, t))
     expect = 0.5 * (cfg.kappa[1] - cfg.kappa[0]) ** 2 / np.cosh(z) ** 2
-    assert np.max(np.abs(fld.u(x, y, t) - expect)) < 1e-12
-    assert abs(fld.u(0.0, 0.0, 0.0) - 2.0) < 1e-14  # peak height 2c
+    assert np.max(np.abs(field_u(cfg, x, y, t) - expect)) < 1e-12
+    assert abs(field_u(cfg, 0.0, 0.0, 0.0) - 2.0) < 1e-14  # peak height 2c
 
 
 def test_vacuum_is_flat():
     for kappa in ((), (-1.0, 0.5, 2.0)):
-        fld = SolitonConfig("vacuum", kappa).field()
-        assert np.max(np.abs(fld.u([-3.0, 0.0, 2.0], 1.0, 0.5))) < 1e-12
+        cfg = SolitonConfig("vacuum", kappa)
+        assert np.max(np.abs(field_u(cfg, [-3.0, 0.0, 2.0], 1.0, 0.5))) < 1e-12
 
 
 # ----- rejection -----
@@ -128,12 +132,11 @@ def test_frame_requires_two_channels():
 def test_field_is_steady_in_frame():
     for cfg in (p_config(), o_config()):
         fr = frame_of(cfg)
-        fld = cfg.field()
         rng = np.random.default_rng(17)
         x0, y0 = rng.uniform(-4, 4, (2, 30))
-        base = fld.u(x0, y0, 0.0)
+        base = field_u(cfg, x0, y0, 0.0)
         for s in (0.7, 2.0):
-            moved = fld.u(x0 + fr.b1 * s, y0 + fr.b2 * s, s)
+            moved = field_u(cfg, x0 + fr.b1 * s, y0 + fr.b2 * s, s)
             assert np.max(np.abs(moved - base)) < 1e-9
 
 
@@ -170,7 +173,7 @@ def test_field_equation_residual_over_kappa(raw, kind, seed):
 
 def test_residual_detects_broken_coefficient():
     cfg = p_config()
-    tau = cfg.tau()
+    tau = build_tau(cfg)
     bad_terms = dict(tau.terms)
     key = next(iter(bad_terms))
     bad_terms[key] = bad_terms[key] * 1.01
@@ -212,12 +215,42 @@ def test_residual_peak_memory_is_a_few_grids():
 
 def test_no_overflow_far_out():
     cfg = SolitonConfig("p_type", (-9.5, -3.0, 2.0, 10.0))
-    fld = cfg.field()
     pts = np.array([-1e3, -31.7, 0.0, 407.0, 1e3])
-    vals = fld.u(pts, -1e3, 0.0)
+    vals = field_u(cfg, pts, -1e3, 0.0)
     assert np.isfinite(vals).all()
-    vals = fld.u(pts, 1e3, 0.5)
+    vals = field_u(cfg, pts, 1e3, 0.5)
     assert np.isfinite(vals).all()
+
+
+def _far_points(cfg, rng, n: int) -> np.ndarray:
+    """Points in the box |x|, |y|, |t| <= 1e3: n spread over it, and up to n
+    within 3 of each channel's crest x = -(k_i + k_j) y + (k_i^2 + k_i k_j + k_j^2) t."""
+    box = 1e3
+    pts = [rng.uniform(-box, box, (3, n))]
+    for i, j in cfg.channel_pairs():
+        ki, kj = cfg.kappa[i - 1], cfg.kappa[j - 1]
+        y, t = rng.uniform(-box, box, (2, n))
+        x = -(ki + kj) * y + (ki * ki + ki * kj + kj * kj) * t + rng.uniform(-3.0, 3.0, n)
+        inside = np.abs(x) <= box
+        pts.append(np.stack([x[inside], y[inside], t[inside]]))
+    return np.concatenate(pts, axis=1)
+
+
+@pytest.mark.parametrize("cfg", [
+    SolitonConfig("p_type", KP), SolitonConfig("o_type", KO),
+    SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2)),
+    SolitonConfig("vacuum", (-1.0, 0.5, 2.0))], ids=["p", "o", "one_line", "vacuum"])
+def test_residual_reads_the_potential(cfg):
+    """The u that kpii_residual reads off the log partials is `potential`."""
+    tau = build_tau(cfg)
+    rng = np.random.default_rng(41)
+    near = rng.uniform(-8.0, 8.0, (3, 400)) * np.array([[1.0], [1.0], [0.25]])
+    for (x, y, t), bound in ((near, 1e-12), (_far_points(cfg, rng, 400), 1e-10)):
+        logged = 2.0 * log_derivatives(tau, (2, 0, 0), x, y, t, only=((2, 0, 0),))[(2, 0, 0)].real
+        exact = field_u(cfg, x, y, t)
+        # the vacuum field is zero, so there the difference is absolute
+        scale = np.max(np.abs(exact)) or 1.0
+        assert np.max(np.abs(logged - exact)) <= bound * scale
 
 
 # ----- far-field profiles -----
@@ -225,14 +258,13 @@ def test_no_overflow_far_out():
 
 def test_far_field_sum_of_profiles():
     for cfg in (p_config(), o_config()):
-        fld = cfg.field()
         x = np.linspace(-60.0, 60.0, 241)
         for y_sign in (1, -1):
             y = 40.0 * y_sign
             total = np.zeros_like(x)
             for pair in cfg.channel_pairs():
                 total = total + asymptotic_profile(cfg, pair, y_sign).eval(x, y, 0.0)
-            assert np.max(np.abs(fld.u(x, y, 0.0) - total)) < 1e-8
+            assert np.max(np.abs(field_u(cfg, x, y, 0.0) - total)) < 1e-8
 
 
 def test_profile_shift_values_crossing_type():
@@ -294,6 +326,6 @@ def test_tau_positive_for_admissible_phases(raw, kind, seed):
     cfg = SolitonConfig(kind, kappa)
     rng = np.random.default_rng(seed)
     x, y, t = rng.uniform(-20, 20, (3, 20))
-    m, s = cfg.tau().eval_scaled(x, y, t)
+    m, s = build_tau(cfg).eval_scaled(x, y, t)
     assert np.all(s.real > 0)
     assert np.max(np.abs(s.imag)) < 1e-12 * np.max(s.real)
