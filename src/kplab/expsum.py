@@ -21,13 +21,20 @@ what it derives from itself: an ExpSum its partials and its sorted,
 read-only `arrays()`, a Rational its partials.  Nothing kept holds point
 data.  Sums whose generator tuples already line up (equal, or one
 starting the other) add and multiply without remapping their keys.
+
+Sums, differences, products and scalar multiples build one dict each:
+they drop their own zero terms and hand the dict to the sum they return,
+while the public `ExpSum(gens, terms)` copies and filters.  Every sum on
+one generator tuple shares one read-only generator matrix.  Evaluation
+builds its (3, N) point stack in place, in the dtype it computes in.
 `worst_residual` evaluates each distinct ExpSum of an identity once.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from math import comb, inf
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +44,7 @@ from .errors import MissingPrimitive
 Gen = tuple[complex, complex, complex]
 
 
+@lru_cache(maxsize=256)
 def _unify(gens_a: tuple[Gen, ...], gens_b: tuple[Gen, ...]):
     """Merged generator tuple, which extends gens_a, and the index map of gens_b."""
     merged = list(gens_a)
@@ -47,7 +55,7 @@ def _unify(gens_a: tuple[Gen, ...], gens_b: tuple[Gen, ...]):
             index[g] = len(merged)
             merged.append(g)
         map_b.append(index[g])
-    return tuple(merged), map_b
+    return tuple(merged), tuple(map_b)
 
 
 def _remap(key: tuple[int, ...], mapping: Sequence[int], width: int) -> tuple[int, ...]:
@@ -65,12 +73,38 @@ def _padded(terms: dict[tuple[int, ...], complex], extra: int):
     return [(k + pad, c) for k, c in terms.items()]
 
 
-def _points(x, y, t) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(3, N) float stack of the broadcast point set, and its shape."""
-    x, y, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float),
-                                  np.asarray(t, dtype=float))
-    return np.stack([x.ravel(), y.ravel(), t.ravel()]), x.shape
+@lru_cache(maxsize=16)
+def _key_adder(width: int):
+    """f(a, b) = the elementwise sum of two keys of `width` ints, unrolled."""
+    body = "".join(f"a[{i}] + b[{i}], " for i in range(width))
+    return eval(f"lambda a, b: ({body})")  # the source holds only digits and names
+
+
+def _nonzero(acc: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
+    """acc with its zero coefficients deleted in place; NaN is kept."""
+    if 0 in acc.values():
+        for key in [k for k, c in acc.items() if c == 0]:
+            del acc[key]
+    return acc
+
+
+@lru_cache(maxsize=256)
+def _gen_matrix(gens: tuple[Gen, ...]) -> np.ndarray:
+    """The (len(gens), 3) read-only complex matrix of the generators."""
+    mat = np.asarray(gens, dtype=complex).reshape(len(gens), 3)
+    mat.flags.writeable = False
+    return mat
+
+
+def _points(x, y, t, dtype=float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(3, N) stack of the broadcast point set in `dtype`, and its shape.
+
+    Mismatched shapes raise ValueError (from np.broadcast).
+    """
+    shape = np.broadcast(x, y, t).shape
+    pts = np.empty((3,) + shape, dtype=dtype)
+    pts[0], pts[1], pts[2] = x, y, t
+    return pts.reshape(3, -1), shape
 
 
 class Ring:
@@ -121,6 +155,14 @@ class ExpSum(Ring):
         self.terms = {k: v for k, v in terms.items() if v != 0}
         self._partials = self._arrays = None
 
+    @classmethod
+    def _of(cls, gens: tuple[Gen, ...], terms: dict[tuple[int, ...], complex]) -> "ExpSum":
+        """A sum that takes over `terms`, which hold no zero coefficient."""
+        out = object.__new__(cls)
+        out.gens, out.terms = gens, terms
+        out._partials = out._arrays = None
+        return out
+
     # ----- constructors -----
 
     @staticmethod
@@ -149,11 +191,12 @@ class ExpSum(Ring):
         Built on the first call and kept; both arrays are read-only.
         """
         if self._arrays is None:
-            items = sorted(self.terms.items())
-            keys = np.asarray([k for k, _ in items], dtype=float)
-            keys = keys.reshape(len(items), len(self.gens))
-            gens = np.asarray(self.gens, dtype=complex).reshape(len(self.gens), 3)
-            self._arrays = (keys @ gens, np.asarray([c for _, c in items], dtype=complex))
+            terms, width = self.terms, len(self.gens)
+            keys = sorted(terms)
+            lattice = np.fromiter(chain.from_iterable(keys), dtype=float, count=len(keys) * width)
+            self._arrays = (lattice.reshape(len(keys), width) @ _gen_matrix(self.gens),
+                            np.fromiter(map(terms.__getitem__, keys), dtype=complex,
+                                        count=len(keys)))
             for arr in self._arrays:
                 arr.flags.writeable = False
         return self._arrays
@@ -167,6 +210,8 @@ class ExpSum(Ring):
         merged one and the shorter operand's keys only gain trailing zeros.
         """
         ga, gb = self.gens, other.gens
+        if ga is gb:
+            return ga, self.terms.items(), other.terms.items()
         if ga[:len(gb)] == gb:
             gens = ga
         elif gb[:len(ga)] == ga:
@@ -185,25 +230,38 @@ class ExpSum(Ring):
             return NotImplemented
         gens, left, right = self._operands(other)
         acc = dict(left)
+        get = acc.get
         for k, c in right:
-            acc[k] = acc.get(k, 0) + c
-        return ExpSum(gens, acc)
+            acc[k] = get(k, 0) + c
+        return ExpSum._of(gens, _nonzero(acc))
+
+    def __sub__(self, other):
+        if not isinstance(other, ExpSum):
+            return self + (-other)
+        gens, left, right = self._operands(other)
+        acc = dict(left)
+        get = acc.get
+        # c * -1.0, not -c: the coefficient `self + (-other)` adds
+        for k, c in right:
+            acc[k] = get(k, 0) + c * -1.0
+        return ExpSum._of(gens, _nonzero(acc))
 
     def __mul__(self, other):
+        if isinstance(other, ExpSum):
+            gens, left, right = self._operands(other)
+            acc: dict[tuple[int, ...], complex] = {}
+            get = acc.get
+            plus = _key_adder(len(gens))
+            for ka, ca in left:
+                for kb, cb in right:
+                    key = plus(ka, kb)
+                    acc[key] = get(key, 0) + ca * cb
+            return ExpSum._of(gens, _nonzero(acc))
         if isinstance(other, (int, float, complex)):
             if other == 0:
-                return ExpSum(self.gens, {})
-            return ExpSum(self.gens, {k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        gens, left, right = self._operands(other)
-        acc: dict[tuple[int, ...], complex] = {}
-        get = acc.get
-        for ka, ca in left:
-            for kb, cb in right:
-                key = tuple(map(add, ka, kb))
-                acc[key] = get(key, 0) + ca * cb
-        return ExpSum(gens, acc)
+                return ExpSum._of(self.gens, {})
+            return ExpSum._of(self.gens, _nonzero({k: c * other for k, c in self.terms.items()}))
+        return NotImplemented
 
     # ----- calculus -----
 
@@ -215,10 +273,10 @@ class ExpSum(Ring):
             slopes = [g[axis] for g in self.gens]
             out: dict[tuple[int, ...], complex] = {}
             for key, c in self.terms.items():
-                slope = complex(sum(k * g for k, g in zip(key, slopes)))
-                if slope != 0 and c != 0:
+                slope = complex(sum(map(mul, key, slopes)))
+                if slope != 0:
                     out[key] = c * slope
-            self._partials[axis] = ExpSum(self.gens, out)
+            self._partials[axis] = ExpSum._of(self.gens, _nonzero(out))
         return self._partials[axis]
 
     def dx(self):
@@ -237,11 +295,11 @@ class ExpSum(Ring):
 
         Empty sums give m = -inf, s = 0 so exp(m) * s evaluates to 0.
         """
-        pts, shape = _points(x, y, t)
+        pts, shape = _points(x, y, t, complex)
         if not self.terms:
             return np.full(shape, -inf), np.zeros(shape, dtype=complex)
         ph, coeff = self.arrays()
-        ex = ph @ pts.astype(complex)
+        ex = ph @ pts
         m = ex.real.max(axis=0)
         w = np.exp(ex - m)
         s = coeff @ w
@@ -495,7 +553,7 @@ class Rational(Ring):
             bases = list(self.den)
             new_num = self.num._partial(axis) * reduce(mul, bases)
             for i, (base, power) in enumerate(self.den.items()):
-                term = power * self.num * base._partial(axis)
+                term = (self.num if power == 1 else power * self.num) * base._partial(axis)
                 rest = bases[:i] + bases[i + 1:]
                 if rest:
                     term = term * reduce(mul, rest)
@@ -605,12 +663,28 @@ def worst_residual(parts, *pts) -> float:
     `ExpSum.eval_scaled`; the pairs are dropped when the call returns.
     No parts at all raise ValueError.
     """
+    return _worst_residual(parts, pts, {})
+
+
+def _worst_residual(parts, pts: tuple, bases: dict) -> float:
+    """`worst_residual` of parts at pts, sharing den-base pairs through `bases`.
+
+    `bases` maps denominator bases, by identity, to their pairs at these
+    same pts: a base found there is not evaluated again, and one evaluated
+    here is added.  A caller that reduces many identities on one point set
+    passes one dict to each, so a base is evaluated once over them all.
+    """
+    dens = {base for p in parts if isinstance(p, Rational) for base in p.den}
     pairs: dict[ExpSum, tuple[np.ndarray, np.ndarray]] = {}  # keyed by identity
 
     def scaled(e: ExpSum):
-        if e not in pairs:
-            pairs[e] = e.eval_scaled(*pts)
-        return pairs[e]
+        pair = bases.get(e)
+        if pair is None:
+            pair = pairs.get(e)
+            if pair is None:
+                pair = e.eval_scaled(*pts)
+                (bases if e in dens else pairs)[e] = pair
+        return pair
 
     scaled_parts = [scaled(p) if isinstance(p, ExpSum)
                     else p._scaled_from(scaled) if isinstance(p, Rational)

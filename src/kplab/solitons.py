@@ -22,7 +22,7 @@ from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 KINDS = ("vacuum", "one_line", "p_type", "o_type")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def theta_gens(kappa: tuple[float, ...]) -> tuple[Gen, ...]:
     """Shared phase generators (kappa, kappa^2, -kappa^3), one per phase."""
     return tuple((complex(k), complex(k * k), complex(-(k * k * k))) for k in kappa)
@@ -147,7 +147,7 @@ class SolitonConfig:
         return 0.25 * (self.kappa[i - 1] - self.kappa[j - 1]) ** 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_tau(config: SolitonConfig) -> ExpSum:
     return wronskian_tau(config.kappa, config.amatrix())
 

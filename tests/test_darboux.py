@@ -50,7 +50,7 @@ from kplab.errors import (
     PoleAtKappa,
     RegionViolation,
 )
-from kplab.expsum import Carried, ExpSum, sum_residual, worst_residual
+from kplab.expsum import Carried, ExpSum, Rational, sum_residual, worst_residual
 from kplab.jost import JostFamily, pair_product
 from kplab.solitons import SolitonConfig, sech2, theta_eval
 
@@ -644,6 +644,37 @@ def test_each_distinct_sum_is_evaluated_once_per_identity(monkeypatch):
             assert sorted(map(id, calls)) == sorted(sums), name
             shared += len(refs) > len(sums)
     assert shared  # in some identities the parts share a sum
+
+
+def test_report_evaluates_each_den_base_once(monkeypatch):
+    """A report shares the pairs of its den bases over all its identities;
+    it keeps nothing point-dependent, and `worst_residual` shares nothing."""
+    evaluate = ExpSum.eval_scaled
+    calls: list[ExpSum] = []
+
+    def counted(self, *points):
+        calls.append(self)
+        return evaluate(self, *points)
+
+    identity_report(seed=3, npts=8)  # the level chains and their waves are built
+    dens = {id(base): base for _, family in _report_families() for parts in family.values()
+            for p in parts if isinstance(p, Rational) for base in p.den}
+    monkeypatch.setattr(ExpSum, "eval_scaled", counted)
+    counts = []
+    for seed in (3, 4):
+        calls.clear()
+        identity_report(seed=seed, npts=8)
+        counts.append(len(calls))
+        per_base = [sum(e is base for e in calls) for base in dens.values()]
+        assert max(per_base) == 1 and sum(per_base) == len(dens) == 7
+    assert counts[0] == counts[1]
+    parts = level_shift_parts(SolitonConfig("p_type", REPORT_KAPPA_P), REPORT_BETA)["wave_step_two"]
+    own = {id(base) for p in parts for base in p.den}
+    x, y, t = pts(4)
+    calls.clear()
+    worst_residual(parts, x, y, t)
+    worst_residual(parts, x, y, t)
+    assert own and sum(id(e) in own for e in calls) == 2 * len(own)
 
 
 def test_second_report_builds_no_wave(monkeypatch):

@@ -120,6 +120,42 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """Functions whose `lru_cache` has no integer maxsize, or whose bare
+    `cache` memoizes arguments (one entry per distinct call, never evicted)."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "lru_cache":
+                size = None
+                if isinstance(dec, ast.Call):
+                    given = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+                    size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+                if not (isinstance(size, int) and not isinstance(size, bool)):
+                    out.append(f"{node.name}: lru_cache without an integer maxsize")
+            elif name == "cache":
+                args = node.args
+                if args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg:
+                    out.append(f"{node.name}: cache on a function with arguments")
+    return out
+
+
+def test_every_cache_is_bounded():
+    """A cache kept across calls holds a bounded number of entries."""
+    unbounded = [f"{path.stem}.{entry}" for path in sorted(SRC.glob("*.py"))
+                 for entry in _unbounded_caches(ast.parse(path.read_text(), filename=str(path)))]
+    assert unbounded == []
+    flagged = _unbounded_caches(ast.parse(
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n@lru_cache\ndef b(x): pass\n"
+        "@functools.cache\ndef c(x): pass\n@cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=64)\ndef e(x): pass\n@lru_cache(8)\ndef f(x): pass\n"))
+    assert [entry.split(":")[0] for entry in flagged] == ["a", "b", "c"]
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 

@@ -1,17 +1,18 @@
 """Exactness and stability checks for the exponential-sum engine."""
 from __future__ import annotations
 
+import struct
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kplab import expsum
 from kplab.errors import MissingPrimitive
-from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, _remap, _unify, log_derivatives,
+from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, _unify, log_derivatives,
                           sum_residual, worst_residual)
 from kplab.solitons import SolitonConfig, build_tau
 from kplab.tanhexp import TanhExp
@@ -47,24 +48,58 @@ def test_difference_of_squares_cancels_exactly():
     assert (prod - baseline).is_zero()
 
 
-def _reference_operation(a: ExpSum, b: ExpSum, op: str) -> ExpSum:
-    """a + b or a * b with every key remapped through `_unify`, as the general path does."""
-    gens, map_b = _unify(a.gens, b.gens)
-    width = len(gens)
-    pad = (0,) * (width - len(a.gens))
-    left = [(k + pad, c) for k, c in a.terms.items()]
-    right = [(_remap(k, map_b, width), c) for k, c in b.terms.items()]
-    if op == "+":
-        acc = dict(left)
-        for k, c in right:
-            acc[k] = acc.get(k, 0) + c
-        return ExpSum(gens, acc)
+# The operators as straightforward loops over remapped keys, each result
+# passed through the public constructor, which copies and drops zeros.
+# Subtraction is the sum with the scalar multiple by -1.0.
+
+
+def _loop_operands(a: ExpSum, b: ExpSum):
+    gens = a.gens + tuple(g for g in b.gens if g not in a.gens)
+
+    def keyed(s: ExpSum):
+        pos = [gens.index(g) for g in s.gens]
+        out = []
+        for k, c in s.terms.items():
+            key = [0] * len(gens)
+            for p, n in zip(pos, k):
+                key[p] += n
+            out.append((tuple(key), c))
+        return out
+
+    return gens, keyed(a), keyed(b)
+
+
+def _loop_add(a: ExpSum, b: ExpSum) -> ExpSum:
+    gens, left, right = _loop_operands(a, b)
+    acc = dict(left)
+    for k, c in right:
+        acc[k] = acc.get(k, 0) + c
+    return ExpSum(gens, acc)
+
+
+def _loop_scale(a: ExpSum, c) -> ExpSum:
+    if c == 0:
+        return ExpSum(a.gens, {})
+    return ExpSum(a.gens, {k: v * c for k, v in a.terms.items()})
+
+
+def _loop_sub(a: ExpSum, b: ExpSum) -> ExpSum:
+    return _loop_add(a, _loop_scale(b, -1.0))
+
+
+def _loop_mul(a: ExpSum, b: ExpSum) -> ExpSum:
+    gens, left, right = _loop_operands(a, b)
     acc = {}
     for ka, ca in left:
         for kb, cb in right:
             key = tuple(x + y for x, y in zip(ka, kb))
             acc[key] = acc.get(key, 0) + ca * cb
     return ExpSum(gens, acc)
+
+
+def _bits(s: ExpSum):
+    """gens, and each key with its coefficient's bytes, in insertion order."""
+    return s.gens, [(k, struct.pack("<dd", c.real, c.imag)) for k, c in s.terms.items()]
 
 
 POOL = tuple((complex(k), complex(k * k), complex(-k ** 3)) for k in (-2.0, -1.0, 0.5, 1.5, 3.0))
@@ -94,18 +129,78 @@ def _aligned_operands(draw):
 def test_aligned_operands_match_the_remapped_reference(operands, op):
     """Operands whose gens line up skip `_unify`; the result is the remapped one exactly."""
     a, b = operands
-    ref = _reference_operation(a, b, op)
+    ref = _loop_add(a, b) if op == "+" else _loop_mul(a, b)
     aligned = a.gens[:len(b.gens)] == b.gens or b.gens[:len(a.gens)] == a.gens
     with mock.patch.object(expsum, "_unify", wraps=_unify) as unify:
         out = a + b if op == "+" else a * b
     assert unify.called != aligned
-    assert out.gens == ref.gens
-    assert list(out.terms) == list(ref.terms)
+    assert _bits(out) == _bits(ref)
 
-    def bits(s):
-        return [(c.real.hex(), c.imag.hex()) for c in s.terms.values()]
 
-    assert bits(out) == bits(ref)
+WIDE_POOL = tuple((complex(k), complex(k * k), complex(-k ** 3))
+                  for k in (-2.5, -2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0))
+NAN = complex(float("nan"), 0.0)
+# small exact values make cancellations likely; 1e-200 squared underflows to 0
+_lean_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5j, -0.5j, 1.0 + 1.0j]).map(complex),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.just(complex(1e-200, -1e-200)), st.just(NAN))
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two sums of width 0-7 whose gens are the same tuple, equal, a prefix
+    either way, permuted or partly shared; the second may mirror the first."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    gens = tuple(draw(st.permutations(WIDE_POOL))[:n])
+    rest = tuple(g for g in draw(st.permutations(WIDE_POOL)) if g not in gens)
+    how = draw(st.sampled_from(["same", "equal", "prefix", "extends", "permuted", "overlap"]))
+    other = {"same": gens, "equal": tuple(list(gens)), "prefix": gens[:m],
+             "extends": (gens + rest)[:max(n, m)],
+             "permuted": tuple(draw(st.permutations(gens))),
+             "overlap": (gens[:m // 2] + rest)[:m]}[how]
+
+    def build(g):
+        keys = st.tuples(*[st.integers(-2, 2)] * len(g))
+        return ExpSum(g, draw(st.dictionaries(keys, _lean_coeffs, max_size=6)))
+
+    a = build(gens)
+    if how == "same" and draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        b = ExpSum(gens, {k: sign * c for k, c in a.terms.items() if draw(st.booleans())})
+    else:
+        b = build(other)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+_tau = ExpSum.exponential(1.0, G1) + ExpSum.exponential(-1.0, G2)
+_nan_sum = ExpSum((G1,), {(1,): NAN, (0,): 1.0 + 0j})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pairs(), st.sampled_from([0, 0.0, -1.0, 2, 0.5 - 1.5j, 1e-200, float("nan")]))
+@example((_tau, _tau), -1.0)  # every term cancels in a - b
+@example((_tau, ExpSum.exponential(1.0, G1) + ExpSum.exponential(1.0, G2)), 2)  # (a-b)(a+b)
+@example((ExpSum.constant(2.0), ExpSum((), {})), 0)
+@example((_nan_sum, _tau), float("nan"))
+def test_lean_operators_match_the_loop_definitions(operands, scalar):
+    """+, -, * and scalar * give the loops' keys, key order and coefficient bits."""
+    a, b = operands
+    for out, ref in ((a + b, _loop_add(a, b)), (a - b, _loop_sub(a, b)),
+                     (a * b, _loop_mul(a, b)), (a * scalar, _loop_scale(a, scalar)),
+                     (scalar * b, _loop_scale(b, scalar))):
+        assert _bits(out) == _bits(ref)
+        assert out.terms is not a.terms and out.terms is not b.terms
+        assert 0 not in out.terms.values()
+
+
+def test_lean_operators_drop_cancelled_terms_and_keep_nan():
+    a, b = _tau, ExpSum.exponential(1.0, G1) + ExpSum.exponential(1.0, G2)
+    assert (a - a).is_zero() and (a + (-1.0) * a).is_zero()
+    assert len((a * b).terms) == 2  # the cross terms cancel exactly
+    assert (1e-200 * ExpSum.constant(1e-200)).is_zero()
+    kept = _nan_sum * 2.0
+    assert np.isnan(kept.terms[(1,)]) and len(kept.terms) == 2
 
 
 def test_derivatives_match_finite_differences():
@@ -118,6 +213,44 @@ def test_derivatives_match_finite_differences():
         fd = (s.eval(x + shift[0], y + shift[1], t + shift[2])
               - s.eval(x - shift[0], y - shift[1], t - shift[2])) / (2 * h)
         assert np.max(np.abs(d.eval(x, y, t) - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_points_broadcast_in_place():
+    x, y = np.linspace(-1.0, 1.0, 4)[:, None], np.linspace(0.0, 2.0, 3)[None, :]
+    pts, shape = expsum._points(x, y, 0.3)
+    xs, ys = np.broadcast_arrays(x, y)
+    assert shape == (4, 3) and pts.dtype == float
+    assert np.array_equal(pts, np.stack([xs.ravel(), ys.ravel(), np.full(12, 0.3)]))
+    pts, shape = expsum._points(0.1, np.float64(0.2), np.array(0.3), complex)
+    assert shape == () and pts.dtype == complex
+    assert np.array_equal(pts, [[0.1], [0.2], [0.3]])
+    same = np.arange(6.0).reshape(2, 3)
+    pts, shape = expsum._points(same, -same, same + 1.0)
+    assert shape == (2, 3) and np.array_equal(pts, np.stack([same, -same, same + 1.0]).reshape(3, 6))
+    with pytest.raises(ValueError):
+        expsum._points(np.zeros(3), np.zeros(4), 0.0)
+
+
+def test_scaled_eval_on_a_grid_matches_the_flat_and_per_point_calls():
+    tau = _mixed_tau()[1]
+    x, y = np.linspace(-3.0, 3.0, 7)[:, None], np.linspace(-2.0, 2.0, 5)[None, :]
+    m, s = tau.eval_scaled(x, y, 0.37)
+    assert m.shape == s.shape == (7, 5)
+    xs, ys = np.broadcast_arrays(x, y)
+    flat = tau.eval_scaled(xs.ravel(), ys.ravel(), np.full(35, 0.37))
+    assert m.ravel().tobytes() == flat[0].tobytes() and s.ravel().tobytes() == flat[1].tobytes()
+    # a product with one point column may round apart by an ulp or two
+    for i, j in np.ndindex(7, 5):
+        mi, si = tau.eval_scaled(xs[i, j], ys[i, j], 0.37)
+        assert mi.shape == si.shape == ()
+        assert abs(mi - m[i, j]) <= 4 * np.spacing(abs(m[i, j]))
+        assert abs(si - s[i, j]) <= 4 * np.spacing(abs(s[i, j]))
+    m0, s0 = tau.eval_scaled(0.1, 0.2, 0.3)
+    assert m0.shape == s0.shape == ()
+    with pytest.raises(ValueError):
+        tau.eval_scaled(np.zeros(3), np.zeros(4), 0.0)
+    m, s = ExpSum((), {}).eval_scaled(x, y, 0.37)
+    assert m.shape == (7, 5) and np.all(np.isneginf(m)) and not s.any()
 
 
 def test_scaled_eval_survives_huge_exponents():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kplab.errors import DegenerateFrame, InvalidBranch, RejectedConfig
 from kplab.expsum import ExpSum, log_derivatives
 from kplab.solitons import (SolitonConfig, asymptotic_profile, build_tau, frame_of,
-                            potential, theta_eval, wronskian_tau)
+                            potential, theta_eval, theta_gens, wronskian_tau)
 
 KP = (-2.0, -1.0, 0.5, 3.0)   # two-line type with crossing channels (2,3), (1,4)
 KO = (-2.0, -1.0, 1.0, 2.0)   # two-line type with parallel-ordered channels (1,2), (3,4)
@@ -104,6 +104,14 @@ def test_rejects_bad_pair_and_kind():
         SolitonConfig("x_type", (-1.0, 1.0))
     with pytest.raises(RejectedConfig):
         SolitonConfig("p_type", (-1.0, 1.0, 2.0))
+
+
+def test_tau_cache_is_bounded():
+    """A sweep over phase speeds keeps at most 64 taus and generator tuples."""
+    for i in range(100):
+        build_tau(SolitonConfig("p_type", tuple(k + 0.01 * i for k in KP)))
+    assert build_tau.cache_info().currsize <= 64
+    assert theta_gens.cache_info().currsize <= 64
 
 
 # ----- frames -----
