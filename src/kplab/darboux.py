@@ -19,10 +19,11 @@ relative residual (`worst_residual`) on shared sample points.
 The final section restricts the transforms to a single sech^2 channel on a
 co-moving line, where they become  +/- d/dz + i eta dz^{-1} - 2 psi  with a
 tanh kink psi.  Those operators factor through cosh and sech conjugations
-and invert explicitly by exponentially weighted kernels; both the
-factorizations and the integral inverses are implemented on the closed
-hyperbolic-exponential algebra, so no numerical antiderivative enters any
-identity check.
+and invert explicitly by exponentially weighted kernels.  Each channel
+profile is a Rational in e = exp(sqrt(c) z) over powers of the one base
+1 + e^2, with z in the x slot, so the exact transforms, their
+factorizations and the inverses' kernels are built by the same algebra as
+the tau levels and no numerical antiderivative enters any identity check.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from .expsum import Carried, ExpSum, Rational, _worst_residual
 from .jost import JostFamily, flow_parts, heat_parts, linearized_parts, pair_product
 from .solitons import (SolitonConfig, build_tau, potential, potential_yprim, theta_gens,
                        wronskian_tau)
-from .tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
+from .tanhexp import PanelGrid, based_cumulative, exp_cumulative
 
 
 # ----- sampling and residual plumbing -----
@@ -574,18 +575,38 @@ def _channel_root(c: float, eta: complex = 0.0) -> float:
     return float(np.sqrt(float(c)))
 
 
-def kink_profile(c: float) -> TanhExp:
+# a sweep over channel gaps keeps the profiles of its last 64 rates
+@lru_cache(maxsize=64)
+def _hyperbolic(root: float) -> tuple[Rational, Rational, ExpSum]:
+    """(tanh, sech, cosh) of root z as functions of (x, y, t) = (z, 0, 0).
+
+    With e = exp(root z) they are (e^2 - 1)/(1 + e^2), 2e/(1 + e^2) and
+    (e + 1/e)/2.  Both quotients hold the same base 1 + e^2, so their
+    products merge its powers and every profile of the rate shares it.
+    """
+    gen = (complex(root), 0j, 0j)
+    e = ExpSum.exponential(1.0, gen)
+    base = e * e + 1.0
+    return (Rational.from_quotient(e * e - 1.0, base), Rational.from_quotient(2.0 * e, base),
+            ExpSum((gen,), {(1,): 0.5, (-1,): 0.5}))
+
+
+def _exp_line(rate: complex) -> ExpSum:
+    """exp(rate z) with z in the x slot."""
+    return ExpSum.exponential(1.0, (complex(rate), 0j, 0j))
+
+
+def kink_profile(c: float) -> Rational:
     """psi = sqrt(c) tanh(sqrt(c) z), the kink the line transforms subtract."""
     root = _channel_root(c)
-    return TanhExp.tanh(root, root)
+    return root * _hyperbolic(root)[0]
 
 
 def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
     root = _channel_root(c)
-    value = TanhExp.sech(root, 2)
-    prim = TanhExp.tanh(root, 1.0 / root) + TanhExp.term(root, -1.0 / root)
-    return Carried(value, xprim=prim)
+    tanh, sech, _ = _hyperbolic(root)
+    return Carried(sech * sech, xprim=(tanh - 1.0) / root)
 
 
 def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Carried:
@@ -598,14 +619,15 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
     """
     root = _channel_root(c, eta)
     gam = Branch(a=0.0, c=float(c)).gamma(eta)
+    sech = _hyperbolic(root)[1]
     if not reflected:
-        prim = TanhExp.term(root, root / gam, 0, 1, -gam)
-        return Carried(prim.d(), xprim=prim)
+        prim = (root / gam) * (sech * _exp_line(-gam))
+        return Carried(prim.dx(), xprim=prim)
     if gam.real >= root - 1e-12:
         raise InadmissibleEta(
             f"mirrored kernel needs Re gamma < sqrt(c); got {gam.real:.6f} vs {root:.6f}")
-    prim = TanhExp.term(root, -root / gam, 0, 1, gam)
-    return Carried(prim.d(), xprim=prim)
+    prim = (-root / gam) * (sech * _exp_line(gam))
+    return Carried(prim.dx(), xprim=prim)
 
 
 class OneDimDarboux:
@@ -615,8 +637,8 @@ class OneDimDarboux:
     (real or complex), alpha the exponential weight the inverses work in.
     The window is a symmetric integer half-width in z; the default makes
     the sech envelope fall below 1e-13 at the edges.  Exact applications
-    go through the hyperbolic-exponential algebra; sampled applications
-    and the integral inverses live on the panel grid.
+    act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
+    applications and the integral inverses live on the panel grid.
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
@@ -637,17 +659,17 @@ class OneDimDarboux:
         return PanelGrid(-self.window, self.window)
 
     @cached_property
-    def psi(self) -> TanhExp:
+    def psi(self) -> Rational:
         return kink_profile(self.c)
 
-    def m_parts(self, sign: int, f: Carried) -> list[TanhExp]:
+    def m_parts(self, sign: int, f: Carried) -> list[Rational]:
         """Summands of the exact transform; needs the profile's antiderivative."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        return [float(sign) * f.value.d(), (1j * self.eta) * f.prim(),
+        return [float(sign) * f.value.dx(), (1j * self.eta) * f.prim(),
                 -2.0 * (self.psi * f.value)]
 
-    def m_apply(self, sign: int, f: Carried) -> TanhExp:
+    def m_apply(self, sign: int, f: Carried) -> Rational:
         a, b, c = self.m_parts(sign, f)
         return a + b + c
 
@@ -659,18 +681,18 @@ class OneDimDarboux:
         g = self.grid
         return (float(sign) * g.derivative(vals)
                 + 1j * self.eta * g.antiderivative(vals)
-                - 2.0 * self.psi.eval(g.z) * vals)
+                - 2.0 * self.psi.eval(g.z, 0.0, 0.0) * vals)
 
     def _on_grid(self, f) -> np.ndarray:
         """Node samples of a carried or bare profile, or checked samples."""
         if isinstance(f, Carried):
             f = f.value
-        if isinstance(f, TanhExp):
-            return f.eval(self.grid.z)
+        if isinstance(f, Rational):
+            return f.eval(self.grid.z, 0.0, 0.0)
         return self.grid._panels(f).ravel()
 
 
-def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[TanhExp]]:
+def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Rational]]:
     """Both channel transforms factor through cosh and sech conjugations.
 
     plus_direct      d/dz of the plus transform equals cosh (dz^2 - g^2) sech
@@ -681,14 +703,12 @@ def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Ta
     minus_direct     d/dz of the minus transform equals sech (g^2 - dz^2 - u) cosh
 
     Here g is the branch root at -eta for plus and at +eta for minus.  All
-    four are exact identities of the term algebra.
+    four are exact identities of the Rational algebra.
     """
     op = OneDimDarboux(c, eta)
-    root = op.root
     gp, gm = op.branch.gamma(eta), op.branch.gamma(-eta)
-    sech = TanhExp.sech(root)
-    cosh = TanhExp.sech(root, power=-1)
-    u1 = TanhExp.sech(root, 2, 2.0 * c)
+    _, sech, cosh = _hyperbolic(op.root)
+    u1 = (2.0 * c) * (sech * sech)
     fv, fp = f.value, f.prim()
     plus, minus = op.m_apply(1, f), op.m_apply(-1, f)
 
@@ -697,18 +717,18 @@ def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Ta
     couter = cosh * fv
     couter_p = cosh * fp
     checks = {
-        "plus_direct": (plus.d(), cosh * (inner.d().d() - (gm * gm) * inner)),
-        "plus_primitive": (plus, cosh * (inner_p.d().d() + u1 * inner_p
+        "plus_direct": (plus.dx(), cosh * (inner.dx().dx() - (gm * gm) * inner)),
+        "plus_primitive": (plus, cosh * (inner_p.dx().dx() + u1 * inner_p
                                          - (gm * gm) * inner_p)),
-        "minus_primitive": (minus, sech * ((gp * gp) * couter_p - couter_p.d().d())),
-        "minus_direct": (minus.d(), sech * ((gp * gp) * couter - couter.d().d()
-                                            - u1 * couter)),
+        "minus_primitive": (minus, sech * ((gp * gp) * couter_p - couter_p.dx().dx())),
+        "minus_direct": (minus.dx(), sech * ((gp * gp) * couter - couter.dx().dx()
+                                             - u1 * couter)),
     }
     return {name: _equation_parts([lhs], [rhs]) for name, (lhs, rhs) in checks.items()}
 
 
 def commutation_parts(c: float, eta: complex, drift: float,
-                      f: Carried) -> dict[str, list[TanhExp]]:
+                      f: Carried) -> dict[str, list[Rational]]:
     """The transforms intertwine the channel evolution generators.
 
     With G the transformed profile and H the modified generator applied to
@@ -720,28 +740,29 @@ def commutation_parts(c: float, eta: complex, drift: float,
     """
     op = OneDimDarboux(c, eta)
     eta, psi = op.eta, op.psi
-    u1 = TanhExp.sech(op.root, 2, 2.0 * c)
+    sech = _hyperbolic(op.root)[1]
+    u1 = (2.0 * c) * (sech * sech)
     fv, fp = f.value, f.prim()
     c4 = 4.0 * c
 
     # modified generator: free part minus (3/4)(u f)' minus (3/4) i eta u F
-    free_f = (-0.25) * (fv.d().d() - c4 * fv).d() + (1j * drift * eta) * fv \
+    free_f = (-0.25) * (fv.dx().dx() - c4 * fv).dx() + (1j * drift * eta) * fv \
         + (0.75 * eta * eta) * fp
-    h = free_f - 0.75 * (u1 * fv).d() - (0.75j * eta) * (u1 * fp)
+    h = free_f - 0.75 * (u1 * fv).dx() - (0.75j * eta) * (u1 * fp)
 
     g_plus, g_minus = op.m_apply(1, f), op.m_apply(-1, f)
 
-    def dressed(g: TanhExp, with_u: bool) -> TanhExp:
-        core = g.d().d() - c4 * g
+    def dressed(g: Rational, with_u: bool) -> Rational:
+        core = g.dx().dx() - c4 * g
         if with_u:
             core = core + 6.0 * (u1 * g)
-        return (-0.25) * core.d().d() + (1j * drift * eta) * g.d() \
+        return (-0.25) * core.dx().dx() + (1j * drift * eta) * g.dx() \
             + (0.75 * eta * eta) * g
 
     lhs_plus = dressed(g_plus, True)
-    rhs_plus = h.d().d() + (1j * eta) * h - 2.0 * (psi * h).d()
+    rhs_plus = h.dx().dx() + (1j * eta) * h - 2.0 * (psi * h).dx()
     lhs_minus = dressed(g_minus, False)
-    rhs_minus = -1.0 * h.d().d() + (1j * eta) * h - 2.0 * (psi * h).d()
+    rhs_minus = -1.0 * h.dx().dx() + (1j * eta) * h - 2.0 * (psi * h).dx()
 
     return {"plus": _equation_parts([lhs_plus], [rhs_plus]),
             "minus": _equation_parts([lhs_minus], [rhs_minus])}
@@ -788,9 +809,10 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     gam = op.branch.gamma(-op.eta) if sign == 1 else op.branch.gamma(op.eta)
     margin = gam.real - (root + alpha)
 
-    sechv = TanhExp.sech(root).eval(z).real
-    coshv = TanhExp.sech(root, power=-1).eval(z).real
-    stv = op.psi.eval(z).real
+    tanh, sech, cosh = _hyperbolic(root)
+    sechv = sech.eval(z, 0.0, 0.0)
+    coshv = cosh.eval(z, 0.0, 0.0)
+    stv = op.psi.eval(z, 0.0, 0.0)
 
     if sign == -1:
         if not low and margin <= 1e-9:
@@ -826,9 +848,8 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
-    sec = (0.5 * gam) * TanhExp.term(root, 1.0, 0, 1, gam) \
-        + (-0.5 * root) * TanhExp.term(root, 1.0, 1, 1, gam)
-    secv = sec.eval(z)
+    sec = (0.5 * gam - (0.5 * root) * tanh) * (sech * _exp_line(gam))
+    secv = sec.eval(z, 0.0, 0.0)
     pairing = grid.integral(secv * fvals)
     pairing_scale = grid.integral(np.abs(secv) * np.abs(fvals)).real
     if abs(pairing) > 1e-6 * max(pairing_scale, 1e-300):

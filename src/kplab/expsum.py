@@ -12,9 +12,11 @@ x = -200).  Residuals therefore never multiply out: `worst_residual`
 reduces the scaled pairs at their common largest exponent.
 
 A Rational divides an ExpSum by powers of ExpSum bases held in a dict keyed
-by base identity.  ExpSum, Rational, Carried and the line profiles of
-`tanhexp` write only __add__ and __mul__; the `Ring` base derives the
-reflected forms, negation, subtraction and scalar division from those.
+by base identity; the sech^2 channel profiles of `darboux` are Rationals
+too, in z = x.  ExpSum, Rational and Carried write only __add__ and
+__mul__ (a Carried's __add__ only raises TypeError); the `Ring` base
+derives the reflected forms, negation, subtraction and scalar division
+from those.
 
 ExpSum and Rational objects are never changed once built, so each keeps
 what it derives from itself: an ExpSum its partials and its sorted,
@@ -26,7 +28,9 @@ Sums, differences, products and scalar multiples build one dict each:
 they drop their own zero terms and hand the dict to the sum they return,
 while the public `ExpSum(gens, terms)` copies and filters.  Every sum on
 one generator tuple shares one read-only generator matrix.  Evaluation
-builds its (3, N) point stack in place, in the dtype it computes in.
+computes in float64 when a sum's phases and coefficients are all real and
+in complex128 otherwise (`ExpSum.arrays()` decides, once per sum), and
+builds its (3, N) point stack in place in that dtype.
 `worst_residual` evaluates each distinct ExpSum of an identity once.
 """
 from __future__ import annotations
@@ -188,15 +192,19 @@ class ExpSum(Ring):
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(terms, 3) phase vectors and the coefficients, in sorted key order.
 
-        Built on the first call and kept; both arrays are read-only.
+        Both are float64 when every phase and coefficient has zero
+        imaginary part, else both complex128; evaluation computes in that
+        dtype.  Built on the first call and kept; both arrays are read-only.
         """
         if self._arrays is None:
             terms, width = self.terms, len(self.gens)
             keys = sorted(terms)
             lattice = np.fromiter(chain.from_iterable(keys), dtype=float, count=len(keys) * width)
-            self._arrays = (lattice.reshape(len(keys), width) @ _gen_matrix(self.gens),
-                            np.fromiter(map(terms.__getitem__, keys), dtype=complex,
-                                        count=len(keys)))
+            ph = lattice.reshape(len(keys), width) @ _gen_matrix(self.gens)
+            coeff = np.fromiter(map(terms.__getitem__, keys), dtype=complex, count=len(keys))
+            if not (ph.imag.any() or coeff.imag.any()):
+                ph, coeff = ph.real, coeff.real
+            self._arrays = ph, coeff
             for arr in self._arrays:
                 arr.flags.writeable = False
         return self._arrays
@@ -293,12 +301,14 @@ class ExpSum(Ring):
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Return (m, s) with value = s * exp(m) and max real exponent m.
 
-        Empty sums give m = -inf, s = 0 so exp(m) * s evaluates to 0.
+        Computed in the dtype of `arrays()`, so s is float64 for a real sum
+        and complex128 otherwise.  Empty sums give m = -inf, s = 0 so
+        exp(m) * s evaluates to 0.
         """
-        pts, shape = _points(x, y, t, complex)
-        if not self.terms:
-            return np.full(shape, -inf), np.zeros(shape, dtype=complex)
         ph, coeff = self.arrays()
+        pts, shape = _points(x, y, t, ph.dtype)
+        if not self.terms:
+            return np.full(shape, -inf), np.zeros(shape)
         ex = ph @ pts
         m = ex.real.max(axis=0)
         w = np.exp(ex - m)
@@ -414,10 +424,8 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     idx, wanted = _closure(orders, only)
     plan = _recursion_plan(idx)
     ph, coeff = tau.arrays()  # (terms, 3) phases, (terms,) coefficients
-    pts, shape = _points(x, y, t)
-    if not (ph.imag.any() or coeff.imag.any()):
-        ph, coeff = ph.real, coeff.real
-    ex = ph @ pts.astype(ph.dtype, copy=False)
+    pts, shape = _points(x, y, t, ph.dtype)
+    ex = ph @ pts
     del pts
     groups = _dominant_groups(ex.real)
     nterms, npts = ex.shape
@@ -594,14 +602,15 @@ class Rational(Ring):
 class Carried(Ring):
     """A function bundled with exact antiderivative data.
 
-    value    : the function itself, a Rational in (x, y, t) or a TanhExp
-               profile in the line coordinate z
-    xprim    : an exact antiderivative in x (in z on a line), or None;
-               on a line it is the one vanishing as z -> +infinity
+    value    : the function itself, a Rational in (x, y, t); a channel
+               profile is one in z = x, at y = t = 0
+    xprim    : an exact antiderivative in x, or None; for a channel
+               profile it is the one vanishing as z -> +infinity
     ydxinv   : exact dx^{-1} dy of the function, or None
     Scalar multiples scale all three (negation and scalar division follow
-    from `Ring`; a Carried has no sum); the level transforms read their
-    nonlocal term dx^{-1} dy from ydxinv alone and reject a wave without it.
+    from `Ring`); a Carried has no sum, so adding one to anything on either
+    side is a TypeError.  The level transforms read their nonlocal term
+    dx^{-1} dy from ydxinv alone and reject a wave without it.
     """
 
     __slots__ = ("value", "xprim", "ydxinv")
@@ -616,6 +625,10 @@ class Carried(Ring):
         if self.xprim is None:
             raise MissingPrimitive("carried function has no exact antiderivative")
         return self.xprim
+
+    def __add__(self, other):
+        # reached from either side: `Ring.__radd__` calls it directly
+        raise TypeError(f"{type(self).__name__} has no sum; cannot add {type(other).__name__}")
 
     def __mul__(self, c) -> "Carried":
         if not isinstance(c, (int, float, complex)):
@@ -653,7 +666,7 @@ def sum_residual(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def worst_residual(parts, *pts) -> float:
-    """Worst pointwise `sum_residual` ratio of parts at pts, (x, y, t) or z.
+    """Worst pointwise `sum_residual` ratio of ExpSum and Rational parts at (x, y, t).
 
     Each part's `eval_scaled` pair (m, s) enters as s * exp(m - M), with M
     the per-point largest m (0 where every part is empty): a common factor
@@ -686,9 +699,8 @@ def _worst_residual(parts, pts: tuple, bases: dict) -> float:
                 (bases if e in dens else pairs)[e] = pair
         return pair
 
-    scaled_parts = [scaled(p) if isinstance(p, ExpSum)
-                    else p._scaled_from(scaled) if isinstance(p, Rational)
-                    else p.eval_scaled(*pts) for p in parts]
+    scaled_parts = [scaled(p) if isinstance(p, ExpSum) else p._scaled_from(scaled)
+                    for p in parts]
     if not scaled_parts:
         raise ValueError("the identity has no parts")
     top = reduce(np.maximum, (m for m, _ in scaled_parts))

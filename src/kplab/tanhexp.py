@@ -1,11 +1,11 @@
-"""Closed hyperbolic-exponential algebra on a line, plus panel quadrature.
+"""Composite Gauss-Legendre panel calculus on a line window.
 
-Profiles built from the four tau levels restrict, on each co-moving line,
-to finite sums of  c * tanh(s z)^m * sech(s z)^p * exp(mu z).  That family
-is closed under differentiation and multiplication once tanh^2 is reduced
-to 1 - sech^2, so every one-dimensional identity can be evaluated without
-numerical differentiation.  The panel grid at the bottom supplies the
-composite Gauss-Legendre calculus used by the inverse operators.
+The channel inverses of `darboux` integrate sampled profiles against
+exponential kernels.  A `PanelGrid` supplies the panel derivative,
+antiderivative and integral, and `exp_cumulative` / `based_cumulative`
+the exponentially weighted cumulative integrals, each evaluated relative
+to its output point so that no growth appears that the true integral
+lacks.
 """
 
 from __future__ import annotations
@@ -14,123 +14,12 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .errors import ConfigMismatch, RegionViolation
-from .expsum import Ring
 
 __all__ = [
-    "TanhExp",
     "PanelGrid",
     "exp_cumulative",
     "based_cumulative",
 ]
-
-
-# ----- term algebra -----
-
-
-def _put(acc: dict, m: int, p: int, mu: complex, coef: complex) -> None:
-    # reduce tanh powers so stored keys keep m in {0, 1}
-    while m >= 2:
-        _put(acc, m - 2, p + 2, mu, -coef)
-        m -= 2
-    if coef == 0:
-        return
-    key = (m, p, complex(mu))
-    new = acc.get(key, 0j) + coef
-    if new == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = new
-
-
-class TanhExp(Ring):
-    """Finite sum of tanh(s z)^m sech(s z)^p e^(mu z) terms over one rate s."""
-
-    __slots__ = ("rate", "terms")
-
-    def __init__(self, rate: float, terms: dict | None = None):
-        self.rate = float(rate)
-        self.terms = {} if terms is None else terms
-
-    @staticmethod
-    def term(rate: float, coef: complex, m: int = 0, p: int = 0, mu: complex = 0j) -> "TanhExp":
-        acc: dict = {}
-        _put(acc, m, p, mu, complex(coef))
-        return TanhExp(rate, acc)
-
-    @staticmethod
-    def sech(rate: float, power: int = 1, coef: complex = 1.0) -> "TanhExp":
-        return TanhExp.term(rate, coef, 0, power)
-
-    @staticmethod
-    def tanh(rate: float, coef: complex = 1.0) -> "TanhExp":
-        return TanhExp.term(rate, coef, 1, 0)
-
-    # -- ring operations --
-
-    def _check(self, other: "TanhExp") -> None:
-        if self.rate != other.rate:
-            raise ConfigMismatch(
-                f"profile rates differ: {self.rate} vs {other.rate}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TanhExp.term(self.rate, other)
-        if not isinstance(other, TanhExp):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self.terms)
-        for (m, p, mu), c in other.terms.items():
-            _put(acc, m, p, mu, c)
-        return TanhExp(self.rate, acc)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TanhExp(self.rate, {k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, TanhExp):
-            return NotImplemented
-        self._check(other)
-        acc: dict = {}
-        for (m1, p1, u1), c1 in self.terms.items():
-            for (m2, p2, u2), c2 in other.terms.items():
-                _put(acc, m1 + m2, p1 + p2, u1 + u2, c1 * c2)
-        return TanhExp(self.rate, acc)
-
-    # -- calculus --
-
-    def d(self) -> "TanhExp":
-        """Derivative in z; closed because d tanh = s sech^2, d sech = -s sech tanh."""
-        s = self.rate
-        acc: dict = {}
-        for (m, p, mu), c in self.terms.items():
-            if m:
-                _put(acc, m - 1, p + 2, mu, c * m * s)
-            if p:
-                _put(acc, m + 1, p, mu, -c * p * s)
-            if mu != 0:
-                _put(acc, m, p, mu, c * mu)
-        return TanhExp(self.rate, acc)
-
-    # -- evaluation --
-
-    def eval_scaled(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(0, value): a profile's value carries its own scale."""
-        val = self.eval(z)
-        return np.zeros(val.shape), val
-
-    def eval(self, z):
-        z = np.asarray(z, dtype=float)
-        sz = self.rate * z
-        t = np.tanh(sz)
-        # log sech, stable for large |sz|
-        lsech = np.log(2.0) - np.abs(sz) - np.log1p(np.exp(-2.0 * np.abs(sz)))
-        out = np.zeros(z.shape, dtype=complex)
-        for (m, p, mu), c in self.terms.items():
-            piece = np.exp(p * lsech + mu * z)
-            if m:
-                piece = piece * t
-            out += c * piece
-        return out
 
 
 # ----- composite Gauss-Legendre panels -----

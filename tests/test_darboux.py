@@ -59,6 +59,7 @@ KO = (-2.0, -1.0, 1.0, 2.0)
 K3 = (-1.0, 0.3, 2.0)
 CP = 0.5625  # quarter squared gap of the inner channel of KP
 ZS = np.linspace(-9.0, 9.0, 121)
+KERNEL_ZS = np.linspace(-8.0, 8.0, 97)
 
 
 def pts(seed=0, n=12):
@@ -417,22 +418,66 @@ def test_mode_transfer_needs_inner_channel():
 # ----- one-dimensional transforms -----
 
 
+def on_line(f, z):
+    """A channel profile's values at (z, 0, 0)."""
+    return f.eval(z, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("eta", [2.0, 0.3, 0.0, 1.2 + 0.7j])
 def test_line_factorizations(eta):
-    res = worst(factorization_parts(CP, eta, bump_profile(CP)), ZS)
+    res = worst(factorization_parts(CP, eta, bump_profile(CP)), ZS, 0.0, 0.0)
     for name, val in res.items():
         assert val < 1e-10, f"eta={eta} {name}: {val:.2e}"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "max-|part| normalization at a common zero of the parts: at c = 2, eta = 0 "
+    "plus_primitive reads 1.0 at z = 0 (parts 0 and 8.9e-16), minus_primitive and "
+    "minus_direct at z = -9 (parts 0 and 3.0e-49, 0 and 1.1e-36); sqrt(0.5625) = 0.75 "
+    "is exact in binary, which is why the case at CP passes"))
+def test_line_factorizations_at_rest_off_a_binary_root():
+    res = worst(factorization_parts(2.0, 0.0, bump_profile(2.0)), ZS, 0.0, 0.0)
+    assert max(res.values()) < 1e-10, res
+
+
 @pytest.mark.parametrize("drift", [25.0 / 6.0, -0.7])
 def test_line_commutation(drift):
-    res = worst(commutation_parts(CP, 1.3, drift, bump_profile(CP)), ZS)
+    res = worst(commutation_parts(CP, 1.3, drift, bump_profile(CP)), ZS, 0.0, 0.0)
     assert res["plus"] < 1e-8 and res["minus"] < 1e-8
 
 
-def kernel_residual(eta: complex, reflected: bool = False) -> float:
-    prof = minus_kernel_profile(CP, eta, reflected=reflected)
-    return worst_residual(OneDimDarboux(CP, eta).m_parts(-1, prof), np.linspace(-8.0, 8.0, 97))
+@pytest.mark.xfail(strict=True, reason=(
+    "near eta = 0 the minus side is an O(eta) remainder of O(1) terms, since the "
+    "minus transform annihilates sech^2 at eta = 0; the Rational profiles leave "
+    "rounding of the O(1) terms in it at z = 0 (2e-9, 6e-8, 2e-8 at c = 0.5625, 2, 4)"))
+def test_line_commutation_near_eta_zero():
+    res = worst(commutation_parts(4.0, 1e-4, 25.0 / 6.0, bump_profile(4.0)), ZS, 0.0, 0.0)
+    assert res["plus"] < 1e-8 and res["minus"] < 1e-8, res
+
+
+def kernel_residual(eta: complex, reflected: bool = False, c: float = CP) -> float:
+    prof = minus_kernel_profile(c, eta, reflected=reflected)
+    return worst_residual(OneDimDarboux(c, eta).m_parts(-1, prof), KERNEL_ZS, 0.0, 0.0)
+
+
+# |eta| in [0.05, 3] with Re eta > 0: real, or complex at |arg eta| <= 1.5 < pi/2
+CHANNEL_ETA = st.one_of(
+    st.floats(0.05, 3.0),
+    st.builds(lambda r, arg: complex(r * np.cos(arg), r * np.sin(arg)),
+              st.floats(0.05, 3.0), st.floats(-1.5, 1.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.05, 4.0), eta=CHANNEL_ETA, drift=st.floats(-5.0, 5.0))
+def test_channel_identities_over_gap_and_frequency(c, eta, drift):
+    """Factorizations, commutation and kernel membership over the admissible
+    channels, at the bounds the fixed-parameter tests use."""
+    f = bump_profile(c)
+    fact = worst(factorization_parts(c, eta, f), ZS, 0.0, 0.0)
+    assert max(fact.values()) < 1e-10, fact
+    comm = worst(commutation_parts(c, eta, drift, f), ZS, 0.0, 0.0)
+    assert max(comm.values()) < 1e-8, comm
+    assert kernel_residual(eta, c=c) < 1e-9
 
 
 @pytest.mark.parametrize("eta", [2.0, 0.3, 0.9 + 0.4j])
@@ -445,7 +490,7 @@ def test_mirrored_kernel_in_complex_strip():
     assert kernel_residual(0.1 + 0.45j, reflected=True) < 1e-9
     prof = minus_kernel_profile(CP, 0.1 + 0.45j, reflected=True)
     zs = np.linspace(-6.0, 6.0, 25)
-    assert np.all(np.isfinite(prof.value.eval(zs)))
+    assert np.all(np.isfinite(on_line(prof.value, zs)))
 
 
 def test_mirrored_kernel_rejects_real_eta():
@@ -461,7 +506,7 @@ def test_kernel_needs_positive_gap():
 def test_exact_and_sampled_transforms_agree():
     op = OneDimDarboux(CP, 1.1, alpha=0.3)
     f = bump_profile(CP)
-    exact = op.m_apply(1, f).eval(op.grid.z)
+    exact = on_line(op.m_apply(1, f), op.grid.z)
     sampled = op.m_apply_sampled(1, f)
     inner = np.abs(op.grid.z) <= op.window - 1.5
     err = np.max(np.abs(exact - sampled)[inner]) / np.max(np.abs(exact))
@@ -488,7 +533,7 @@ def test_inverse_roundtrip_low_plus_on_orthogonal_input():
     h = op.m_apply(1, f)
     assert t1_roundtrip(op, 1, h, low=True) < 1e-7
     v = t1_apply(op, 1, h, low=True)
-    fv = f.value.eval(op.grid.z)
+    fv = on_line(f.value, op.grid.z)
     inner = np.abs(op.grid.z) <= op.window - 1.5
     assert np.max(np.abs(v - fv)[inner]) / np.max(np.abs(fv)) < 1e-7
 
@@ -540,7 +585,7 @@ def test_transform_sign_checked_everywhere():
     with pytest.raises(ValueError):
         op.m_apply(0, f)
     with pytest.raises(ValueError):
-        op.m_apply_sampled(2, f.value.eval(op.grid.z))
+        op.m_apply_sampled(2, on_line(f.value, op.grid.z))
     with pytest.raises(ValueError):
         t1_apply(op, 0, f)
 
@@ -548,11 +593,11 @@ def test_transform_sign_checked_everywhere():
 def test_kink_and_bump_profiles():
     psi = kink_profile(CP)
     zs = np.linspace(-4.0, 4.0, 33)
-    assert np.max(np.abs(psi.eval(zs) - 0.75 * np.tanh(0.75 * zs))) < 1e-12
+    assert np.max(np.abs(on_line(psi, zs) - 0.75 * np.tanh(0.75 * zs))) < 1e-12
     f = bump_profile(CP)
-    got = f.prim().d().eval(zs)
-    assert np.max(np.abs(got - f.value.eval(zs))) < 1e-12
-    assert abs(f.prim().eval(np.array([40.0]))[0]) < 1e-12
+    got = on_line(f.prim().dx(), zs)
+    assert np.max(np.abs(got - on_line(f.value, zs))) < 1e-12
+    assert abs(on_line(f.prim(), np.array([40.0]))[0]) < 1e-12
 
 
 # ----- aggregate report -----

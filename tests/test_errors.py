@@ -95,6 +95,39 @@ def test_every_defined_name_is_used():
     assert unread == []
 
 
+def _stale_exports(tree: ast.Module) -> list[str]:
+    """Strings in the module's __all__ that name nothing bound at its top level."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_every_exported_name_is_defined():
+    """Each string in a src/kplab module's __all__ names something that module
+    defines, so `from module import *` cannot fail on a stale entry."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert any(isinstance(node, ast.Name) and node.id == "__all__"
+               for tree in trees.values() for node in ast.walk(tree))
+    stale = [f"{module}.{name}" for module, tree in trees.items()
+             for name in _stale_exports(tree)]
+    assert stale == []
+    assert _stale_exports(ast.parse(
+        'import numpy as np\nX = 1\n__all__ = ["np", "X", "f", "Gone"]\ndef f(): pass\n')) == ["Gone"]
+
+
 def _unread_parameters(tree: ast.Module) -> list[str]:
     """function.parameter for each parameter its function's body never reads."""
     unread = []

@@ -14,8 +14,8 @@ from kplab import expsum
 from kplab.errors import MissingPrimitive
 from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, _unify, log_derivatives,
                           sum_residual, worst_residual)
+from kplab.darboux import bump_profile
 from kplab.solitons import SolitonConfig, build_tau
-from kplab.tanhexp import TanhExp
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
 G2 = (2.0 + 0j, 4.0 + 0j, -8.0 + 0j)
@@ -383,6 +383,25 @@ def test_real_tau_runs_in_float64_and_agrees_with_rotated_tau():
         assert np.max(np.abs(h[key] - g[key])) <= 1e-12 * np.max(np.abs(g[key])), key
 
 
+def test_evaluation_dtype_follows_the_phases():
+    rng = np.random.default_rng(23)
+    x, y, t = _pts(rng, n=40, span=3.0)
+    tau = build_tau(SolitonConfig("p_type", (-2.0, -1.0, 0.5, 3.0)))
+    turned = 1j * tau
+    assert all(arr.dtype == np.float64 for arr in tau.arrays())
+    assert all(arr.dtype == np.complex128 for arr in turned.arrays())
+    # a complex phase alone is enough
+    wave = ExpSum.exponential(1.0, (1.0 + 0.5j, 0j, 0j)) + ExpSum.constant(2.0)
+    assert all(arr.dtype == np.complex128 for arr in wave.arrays())
+    m, s = tau.eval_scaled(x, y, t)
+    mi, si = turned.eval_scaled(x, y, t)
+    assert s.dtype == np.float64 and si.dtype == np.complex128
+    assert np.all(np.abs(mi - m) <= 4 * np.spacing(np.abs(m)))
+    assert np.all(np.abs(si - 1j * s) <= 4 * np.spacing(np.abs(s)))
+    m, s = ExpSum((), {}).eval_scaled(x, y, t)
+    assert s.dtype == np.float64 and not s.any()
+
+
 def test_log_value_of_real_tau_that_changes_sign():
     tau = ExpSum.exponential(1.0, (1.0 + 0j, 0j, 0j)) - 2.0
     x = np.array([-1.0, 0.0, 0.3, 1.0])
@@ -460,13 +479,6 @@ def test_worst_residual_past_float_range_is_finite():
     assert np.isfinite(ratio) and ratio < 1e-15
 
 
-def test_worst_residual_leaves_line_profiles_unscaled():
-    f = TanhExp.sech(0.75, 2) + TanhExp.term(0.75, 0.6, mu=-0.5)
-    zs = np.linspace(-5.0, 5.0, 11)
-    res, scale = sum_residual([f.eval(zs), -0.5 * f.eval(zs), -0.25 * f.eval(zs)])
-    assert worst_residual([f, -0.5 * f, -0.25 * f], zs) == float(np.max(res / scale))
-
-
 def test_kept_arrays_are_read_only_and_evaluate_as_a_fresh_copy():
     rng = np.random.default_rng(17)
     x, y, t = _pts(rng, n=30, span=3.0)
@@ -486,11 +498,11 @@ def test_kept_arrays_are_read_only_and_evaluate_as_a_fresh_copy():
 
 
 def test_carried_prim_requires_primitive():
-    value = TanhExp.sech(0.75, 2)
+    bump = bump_profile(0.5625)
     with pytest.raises(MissingPrimitive):
-        Carried(value).prim()
-    prim = TanhExp.tanh(0.75, 1.0 / 0.75)
-    assert (2.0 * Carried(value, xprim=prim)).prim().terms == (2.0 * prim).terms
+        Carried(bump.value).prim()
+    doubled, prim = (2.0 * bump).prim(), 2.0 * bump.prim()
+    assert doubled.num.terms == prim.num.terms and doubled.den == prim.den
 
 
 # ----- Rational layer -----
@@ -531,21 +543,18 @@ def test_rational_product_merges_identical_base():
 
 
 def _derived_operands():
-    """(f, evaluate) over an ExpSum, a two-base Rational and a TanhExp."""
+    """(f, evaluate) over an ExpSum and a two-base Rational."""
     tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
     sig = ExpSum.exponential(0.5, G3) + ExpSum.constant(2.0)
     rng = np.random.default_rng(13)
     x, y, t = _pts(rng, n=9, span=1.0)
-    z = np.linspace(-2.0, 2.0, 9)
     es = ExpSum.exponential(1.3, G1) + ExpSum.exponential(-0.7j, G2)
     rat = Rational.from_quotient(ExpSum.exponential(2.0, G2) + ExpSum.constant(0.5), tau, sig)
-    th = TanhExp.tanh(0.7, 1.5) + TanhExp.term(0.7, 0.4 - 0.2j, 0, 2, mu=-0.3)
     return {"expsum": (es, lambda f: f.eval(x, y, t)),
-            "rational": (rat, lambda f: f.eval(x, y, t)),
-            "tanhexp": (th, lambda f: f.eval(z))}
+            "rational": (rat, lambda f: f.eval(x, y, t))}
 
 
-@pytest.mark.parametrize("kind", ["expsum", "rational", "tanhexp"])
+@pytest.mark.parametrize("kind", ["expsum", "rational"])
 def test_derived_operators_match_pointwise_arithmetic(kind):
     f, ev = _derived_operands()[kind]
     g = f * f + 1.5

@@ -1,61 +1,82 @@
-"""Closed hyperbolic-exponential algebra and the weighted panel calculus."""
+"""Channel profiles on the Rational algebra, and the weighted panel calculus."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from kplab.darboux import _exp_line, _hyperbolic, bump_profile, kink_profile
 from kplab.errors import ConfigMismatch, RegionViolation
-from kplab.expsum import ExpSum
-from kplab.tanhexp import PanelGrid, TanhExp, based_cumulative, exp_cumulative
+from kplab.expsum import Carried
+from kplab.tanhexp import PanelGrid, based_cumulative, exp_cumulative
 
 ZS = np.linspace(-7.0, 7.0, 57)
 
 
-# ----- term algebra -----
+def on_line(f, z):
+    """A channel profile's values at (z, 0, 0)."""
+    return f.eval(z, 0.0, 0.0)
+
+
+# ----- channel profiles -----
 
 
 def test_tanh_square_reduces_to_sech():
-    f = TanhExp.tanh(0.8) * TanhExp.tanh(0.8)
+    tanh, sech, _ = _hyperbolic(0.8)
+    # (e^2 - 1)^2 + 4 e^2 - (1 + e^2)^2 cancels term by term
+    assert (tanh * tanh + sech * sech - 1.0).num.is_zero()
     expected = 1.0 - 1.0 / np.cosh(0.8 * ZS) ** 2
-    assert np.max(np.abs(f.eval(ZS) - expected)) < 1e-14
+    assert np.max(np.abs(on_line(tanh * tanh, ZS) - expected)) < 1e-14
 
 
 def test_negative_sech_power_is_cosh():
-    f = TanhExp.sech(0.6, power=-1)
-    assert np.max(np.abs(f.eval(ZS) - np.cosh(0.6 * ZS))) < 1e-12 * np.max(np.cosh(0.6 * ZS))
+    _, sech, cosh = _hyperbolic(0.6)
+    assert np.max(np.abs(on_line(cosh, ZS) - np.cosh(0.6 * ZS))) < 1e-12 * np.max(np.cosh(0.6 * ZS))
+    assert np.max(np.abs(on_line(cosh * sech, ZS) - 1.0)) < 1e-15
 
 
 def test_derivative_matches_difference_quotient():
-    f = (TanhExp.term(0.7, 1.3, 2, 1, 0.2 + 0.4j)
-         + TanhExp.term(0.7, 0.6, mu=-0.5)
-         + TanhExp.sech(0.7, 3, coef=-0.8))
+    c, root = 0.5625, 0.75
+    tanh, sech, _ = _hyperbolic(root)
+    # d(sqrt(c) tanh) = c sech^2, and the bump is the same sech^2
+    exact = on_line(kink_profile(c).dx(), ZS)
+    assert np.max(np.abs(exact - c * on_line(sech * sech, ZS))) < 1e-15
+    assert np.array_equal(on_line(bump_profile(c).value, ZS), on_line(sech * sech, ZS))
+    f = (1.3 * (tanh * tanh * sech * _exp_line(0.2 + 0.4j)) + 0.6 * _exp_line(-0.5)
+         - 0.8 * (sech * sech * sech))
     h = 1e-6
-    numeric = (f.eval(ZS + h) - f.eval(ZS - h)) / (2.0 * h)
-    exact = f.d().eval(ZS)
+    numeric = (on_line(f, ZS + h) - on_line(f, ZS - h)) / (2.0 * h)
+    exact = on_line(f.dx(), ZS)
     assert np.max(np.abs(exact - numeric)) < 1e-7 * np.max(np.abs(exact))
 
 
-def test_rate_mismatch_rejected():
-    with pytest.raises(ConfigMismatch):
-        TanhExp.tanh(0.5) + TanhExp.tanh(0.6)
+def _ring_operands():
+    """An ExpSum and a Rational channel profile."""
+    tanh, sech, cosh = _hyperbolic(0.5)
+    return {"expsum": cosh, "rational": tanh * sech}
 
 
+# Ring's reflected forms call the forward method directly, so a foreign
+# operand on either side reaches Python as a TypeError; a Carried has only
+# scalar multiples, and adding to or multiplying by one is foreign too.
 @pytest.mark.parametrize("combine", [
     lambda f: f + None,
     lambda f: f * "a",
-    lambda f: f + ExpSum.constant(1.0),
-    lambda f: ExpSum.constant(1.0) * f,
-], ids=["plus_none", "times_str", "plus_expsum", "expsum_times"])
+    lambda f: Carried(f) + f,
+    lambda f: f * Carried(f),
+    lambda f: f + Carried(f),
+], ids=["plus_none", "times_str", "plus_expsum", "expsum_times", "expsum_plus"])
 def test_foreign_operand_is_a_type_error(combine):
-    with pytest.raises(TypeError):
-        combine(TanhExp.tanh(0.5))
+    for f in _ring_operands().values():
+        with pytest.raises(TypeError):
+            combine(f)
 
 
 def test_far_field_evaluation_is_stable():
-    f = TanhExp.term(0.75, 2.0, 1, 2, -0.1)
-    far = f.eval(np.array([-420.0, 420.0]))
+    tanh, sech, _ = _hyperbolic(0.75)
+    f = 2.0 * (tanh * sech * sech * _exp_line(-0.1))
+    far = on_line(f, np.array([-420.0, 420.0]))
     assert np.all(np.isfinite(far))
-    assert abs(far[1]) < 1e-200
+    assert np.all(np.abs(far) < 1e-200)
 
 
 # ----- panel calculus -----
