@@ -901,7 +901,9 @@ def identity_report(seed: int = 7, npts: int = 16) -> dict[str, float]:
     family call, and `worst_residual` evaluates each distinct sum of an
     identity once.  A sum or Rational keeps its own partials, and a sum its
     sorted arrays, on the object.  Besides those, only the catalog of
-    `backlund_catalog` is kept from one call to the next, and the scaled
+    `backlund_catalog` and the bounded memo of sorted arrays by sum content
+    (so the sums a family builds again each report reuse the arrays of the
+    last one) are kept from one call to the next, and the scaled
     pairs of the den bases (the taus) only for the current report: each is
     evaluated once at its sample points, then shared by all its identities.
     """

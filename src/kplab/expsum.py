@@ -20,16 +20,18 @@ from those.
 
 ExpSum and Rational objects are never changed once built, so each keeps
 what it derives from itself: an ExpSum its partials and its sorted,
-read-only `arrays()`, a Rational its partials.  Nothing kept holds point
-data.  Sums whose generator tuples already line up (equal, or one
-starting the other) add and multiply without remapping their keys.
+read-only `arrays()`, a Rational its partials.  The arrays are also kept
+in a bounded memo keyed by content (generators and terms), so a sum built
+again, equal to one evaluated before, skips building them.  Nothing kept
+holds point data.  Sums whose generator tuples already line up (equal, or
+one starting the other) add and multiply without remapping their keys.
 
 Sums, differences, products and scalar multiples build one dict each:
 they drop their own zero terms and hand the dict to the sum they return,
 while the public `ExpSum(gens, terms)` copies and filters.  Every sum on
 one generator tuple shares one read-only generator matrix.  Evaluation
 computes in float64 when a sum's phases and coefficients are all real and
-in complex128 otherwise (`ExpSum.arrays()` decides, once per sum), and
+in complex128 otherwise (`ExpSum.arrays()` decides, once per content), and
 builds its (3, N) point stack in place in that dtype.
 `worst_residual` evaluates each distinct ExpSum of an identity once.
 """
@@ -98,6 +100,20 @@ def _gen_matrix(gens: tuple[Gen, ...]) -> np.ndarray:
     mat = np.asarray(gens, dtype=complex).reshape(len(gens), 3)
     mat.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=1024)
+def _sorted_arrays(gens: tuple[Gen, ...], items: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`ExpSum.arrays()` of the sum on gens with the sorted (key, coefficient) items."""
+    width = len(gens)
+    lattice = np.fromiter(chain.from_iterable(k for k, _ in items), dtype=float,
+                          count=len(items) * width)
+    ph = lattice.reshape(len(items), width) @ _gen_matrix(gens)
+    coeff = np.fromiter((c for _, c in items), dtype=complex, count=len(items))
+    if not (ph.imag.any() or coeff.imag.any()):
+        ph, coeff = ph.real, coeff.real
+    ph.flags.writeable = coeff.flags.writeable = False
+    return ph, coeff
 
 
 def _points(x, y, t, dtype=float) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -194,19 +210,12 @@ class ExpSum(Ring):
 
         Both are float64 when every phase and coefficient has zero
         imaginary part, else both complex128; evaluation computes in that
-        dtype.  Built on the first call and kept; both arrays are read-only.
+        dtype.  Both arrays are read-only.  Kept on the sum after the first
+        call, and shared by content: sums with equal generators and equal
+        terms, built apart, get the same arrays through a bounded memo.
         """
         if self._arrays is None:
-            terms, width = self.terms, len(self.gens)
-            keys = sorted(terms)
-            lattice = np.fromiter(chain.from_iterable(keys), dtype=float, count=len(keys) * width)
-            ph = lattice.reshape(len(keys), width) @ _gen_matrix(self.gens)
-            coeff = np.fromiter(map(terms.__getitem__, keys), dtype=complex, count=len(keys))
-            if not (ph.imag.any() or coeff.imag.any()):
-                ph, coeff = ph.real, coeff.real
-            self._arrays = ph, coeff
-            for arr in self._arrays:
-                arr.flags.writeable = False
+            self._arrays = _sorted_arrays(self.gens, tuple(sorted(self.terms.items())))
         return self._arrays
 
     # ----- algebra -----
@@ -330,27 +339,36 @@ def multi_indices(orders: tuple[int, int, int]):
     return out
 
 
-def _closure(orders, only) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """(computed, returned) multi-indices, graded; ValueError as `log_derivatives` says.
+def _plan(orders, only):
+    """(computed, returned, recursion plan) of `log_derivatives`; ValueError as it says.
 
-    The computed ones are the downward closure of the returned ones."""
+    The computed multi-indices are the downward closure of the returned
+    ones, both graded.  The three are kept per canonical (orders, only),
+    so a repeated call validates `orders` and hashes `only`, nothing more.
+    """
     if len(orders) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 0 for n in orders):
         raise ValueError(f"orders {tuple(orders)} is not three non-negative ints")
-    box = multi_indices(orders)
-    if only is None:
-        return box, box
-    wanted = {tuple(gamma) for gamma in only}
+    wanted = None if only is None else frozenset(tuple(gamma) for gamma in only)
+    return _closure_plan(tuple(int(n) for n in orders), wanted)
+
+
+@lru_cache(maxsize=64)
+def _closure_plan(orders: tuple[int, int, int], wanted: frozenset | None):
+    """`_plan` for valid orders; a ValueError raised here is not kept."""
+    box = tuple(multi_indices(orders))
+    if wanted is None:
+        return box, box, _recursion_plan(box)
     if not wanted:
         raise ValueError("only names no partial")
     for gamma in wanted:
         if len(gamma) != 3 or not all(0 <= gamma[a] <= orders[a] for a in range(3)):
-            raise ValueError(f"partial {gamma} lies outside the box {tuple(orders)}")
-    closure = [g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in wanted)]
-    return closure, [g for g in closure if g in wanted]
+            raise ValueError(f"partial {gamma} lies outside the box {orders}")
+    closure = tuple(g for g in box if any(all(a <= b for a, b in zip(g, w)) for w in wanted))
+    return closure, tuple(g for g in closure if g in wanted), _recursion_plan(closure)
 
 
 def _recursion_plan(idx):
-    """(r, [(weight, r_delta, r_rest)]) for each gamma = idx[r] past (0,0,0).
+    """(r, ((weight, r_delta, r_rest), ...)) for each gamma = idx[r] past (0,0,0).
 
     gamma is split as beta + one unit step on its first nonzero axis; delta
     runs over the nonzero multi-indices below beta with binomial weights,
@@ -363,11 +381,11 @@ def _recursion_plan(idx):
     for gamma in idx[1:]:
         axis = next(a for a in range(3) if gamma[a] > 0)
         beta = tuple(g - (a == axis) for a, g in enumerate(gamma))
-        steps = [(comb(beta[0], delta[0]) * comb(beta[1], delta[1]) * comb(beta[2], delta[2]),
-                  pos[delta], pos[tuple(gamma[a] - delta[a] for a in range(3))])
-                 for delta in multi_indices(beta)[1:]]
+        steps = tuple((comb(beta[0], delta[0]) * comb(beta[1], delta[1]) * comb(beta[2], delta[2]),
+                       pos[delta], pos[tuple(gamma[a] - delta[a] for a in range(3))])
+                      for delta in multi_indices(beta)[1:])
         plan.append((pos[gamma], steps))
-    return plan
+    return tuple(plan)
 
 
 def _dominant_groups(ex: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -386,11 +404,15 @@ def _dominant_groups(ex: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(d, cols) for d, cols in groups if cols.size]
 
 
-# Points per block of `log_derivatives`.  A block's scratch is two rows per
-# computed partial (its term sum and its value): for the 17 partials behind
-# the KP residual, 8192 points make 2.2 MB of float64, which stays in a
-# 2 MB-class per-core L2 cache while the recursion sweeps it over 100 times.
-BLOCK = 8192
+# Points per block of `log_derivatives`.  Per point, a block's scratch holds
+# the terms' exponentials, two values per computed partial (its term sum and
+# its quotient) and two spare values: 40 float64 for the KP residual (4-term
+# taus, 17 partials), so 16384 points make 5.2 MB.  A sweep of the median
+# time of the `kp_grid` bench op (two 384^2 residuals; 2-core x86-64, 2 MB
+# L2 per core) read 67, 57, 53, 52, 52, 65 and 68 ms at 4096, 8192, 16384,
+# 24576, 32768, 49152 and 65536 points: 16384 is as fast as the larger
+# blocks with half their scratch.
+BLOCK = 16384
 
 
 def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
@@ -408,9 +430,13 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     the box, else ValueError.  The recursion computes just the downward
     closure of the returned keys (every multi-index below one), so each
     value is the one the full box gives for the same key.  Each group runs
-    in blocks of `BLOCK` points in preallocated scratch: beyond the
-    returned arrays, the points, their (terms, N) exponents and grouping,
-    the extra memory is one block's.
+    in blocks of `BLOCK` points, gathered from the term-major exponents
+    into preallocated scratch.  Beyond the returned arrays, the memory that
+    grows with the N points is: the (3, N) point stack, freed once the
+    (terms, N) exponents are built from it; those exponents, the only copy;
+    the groups' point indices (N intp, plus two N-sized arrays while the
+    groups are found); and one block's scratch, (terms + 2 * computed
+    partials + 2) * `BLOCK` values in tau's dtype.
 
     When tau's phases and coefficients are real, the partials of order
     >= 1 are computed and returned in float64; otherwise in complex128.
@@ -421,20 +447,18 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     """
     if tau.is_zero():
         raise ZeroDivisionError("log derivative of the zero sum")
-    idx, wanted = _closure(orders, only)
-    plan = _recursion_plan(idx)
+    idx, wanted, plan = _plan(orders, only)
     ph, coeff = tau.arrays()  # (terms, 3) phases, (terms,) coefficients
     pts, shape = _points(x, y, t, ph.dtype)
-    ex = ph @ pts
+    ex = ph @ pts  # (terms, N), term-major
     del pts
     groups = _dominant_groups(ex.real)
     nterms, npts = ex.shape
-    # point-major: a block gathers whole rows, and the vector-matrix product
-    # over its transpose sums each point's terms in one order whatever the
-    # block's length or place (over a term-major block it does not)
-    ex = np.ascontiguousarray(ex.T)
     out = {gamma: np.empty(npts, dtype=complex if gamma == (0, 0, 0) else ph.dtype)
            for gamma in wanted}
+    rows = [(val, idx.index(gamma)) for gamma, val in out.items() if gamma != (0, 0, 0)]
+    slopes = [(idx.index(gamma), axis) for axis, gamma in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+              if gamma in idx]
     nb = min(BLOCK, npts)
     w_flat = np.empty(nterms * nb, dtype=ph.dtype)
     sums, g = np.empty((2, len(idx), nb), dtype=ph.dtype)
@@ -448,8 +472,11 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
         for start in range(0, cols.size, nb):
             block = cols[start:start + nb]
             n = block.size
-            w = np.take(ex, block, axis=0, out=w_flat[:nterms * n].reshape(n, nterms),
-                        mode="clip").T
+            # a C-contiguous (terms, n) block, so each product reads whole
+            # rows; it may round a point differently with the block's length
+            # and the point's place in it, never with `only` or the shape of
+            # the points
+            w = np.take(ex, block, axis=1, out=w_flat[:nterms * n].reshape(nterms, n), mode="clip")
             top[:n] = w[d]
             w -= top[:n]
             np.exp(w, out=w)
@@ -468,14 +495,12 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
                     first = acc
                 np.divide(first, s0, out=acc)
             # first derivatives regain the recentering slope
-            for axis, gamma in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-                if gamma in idx:
-                    g[idx.index(gamma), :n] += ph[d, axis]
-            for gamma, val in out.items():
-                if gamma == (0, 0, 0):
-                    val[block] = np.log(s0.astype(complex)) + top[:n]
-                else:
-                    val[block] = g[idx.index(gamma), :n]
+            for r, axis in slopes:
+                g[r, :n] += ph[d, axis]
+            for val, r in rows:
+                val[block] = g[r, :n]
+            if (0, 0, 0) in out:
+                out[(0, 0, 0)][block] = np.log(s0.astype(complex)) + top[:n]
     return {key: val.reshape(shape) for key, val in out.items()}
 
 

@@ -259,14 +259,12 @@ class SolitonField:
 
     def kpii_residual(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise |4u_xt + u_xxxx + 3(u^2)_xx + 3u_yy| and its term scale."""
-        g = log_derivatives(self.tau, (6, 2, 1), x, y, t, only=_KP_PARTIALS)
-
-        def d(i, j, k):
-            return 2.0 * g[(i + 2, j, k)].real
-
-        u = d(0, 0, 0)
-        term_t = 4.0 * d(1, 0, 1)
-        term_x4 = d(4, 0, 0)
-        term_nl = 3.0 * (2.0 * d(1, 0, 0) ** 2 + 2.0 * u * d(2, 0, 0))
-        term_y2 = 3.0 * d(0, 2, 0)
+        g = {key: val.real for key, val in
+             log_derivatives(self.tau, (6, 2, 1), x, y, t, only=_KP_PARTIALS).items()}
+        # with u = 2 g200: 4u_xt = 8 g301, u_xxxx = 2 g600, 3u_yy = 6 g220 and
+        # 3(u^2)_xx = 6(u_x^2 + u u_xx) = 24(g300^2 + g200 g400)
+        term_t = 8.0 * g[(3, 0, 1)]
+        term_x4 = 2.0 * g[(6, 0, 0)]
+        term_nl = 24.0 * (g[(3, 0, 0)] ** 2 + g[(2, 0, 0)] * g[(4, 0, 0)])
+        term_y2 = 6.0 * g[(2, 2, 0)]
         return sum_residual([term_t, term_x4, term_nl, term_y2])

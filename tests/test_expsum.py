@@ -14,7 +14,7 @@ from kplab import expsum
 from kplab.errors import MissingPrimitive
 from kplab.expsum import (BLOCK, Carried, ExpSum, Rational, _unify, log_derivatives,
                           sum_residual, worst_residual)
-from kplab.darboux import bump_profile
+from kplab.darboux import bump_profile, identity_report
 from kplab.solitons import SolitonConfig, build_tau
 
 G1 = (1.0 + 0j, 1.0 + 0j, -1.0 + 0j)
@@ -322,13 +322,43 @@ def test_only_returns_the_closure_bit_for_bit():
 
 def test_only_outside_the_box_is_rejected():
     tau = _mixed_tau()[0]
-    for only in ([(5, 0, 0)], [(2, 0, 0), (0, 3, 0)], [(0, 0, 3)], [(-1, 0, 0)], []):
-        with pytest.raises(ValueError):
-            log_derivatives(tau, (4, 2, 2), 0.1, 0.2, 0.3, only=only)
-    for orders in ((-1, 0, 0), (2, 0, -3), (2, 0), (2, 0, 0, 0), (1.5, 0, 0)):
-        for only in (None, [(0, 0, 0)]):
+    # the valid calls fill the plan cache; (1.0, 0, 0) hashes like (1, 0, 0)
+    log_derivatives(tau, (1, 0, 0), 0.1, 0.2, 0.3)
+    log_derivatives(tau, (1, 0, 0), 0.1, 0.2, 0.3, only=[(0, 0, 0)])
+    for _ in range(2):  # a rejected plan is not kept
+        for only in ([(5, 0, 0)], [(2, 0, 0), (0, 3, 0)], [(0, 0, 3)], [(-1, 0, 0)], []):
             with pytest.raises(ValueError):
-                log_derivatives(tau, orders, 0.1, 0.2, 0.3, only=only)
+                log_derivatives(tau, (4, 2, 2), 0.1, 0.2, 0.3, only=only)
+        for orders in ((-1, 0, 0), (2, 0, -3), (2, 0), (2, 0, 0, 0), (1.5, 0, 0), (1.0, 0, 0)):
+            for only in (None, [(0, 0, 0)]):
+                with pytest.raises(ValueError):
+                    log_derivatives(tau, orders, 0.1, 0.2, 0.3, only=only)
+
+
+def test_plan_is_kept_per_canonical_request():
+    tau = _mixed_tau()[1]
+    rng = np.random.default_rng(29)
+    x, y, t = _pts(rng, n=20, span=3.0)
+    want = log_derivatives(tau, (3, 2, 1), x, y, t, only=((2, 0, 0), (1, 2, 1)))
+    hits = expsum._closure_plan.cache_info().hits
+    # a list of lists in another order names the same plan
+    got = log_derivatives(tau, [3, 2, 1], x, y, t, only=[[1, 2, 1], [2, 0, 0]])
+    assert expsum._closure_plan.cache_info().hits == hits + 1
+    assert set(got) == set(want)
+    for key, val in got.items():
+        assert np.array_equal(val, want[key]), key
+
+
+def test_grid_points_match_the_same_points_flat():
+    for tau in _mixed_tau():
+        xs = np.linspace(-5.0, 5.0, 150)
+        ys = np.linspace(-4.0, 4.0, 130)
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        grid = log_derivatives(tau, (3, 2, 1), xs[:, None], ys[None, :], 0.4)
+        flat = log_derivatives(tau, (3, 2, 1), x.ravel(), y.ravel(), 0.4)
+        for key, val in grid.items():
+            assert val.shape == x.shape
+            assert np.array_equal(val.ravel(), flat[key]), key
 
 
 def _wide_points(tau, n):
@@ -495,6 +525,39 @@ def test_kept_arrays_are_read_only_and_evaluate_as_a_fresh_copy():
         rebuilt = log_derivatives(ExpSum(tau.gens, dict(tau.terms)), (3, 1, 1), x, y, t)
         for key, val in kept.items():
             assert np.array_equal(val, rebuilt[key]), key
+
+
+def test_content_equal_sums_share_their_arrays():
+    tau = build_tau(SolitonConfig("o_type", (-2.0, -1.0, 1.0, 2.0)))
+    twin = ExpSum(tau.gens, dict(reversed(list(tau.terms.items()))))
+    assert twin is not tau
+    assert all(a is b for a, b in zip(twin.arrays(), tau.arrays()))
+    key = next(iter(tau.terms))
+    recoef = ExpSum(tau.gens, {**tau.terms, key: tau.terms[key] * 1.5})
+    regen = ExpSum(tau.gens[:-1] + ((7.0 + 0j, 0j, 0j),), dict(tau.terms))
+    for other in (recoef, regen):
+        ph, coeff = other.arrays()
+        assert ph is not tau.arrays()[0] and coeff is not tau.arrays()[1]
+    assert not np.array_equal(recoef.arrays()[1], tau.arrays()[1])
+    assert not np.array_equal(regen.arrays()[0], tau.arrays()[0])
+    for arr in twin.arrays():
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_array_memo_is_bounded():
+    size = expsum._sorted_arrays.cache_info().maxsize
+    for n in range(size + 50):
+        ExpSum.exponential(1.0 + n, G1).arrays()
+    assert expsum._sorted_arrays.cache_info().currsize <= size
+
+
+def test_report_is_the_same_with_a_cold_memo():
+    warm = identity_report(seed=7, npts=16)
+    expsum._sorted_arrays.cache_clear()
+    cold = identity_report(seed=7, npts=16)
+    assert repr(cold) == repr(warm)
+    assert repr(identity_report(seed=7, npts=16)) == repr(warm)
 
 
 def test_carried_prim_requires_primitive():
