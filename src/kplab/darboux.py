@@ -48,7 +48,7 @@ from .expsum import Carried, ExpSum, Rational, _worst_residual
 from .jost import JostFamily, flow_parts, heat_parts, linearized_parts, pair_product
 from .solitons import (SolitonConfig, build_tau, potential, potential_yprim, theta_gens,
                        wronskian_tau)
-from .tanhexp import PanelGrid, based_cumulative, exp_cumulative
+from .tanhexp import PanelGrid, _whole, based_cumulative, exp_cumulative
 
 
 # ----- sampling and residual plumbing -----
@@ -652,7 +652,7 @@ class OneDimDarboux:
         self.branch = Branch(a=0.0, c=self.c)
         if window is None:
             window = int(np.clip(np.ceil(38.0 / self.root), 12, 160))
-        self.window = int(window)
+        self.window = _whole(window, "channel window")
 
     @cached_property
     def grid(self) -> PanelGrid:
@@ -661,6 +661,15 @@ class OneDimDarboux:
     @cached_property
     def psi(self) -> Rational:
         return kink_profile(self.c)
+
+    @cached_property
+    def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(psi, sech, cosh) at the grid nodes, evaluated once and read-only."""
+        _, sech, cosh = _hyperbolic(self.root)
+        out = tuple(prof.eval(self.grid.z, 0.0, 0.0) for prof in (self.psi, sech, cosh))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def m_parts(self, sign: int, f: Carried) -> list[Rational]:
         """Summands of the exact transform; needs the profile's antiderivative."""
@@ -681,7 +690,7 @@ class OneDimDarboux:
         g = self.grid
         return (float(sign) * g.derivative(vals)
                 + 1j * self.eta * g.antiderivative(vals)
-                - 2.0 * self.psi.eval(g.z, 0.0, 0.0) * vals)
+                - 2.0 * self.node_profiles[0] * vals)
 
     def _on_grid(self, f) -> np.ndarray:
         """Node samples of a carried or bare profile, or checked samples."""
@@ -791,11 +800,12 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     is orthogonal to the span of the adjoint kernel, so the secular pairing
     is measured and a violation is raised at 1e-6 relative size.
 
-    The frequency region is gated analytically through Re gamma against
-    sqrt(c) + alpha (the minus low form needs Re gamma > sqrt(c) - alpha),
-    and every semi-infinite integral additionally checks that its weighted
-    integrand has decayed at the open window edge.  Returns node values on
-    the operator grid.
+    The frequency region is gated analytically through Re gamma against the
+    threshold sqrt(c) + alpha: the two-sided forms need Re gamma above it
+    and both low forms below it, where the minus low form also needs
+    Re gamma > sqrt(c) - alpha.  Every semi-infinite integral additionally
+    checks that its weighted integrand has decayed at the open window edge.
+    Returns node values on the operator grid.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -809,16 +819,17 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     gam = op.branch.gamma(-op.eta) if sign == 1 else op.branch.gamma(op.eta)
     margin = gam.real - (root + alpha)
 
-    tanh, sech, cosh = _hyperbolic(root)
-    sechv = sech.eval(z, 0.0, 0.0)
-    coshv = cosh.eval(z, 0.0, 0.0)
-    stv = op.psi.eval(z, 0.0, 0.0)
+    stv, sechv, coshv = op.node_profiles
 
     if sign == -1:
         if not low and margin <= 1e-9:
             raise RegionViolation(
                 f"two-sided minus inverse needs Re gamma > sqrt(c)+alpha; "
                 f"margin {margin:.3e}; use low=True")
+        if low and margin >= -1e-9:
+            raise RegionViolation(
+                f"low minus inverse needs Re gamma < sqrt(c)+alpha; "
+                f"margin {margin:.3e}; drop low=True")
         if low and gam.real <= root - alpha + 1e-9:
             raise RegionViolation(
                 "based minus inverse needs Re gamma > sqrt(c)-alpha; "
@@ -848,6 +859,7 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
+    tanh, sech, _ = _hyperbolic(root)
     sec = (0.5 * gam - (0.5 * root) * tanh) * (sech * _exp_line(gam))
     secv = sec.eval(z, 0.0, 0.0)
     pairing = grid.integral(secv * fvals)

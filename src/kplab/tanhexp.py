@@ -5,10 +5,15 @@ exponential kernels.  A `PanelGrid` supplies the panel derivative,
 antiderivative and integral, and `exp_cumulative` / `based_cumulative`
 the exponentially weighted cumulative integrals, each evaluated relative
 to its output point so that no growth appears that the true integral
-lacks.
+lacks.  The matrices of one unit panel depend only on the panel order, so
+each order's rule is built once, kept read-only in a cache of the last 8
+orders, and shared by every grid of that order.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -25,39 +30,81 @@ __all__ = [
 # ----- composite Gauss-Legendre panels -----
 
 
+class _UnitRule(NamedTuple):
+    """The read-only Gauss-Legendre rule of one unit panel of a given order.
+
+    nodes           Gauss nodes on [-1, 1]
+    offsets, unit_w node offsets from the panel's left edge and their weights
+    deriv           derivative matrix of the panel interpolant at the nodes
+    basis           basis[i, j, m]: node m's Lagrange polynomial at
+                    offsets[i] * offsets[j], complex so that a complex kernel
+                    contracts with it in one matmul
+    """
+
+    nodes: np.ndarray
+    offsets: np.ndarray
+    unit_w: np.ndarray
+    deriv: np.ndarray
+    basis: np.ndarray
+
+
+# a sweep over panel orders keeps the rules of its last 8 orders
+@lru_cache(maxsize=8)
+def _unit_rule(order: int) -> _UnitRule:
+    """The unit-panel rule of one order, built on the first request."""
+    xg, wg = npleg.leggauss(order)
+    offsets = 0.5 * (xg + 1.0)
+    to_coef = np.linalg.inv(npleg.legvander(xg, order - 1))
+    slope = npleg.legval(xg, npleg.legder(np.eye(order))).T
+    sub = np.outer(offsets, offsets)
+    basis = (npleg.legvander(2.0 * sub - 1.0, order - 1) @ to_coef).astype(complex)
+    rule = _UnitRule(xg, offsets, 0.5 * wg, 2.0 * slope @ to_coef, basis)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _whole(value, what: str) -> int:
+    """value as an int; ConfigMismatch unless it is a finite integral real, not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if (isinstance(value, (bool, np.bool_)) or not real or not np.isfinite(value)
+            or value != int(value)):
+        raise ConfigMismatch(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class PanelGrid:
     """Unit-length Gauss-Legendre panels with a fixed matrix per operation.
 
     Every unit panel carries the same node offsets, so each panel operation
     is one (order x order) matrix applied to the (npan, order) reshape of
-    the node samples.  The grid builds, once, the derivative matrix of the
-    panel interpolant and the Lagrange basis of that interpolant at the
-    panel's own Gauss rule mapped onto [left edge, node] for every node;
-    the weighted cumulatives contract the latter with their exponential.
-    Sampled smooth functions keep spectral accuracy end to end.
+    the node samples.  The matrices are the derivative of the panel
+    interpolant and the Lagrange basis of that interpolant at the panel's
+    own Gauss rule mapped onto [left edge, node] for every node; the
+    weighted cumulatives contract the latter with their exponential.  They
+    belong to the order's read-only `_unit_rule`, which every grid of that
+    order shares and a cache keeps for the last 8 orders.  Edges and order
+    must be integers, else ConfigMismatch.  Sampled smooth functions keep
+    spectral accuracy end to end.
     """
 
     def __init__(self, lo: int, hi: int, per_unit: int = 32):
-        lo, hi = int(lo), int(hi)
+        lo, hi = _whole(lo, "panel edge"), _whole(hi, "panel edge")
         if hi - lo < 2:
             raise ConfigMismatch("panel window needs at least two unit panels")
+        order = _whole(per_unit, "panel order")
+        if order < 1:
+            raise ConfigMismatch(f"panel order must be at least 1, got {per_unit!r}")
+        rule = _unit_rule(order)
         self.lo, self.hi = float(lo), float(hi)
-        self.order = int(per_unit)
+        self.order = order
         self.npan = hi - lo
-        xg, wg = npleg.leggauss(self.order)
         self.edges = lo + np.arange(self.npan + 1, dtype=float)
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.z = (mids[:, None] + 0.5 * xg[None, :]).ravel()
-        self.w = np.tile(0.5 * wg, self.npan)
-        # node offsets from the left edge and weights of one unit panel
-        self.offsets = 0.5 * (xg + 1.0)
-        self.unit_w = 0.5 * wg
-        to_coef = np.linalg.inv(npleg.legvander(xg, self.order - 1))
-        slope = npleg.legval(xg, npleg.legder(np.eye(self.order))).T
-        self._deriv = 2.0 * slope @ to_coef
-        # basis[i, j, m]: node m's Lagrange polynomial at offsets[i] * offsets[j]
-        sub = np.outer(self.offsets, self.offsets)
-        self._basis = npleg.legvander(2.0 * sub - 1.0, self.order - 1) @ to_coef
+        self.z = (mids[:, None] + 0.5 * rule.nodes[None, :]).ravel()
+        self.w = np.tile(rule.unit_w, self.npan)
+        self.offsets, self.unit_w = rule.offsets, rule.unit_w
+        self._deriv, self._basis = rule.deriv, rule.basis
 
     def _panels(self, vals) -> np.ndarray:
         vals = np.asarray(vals, dtype=complex)
@@ -81,6 +128,8 @@ class PanelGrid:
 
 
 def _exp_guard(q: complex, span: float) -> None:
+    if not np.isfinite(q):
+        raise RegionViolation(f"exponential rate must be finite, got {q}")
     if abs(np.real(q)) * span > 650.0:
         raise RegionViolation(
             "exponential weight outruns the quadrature window; "
@@ -104,7 +153,7 @@ def _left_sweep(grid: PanelGrid, g: np.ndarray, q: complex) -> np.ndarray:
     carried = edge_acc[:, None] * np.exp(-q * off)[None, :]
     # local[i, m]: weight of sample m in the integral over [edge, edge + off[i]]
     kernel = off[:, None] * w[None, :] * np.exp(q * off[:, None] * (off[None, :] - 1.0))
-    local = np.einsum("ij,ijm->im", kernel, grid._basis)
+    local = np.matmul(kernel[:, None, :], grid._basis)[:, 0, :]
     return carried + g @ local.T
 
 

@@ -7,7 +7,7 @@ import pytest
 from kplab.darboux import _exp_line, _hyperbolic, bump_profile, kink_profile
 from kplab.errors import ConfigMismatch, RegionViolation
 from kplab.expsum import Carried
-from kplab.tanhexp import PanelGrid, based_cumulative, exp_cumulative
+from kplab.tanhexp import PanelGrid, _unit_rule, based_cumulative, exp_cumulative
 
 ZS = np.linspace(-7.0, 7.0, 57)
 
@@ -104,6 +104,67 @@ def test_grid_needs_two_panels():
         PanelGrid(0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PanelGrid(-4.5, 4.5),
+    lambda: PanelGrid(np.nan, 4),
+    lambda: PanelGrid(-4, np.inf),
+    lambda: PanelGrid(-4, 4, per_unit=0),
+    lambda: PanelGrid(-4, 4, per_unit=-3),
+    lambda: PanelGrid(-4, 4, per_unit=2.7),
+    lambda: PanelGrid(-4, 4, per_unit=True),
+    lambda: PanelGrid(-4, 4, per_unit=np.nan),
+    lambda: PanelGrid(-4, 4, per_unit="8"),
+], ids=["half_edges", "nan_edge", "inf_edge", "order_zero", "order_negative",
+        "order_fractional", "order_bool", "order_nan", "order_str"])
+def test_grid_input_must_be_integral(build):
+    _unit_rule.cache_clear()
+    with pytest.raises(ConfigMismatch):
+        build()
+    assert _unit_rule.cache_info().currsize == 0  # rejected before the rule lookup
+
+
+def test_integral_floats_are_accepted():
+    grid = PanelGrid(-4.0, np.int64(4), per_unit=8.0)
+    assert (grid.lo, grid.hi, grid.order) == (-4.0, 4.0, 8)
+    assert isinstance(grid.order, int)
+
+
+# ----- the shared unit-panel rule -----
+
+RULE_ARRAYS = ("offsets", "unit_w", "_deriv", "_basis")
+
+
+def test_grids_of_one_order_share_a_read_only_rule():
+    a, b = PanelGrid(-12, 12, per_unit=16), PanelGrid(-3, 5, per_unit=16)
+    for name in RULE_ARRAYS:
+        assert getattr(a, name) is getattr(b, name), name
+    for arr in (*_unit_rule(16), *(getattr(a, name) for name in RULE_ARRAYS)):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    other = PanelGrid(-12, 12, per_unit=24)
+    for name in RULE_ARRAYS:
+        assert getattr(other, name) is not getattr(a, name), name
+    assert other._basis.shape == (24, 24, 24) and other._basis.dtype == complex
+
+
+def test_rule_cache_is_bounded():
+    limit = _unit_rule.cache_info().maxsize
+    assert isinstance(limit, int)
+    for order in range(1, limit + 6):
+        PanelGrid(-2, 2, per_unit=order)
+    assert _unit_rule.cache_info().currsize <= limit
+    # an evicted order is rebuilt with the same values
+    grid = PanelGrid(-20, 20, per_unit=16)
+    vals = 1.0 / np.cosh(0.75 * grid.z) ** 2
+    assert abs(grid.integral(vals) - 2.0 / 0.75 * np.tanh(15.0)) < 1e-12
+
+
+def test_lowest_order_rule():
+    grid = PanelGrid(-4, 4, per_unit=1)
+    assert grid.z.size == 8 and abs(grid.integral(np.ones(8)) - 8.0) < 1e-15
+    assert np.all(grid.derivative(np.ones(8)) == 0.0)
+
+
 @pytest.mark.parametrize("q", [0.7, 0.7 + 0.2j, -0.7, 0.4j])
 def test_weighted_cumulative_matches_closed_form(q):
     a = -0.3
@@ -151,3 +212,11 @@ def test_overflowing_weight_rejected():
     grid = PanelGrid(-60, 60, per_unit=4)
     with pytest.raises(RegionViolation):
         exp_cumulative(grid, np.ones_like(grid.z), 6.0, "left")
+
+
+@pytest.mark.parametrize("q", [np.nan, complex(0.5, np.nan), np.inf, -np.inf])
+def test_non_finite_weight_rejected(q):
+    grid = PanelGrid(-4, 4, per_unit=8)
+    for side in ("left", "right"):
+        with pytest.raises(RegionViolation):
+            exp_cumulative(grid, np.ones_like(grid.z), q, side)
