@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutCrossing
+from .errors import BranchCutCrossing, InvalidBranch
+
+
+def check_sign(sign: int) -> None:
+    """A branch or transform sign is +1 or -1; anything else raises InvalidBranch."""
+    if sign not in (1, -1):
+        raise InvalidBranch(f"sign must be +1 or -1, got {sign}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,7 @@ class Branch:
         return out if out.shape else complex(out)
 
     def beta(self, eta, sign: int):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        check_sign(sign)
         out = self.a + sign * self.gamma(eta)
         return out if np.asarray(out).shape else complex(out)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .branches import branch_of
-from .errors import PoleAtKappa
+from .errors import CaseMismatch, PoleAtKappa
 from .expsum import Carried, ExpSum, Gen, Rational, sum_residual, worst_residual
 from .solitons import SolitonConfig, build_tau, potential, potential_yprim, theta_eval
 
@@ -82,6 +82,10 @@ class JostFamily:
         keeps the subsets that hold j and drops their vanishing factor, which
         is its residue there, and the wave keeps the subsets without j, whose
         weights do not vanish, which is its value there.
+
+        This is the package's one pole policy: a dual factor with
+        |w - kappa_m| < 1e-9 raises PoleAtKappa, so every identity that builds
+        a dual near a discrete phase is rejected here.  The wave has no pole.
         """
         key = (w, dual, pole)
         if key in self._waves:
@@ -102,10 +106,10 @@ class JostFamily:
                 d = w - kappa[m]
                 if not dual:
                     factor *= d
-                elif d == 0:
+                elif abs(d) < 1e-9:
                     raise PoleAtKappa(
-                        f"dual wave has a pole at phase {m + 1} (kappa={kappa[m]}); "
-                        "use phi_star_residue")
+                        f"dual wave at {w} lies within 1e-9 of its pole at phase {m + 1} "
+                        f"(kappa={kappa[m]}); use phi_star_residue")
                 else:
                     factor /= d
             items.append((subset, factor))
@@ -210,7 +214,7 @@ def green_kernel_checks(kappa: tuple[float, ...], level: int, eta: float,
         corr_js = (2, 3)
         pair = (1, 4)
     else:
-        raise ValueError(f"level must be 0 or 1, got {level}")
+        raise CaseMismatch(f"level must be 0 or 1, got {level}")
     ki, kj = kappa[pair[0] - 1], kappa[pair[1] - 1]
     br = branch_of(SolitonConfig("p_type", kappa), pair)
     a = br.a

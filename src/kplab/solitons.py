@@ -250,7 +250,9 @@ _KP_PARTIALS = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1), (2, 2, 0)
 class SolitonField:
     """Evaluates the KP-II residual of u = 2 (log tau)_xx on point sets.
 
-    The field u itself has one route, the exact `potential` of the tau.
+    The residual reads u and its partials from `log_derivatives` of tau,
+    not from the exact Rational `potential` that the Jost and Darboux
+    identities use, so u has two routes: this one and `potential`.
     """
 
     def __init__(self, config: SolitonConfig):

@@ -14,7 +14,8 @@ import kplab
 from kplab import errors
 from kplab.branches import Branch
 from kplab.darboux import OneDimDarboux, bump_profile, kink_profile, minus_kernel_profile
-from kplab.solitons import SolitonConfig
+from kplab.expsum import ExpSum, log_derivatives
+from kplab.solitons import SolitonConfig, frame_of, wronskian_tau
 
 SRC = Path(kplab.__file__).resolve().parent
 
@@ -209,9 +210,19 @@ CP = 0.5625
     (lambda: kink_profile(math.nan), errors.InvalidBranch),
     (lambda: kink_profile(math.inf), errors.InvalidBranch),
     (lambda: kink_profile(-1.0), errors.InvalidBranch),
+    (lambda: wronskian_tau((0.0, 1.0), np.ones((3, 1))), errors.RejectedConfig),
+    (lambda: wronskian_tau((0.0, 1.0), np.eye(2, 3)), errors.RejectedConfig),
+    (lambda: SolitonConfig("p_type", KP, pair=(2, 3)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP), errors.RejectedConfig),
+    (lambda: SolitonConfig("vacuum", (), pair=(1, 2)), errors.RejectedConfig),
+    (lambda: frame_of(SolitonConfig("p_type", (-2.0, -1.0, 1.0, 2.0))), errors.DegenerateFrame),
+    (lambda: log_derivatives(ExpSum.constant(0.0), (1, 0, 0), 0.0, 0.0, 0.0), ZeroDivisionError),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
-        "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative"])
+        "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
+        "tau_rows_mismatch", "tau_columns_exceed_phases", "p_type_with_pair",
+        "one_line_without_pair", "vacuum_with_pair", "equal_channel_slopes",
+        "log_of_zero_sum"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

@@ -584,6 +584,13 @@ def test_rational_quotient_rule_against_finite_differences():
         assert np.max(np.abs(dr.eval(x, y, t) - fd)) < 2e-7 * max(1.0, np.max(np.abs(fd)))
 
 
+def test_rational_without_denominator_differentiates_its_numerator():
+    r = Rational(ExpSum.exponential(2.0, (1.5, 0, 0)))
+    assert not r.den
+    got = r.dx().eval(np.array([0.3]), 0.0, 0.0)
+    assert abs(got[0] - 3.0 * np.exp(0.45)) < 1e-14 * 3.0 * np.exp(0.45)
+
+
 def test_rational_sum_over_shared_bases():
     rng = np.random.default_rng(9)
     tau = ExpSum.exponential(1.0, G1) + ExpSum.constant(1.0)
