@@ -56,7 +56,14 @@ from .tanhexp import PanelGrid, _whole, based_cumulative, exp_cumulative
 
 
 def sample_points(seed: int, n: int):
-    """Reproducible (x, y, t) sample arrays centered on the interaction region."""
+    """Reproducible (x, y, t) sample arrays centered on the interaction region.
+
+    seed is a nonnegative and n a positive integer, else ConfigMismatch.
+    """
+    seed, n = _whole(seed, "sample seed"), _whole(n, "sample count")
+    if seed < 0 or n < 1:
+        raise ConfigMismatch(f"need seed >= 0 and at least one sample point; "
+                             f"got seed={seed}, n={n}")
     rng = np.random.default_rng(seed)
     return tuple(rng.uniform(-s, s, n) for s in (2.2, 1.5, 0.8))
 
@@ -569,6 +576,16 @@ def _channel_root(c: float, eta: complex = 0.0) -> float:
     return float(np.sqrt(float(c)))
 
 
+def _channel_gamma(branch: Branch, eta: complex) -> complex:
+    """The branch root gamma(eta); InadmissibleEta at the branch point
+    |gamma| <= 1e-9 (eta = i c), where the channel kernels divide by gamma."""
+    gam = branch.gamma(eta)
+    if abs(gam) <= 1e-9:
+        raise InadmissibleEta(
+            f"eta = {eta} sits at the branch point: |gamma| = {abs(gam):.3e}")
+    return gam
+
+
 # a sweep over channel gaps keeps the profiles of its last 64 rates
 @lru_cache(maxsize=64)
 def _hyperbolic(root: float) -> tuple[Rational, Rational, ExpSum]:
@@ -612,7 +629,7 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
     mirror is rejected rather than silently carrying a growing primitive.
     """
     root = _channel_root(c, eta)
-    gam = Branch(a=0.0, c=float(c)).gamma(eta)
+    gam = _channel_gamma(Branch(a=0.0, c=float(c)), eta)
     sech = _hyperbolic(root)[1]
     if not reflected:
         return carried_from_primitive((root / gam) * (sech * _exp_line(-gam)))
@@ -620,6 +637,21 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
         raise InadmissibleEta(
             f"mirrored kernel needs Re gamma < sqrt(c); got {gam.real:.6f} vs {root:.6f}")
     return carried_from_primitive((-root / gam) * (sech * _exp_line(gam)))
+
+
+# a sweep over (eta, alpha) at a fixed (c, window) builds these once; a
+# sweep over gaps or windows keeps its last 16
+@lru_cache(maxsize=16)
+def _channel_nodes(c: float, window: int) -> tuple[PanelGrid, np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """The panel grid on [-window, window] and the read-only (psi, sech, cosh)
+    at its nodes."""
+    grid = PanelGrid(-window, window)
+    _, sech, cosh = _hyperbolic(_channel_root(c))
+    out = tuple(prof.eval(grid.z, 0.0, 0.0) for prof in (kink_profile(c), sech, cosh))
+    for arr in out:
+        arr.flags.writeable = False
+    return (grid, *out)
 
 
 class OneDimDarboux:
@@ -632,14 +664,17 @@ class OneDimDarboux:
     The window is a symmetric integer half-width in z; the default makes
     the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
-    applications and the integral inverses live on the panel grid.
+    applications and the integral inverses live on the panel grid.  The grid
+    and the node profiles depend only on (c, window), so every operator at
+    one (c, window) shares them, whatever its eta and alpha.  alpha must be
+    finite and nonnegative, else AlphaOutOfRange.
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
                  window: int | None = None):
         self.root = _channel_root(c, eta)
-        if alpha < 0:
-            raise AlphaOutOfRange(f"weight rate must be nonnegative, got {alpha}")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise AlphaOutOfRange(f"weight rate must be finite and nonnegative, got {alpha}")
         self.c = float(c)
         self.eta = complex(eta)
         self.alpha = float(alpha)
@@ -650,7 +685,7 @@ class OneDimDarboux:
 
     @cached_property
     def grid(self) -> PanelGrid:
-        return PanelGrid(-self.window, self.window)
+        return _channel_nodes(self.c, self.window)[0]
 
     @cached_property
     def psi(self) -> Rational:
@@ -658,12 +693,8 @@ class OneDimDarboux:
 
     @cached_property
     def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(psi, sech, cosh) at the grid nodes, evaluated once and read-only."""
-        _, sech, cosh = _hyperbolic(self.root)
-        out = tuple(prof.eval(self.grid.z, 0.0, 0.0) for prof in (self.psi, sech, cosh))
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+        """(psi, sech, cosh) at the grid nodes, shared and read-only."""
+        return _channel_nodes(self.c, self.window)[1:]
 
     def m_parts(self, sign: int, f: Carried) -> list[Rational]:
         """Summands of the exact transform: `transform_parts` at v = psi, whose
@@ -794,14 +825,16 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     is measured and a violation is raised at 1e-6 relative size.
 
     One rule gates the frequency region of both signs.  With gamma the
-    branch root at -eta for plus and at +eta for minus, and margin =
-    Re gamma - (sqrt(c) + alpha), the two-sided form needs margin > 1e-9 and
-    the low form margin < -1e-9; otherwise RegionViolation names the form,
-    the sign, the margin and the fix.  The based minus form also needs
-    Re gamma > sqrt(c) - alpha.  Every semi-infinite integral additionally
-    checks that its weighted integrand has decayed at the open window edge.
-    Passing these gates does not bound the error; `t1_roundtrip` measures it.
-    Returns node values on the operator grid.
+    branch root at -eta for plus and at +eta for minus, the branch point
+    |gamma| <= 1e-9, where both forms divide by 2 gamma, raises
+    InadmissibleEta.  With margin = Re gamma - (sqrt(c) + alpha), the
+    two-sided form needs margin > 1e-9 and the low form margin < -1e-9;
+    otherwise RegionViolation names the form, the sign, the margin and the
+    fix.  The based minus form also needs Re gamma > sqrt(c) - alpha.  Every
+    semi-infinite integral additionally checks that its weighted integrand
+    has decayed at the open window edge.  Passing these gates does not bound
+    the error; `t1_roundtrip` measures it.  Returns node values on the
+    operator grid.
     """
     check_sign(sign)
     if not 0.0 < op.alpha < 2.0 * op.root:
@@ -811,7 +844,7 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
     z = grid.z
     fvals = op._on_grid(f)
     root, alpha = op.root, op.alpha
-    gam = op.branch.gamma(-op.eta) if sign == 1 else op.branch.gamma(op.eta)
+    gam = _channel_gamma(op.branch, -op.eta if sign == 1 else op.eta)
     margin = gam.real - (root + alpha)
 
     if abs(margin) <= 1e-9 or low != (margin < 0):

@@ -7,12 +7,17 @@ the exponentially weighted cumulative integrals, each evaluated relative
 to its output point so that no growth appears that the true integral
 lacks.  The matrices of one unit panel depend only on the panel order, so
 each order's rule is built once, kept read-only in a cache of the last 8
-orders, and shared by every grid of that order.
+orders, and shared by every grid of that order.  Likewise the sweep kernel
+of one exponential rate (the panel totals weights, the carry factors and
+the local Lagrange contraction) depends only on the rate and the order, so
+a cache of the last 16 (rate, order) pairs keeps it read-only for every
+cumulative at that rate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +108,8 @@ class PanelGrid:
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         self.z = (mids[:, None] + 0.5 * rule.nodes[None, :]).ravel()
         self.w = np.tile(rule.unit_w, self.npan)
+        for arr in (self.edges, self.z, self.w):  # a channel's operators share its grid
+            arr.flags.writeable = False
         self.offsets, self.unit_w = rule.offsets, rule.unit_w
         self._deriv, self._basis = rule.deriv, rule.basis
 
@@ -137,24 +144,43 @@ def _exp_guard(q: complex, span: float) -> None:
         )
 
 
+# a round trip reads at most three rates (+/-gamma and the antiderivative's
+# 0), and the two tails of a two-sided inverse share +gamma.  Rates +0 and -0
+# compare equal and share one entry; their carry factors differ only in the
+# sign of a zero imaginary part, which changes no nonzero output.
+@lru_cache(maxsize=16)
+def _sweep_kernel(q: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(totals weights, carry factors, local) of the left sweep at rate q.
+
+    totals weights  w e^{q (off - 1)}: a panel's integral weighted to its right edge
+    carry factors   e^{-q off}: an edge's accumulated integral carried to each node
+    local[i, m]     weight of sample m in the integral over [edge, edge + off[i]]
+    """
+    rule = _unit_rule(order)
+    off, w = rule.offsets, rule.unit_w
+    kernel = off[:, None] * w[None, :] * np.exp(q * off[:, None] * (off[None, :] - 1.0))
+    out = (w * np.exp(q * (off - 1.0)), np.exp(-q * off),
+           np.matmul(kernel[:, None, :], rule.basis)[:, 0, :])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _left_sweep(grid: PanelGrid, g: np.ndarray, q: complex) -> np.ndarray:
     """Integral over [lo, z] with kernel e^{q (z' - z)} of panel samples g."""
-    off, w = grid.offsets, grid.unit_w
-    # each panel's integral weighted to its right edge
-    totals = g @ (w * np.exp(q * (off - 1.0)))
-    # edge_acc[k]: integral over [lo, edges[k]] weighted to edges[k]
-    # a scalar carry: a closed-form cumsum of powers of e^{-q} would overflow
-    edge_acc = np.empty(grid.npan, dtype=complex)
-    acc = 0j
-    step = np.exp(-q)  # panel length is one
-    for k in range(grid.npan):
-        edge_acc[k] = acc
-        acc = acc * step + totals[k]
-    carried = edge_acc[:, None] * np.exp(-q * off)[None, :]
-    # local[i, m]: weight of sample m in the integral over [edge, edge + off[i]]
-    kernel = off[:, None] * w[None, :] * np.exp(q * off[:, None] * (off[None, :] - 1.0))
-    local = np.matmul(kernel[:, None, :], grid._basis)[:, 0, :]
-    return carried + g @ local.T
+    weights, carry, local = _sweep_kernel(q, grid.order)
+    totals = g @ weights
+    # edge_acc[k]: integral over [lo, edges[k]] weighted to edges[k], carried
+    # one panel at a time from left to right.  The carry stays sequential: at
+    # the low plus inverse's window edge the output is the cosh-amplified
+    # remnant of a cancelling secular integral, so any reordering of the
+    # carry (a doubling scan, say) shows there as a round-trip error some
+    # 20 times larger.
+    step = complex(np.exp(-q))  # panel length is one
+    edge_acc = np.fromiter(
+        accumulate(totals[:-1].tolist(), lambda acc, t: acc * step + t, initial=0j),
+        complex, count=grid.npan)
+    return edge_acc[:, None] * carry[None, :] + g @ local.T
 
 
 def exp_cumulative(grid: PanelGrid, vals, q: complex, side: str) -> np.ndarray:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kplab.darboux import (
@@ -18,6 +18,7 @@ from kplab.darboux import (
     REPORT_KAPPA_P,
     MiuraData,
     OneDimDarboux,
+    _channel_nodes,
     _level_steps,
     backlund_catalog,
     backlund_parts,
@@ -664,6 +665,8 @@ def _reference_operator(c, eta, alpha, window):
            st.builds(complex, st.floats(-3.0, 3.0), st.floats(-1.5, 1.5))),
        alpha_share=st.floats(0.02, 0.98), sign=st.sampled_from([1, -1]),
        low=st.booleans(), window=st.sampled_from([None, 24, 48]))
+# the branch point gamma(-eta) = 0 of the plus inverse
+@example(c=1.0, eta=-1j, alpha_share=0.5, sign=1, low=True, window=None)
 def test_shared_rule_inverse_matches_per_grid_reference(c, eta, alpha_share, sign, low,
                                                         window):
     """t1_apply on the shared complex rule agrees with per-grid float matrices
@@ -682,6 +685,32 @@ def test_shared_rule_inverse_matches_per_grid_reference(c, eta, alpha_share, sig
         mp.setattr(tanhexp, "_left_sweep", _reference_sweep)
         want = t1_apply(ref_op, sign, f, low=low)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_operators_of_one_channel_share_grid_and_nodes():
+    a = OneDimDarboux(CP, 2.0, alpha=0.3, window=24)
+    b = OneDimDarboux(CP, 0.3 - 0.2j, alpha=0.1, window=24)
+    assert a.grid is b.grid
+    for arr_a, arr_b in zip(a.node_profiles, b.node_profiles):
+        assert arr_a is arr_b
+        with pytest.raises(ValueError):
+            arr_a[...] = 0.0
+    wider = OneDimDarboux(CP, 2.0, alpha=0.3, window=48)
+    assert wider.grid is not a.grid
+    assert all(w is not n for w, n in zip(wider.node_profiles, a.node_profiles))
+
+
+def test_channel_node_cache_is_bounded():
+    limit = _channel_nodes.cache_info().maxsize
+    assert isinstance(limit, int)
+    first = [arr.tobytes() for arr in _channel_nodes(0.3, 12)[1:]]
+    for k in range(limit + 5):
+        OneDimDarboux(0.5 + 0.1 * k, 1.0, alpha=0.2, window=12).node_profiles
+    assert _channel_nodes.cache_info().currsize <= limit
+    misses = _channel_nodes.cache_info().misses
+    # the evicted channel is rebuilt with the same bytes
+    assert [arr.tobytes() for arr in _channel_nodes(0.3, 12)[1:]] == first
+    assert _channel_nodes.cache_info().misses == misses + 1
 
 
 def test_kink_and_bump_profiles():

@@ -13,7 +13,8 @@ import pytest
 import kplab
 from kplab import errors
 from kplab.branches import Branch
-from kplab.darboux import OneDimDarboux, bump_profile, kink_profile, minus_kernel_profile
+from kplab.darboux import (OneDimDarboux, bump_profile, identity_report, kink_profile,
+                           minus_kernel_profile, sample_points, t1_apply)
 from kplab.expsum import ExpSum, log_derivatives
 from kplab.solitons import SolitonConfig, frame_of, wronskian_tau
 
@@ -217,12 +218,32 @@ CP = 0.5625
     (lambda: SolitonConfig("vacuum", (), pair=(1, 2)), errors.RejectedConfig),
     (lambda: frame_of(SolitonConfig("p_type", (-2.0, -1.0, 1.0, 2.0))), errors.DegenerateFrame),
     (lambda: log_derivatives(ExpSum.constant(0.0), (1, 0, 0), 0.0, 0.0, 0.0), ZeroDivisionError),
+    (lambda: OneDimDarboux(CP, 1.0, alpha=math.nan), errors.AlphaOutOfRange),
+    (lambda: OneDimDarboux(CP, 1.0, alpha=math.inf), errors.AlphaOutOfRange),
+    # gamma = sqrt(c + i eta) vanishes at eta = i c, where the kernels divide by gamma
+    (lambda: minus_kernel_profile(1.0, 1j), errors.InadmissibleEta),
+    (lambda: t1_apply(OneDimDarboux(1.0, 1j, alpha=1.5), -1, bump_profile(1.0), low=True),
+     errors.InadmissibleEta),
+    (lambda: t1_apply(OneDimDarboux(1.0, -1j, alpha=1.5), 1, bump_profile(1.0), low=True),
+     errors.InadmissibleEta),
+    (lambda: sample_points(7, 0), errors.ConfigMismatch),
+    (lambda: sample_points(7, -3), errors.ConfigMismatch),
+    (lambda: sample_points(7, 2.5), errors.ConfigMismatch),
+    (lambda: sample_points(7, True), errors.ConfigMismatch),
+    (lambda: sample_points(-1, 16), errors.ConfigMismatch),
+    (lambda: identity_report(7, 0), errors.ConfigMismatch),
+    (lambda: identity_report(7, 2.5), errors.ConfigMismatch),
+    (lambda: identity_report(-1, 16), errors.ConfigMismatch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
         "tau_rows_mismatch", "tau_columns_exceed_phases", "p_type_with_pair",
         "one_line_without_pair", "vacuum_with_pair", "equal_channel_slopes",
-        "log_of_zero_sum"])
+        "log_of_zero_sum", "alpha_nan", "alpha_inf", "kernel_branch_point",
+        "minus_inverse_branch_point", "plus_inverse_branch_point", "sample_count_zero",
+        "sample_count_negative", "sample_count_fractional", "sample_count_bool",
+        "sample_seed_negative", "report_count_zero", "report_count_fractional",
+        "report_seed_negative"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

@@ -7,7 +7,9 @@ import pytest
 from kplab.darboux import _exp_line, _hyperbolic, bump_profile, kink_profile
 from kplab.errors import ConfigMismatch, RegionViolation
 from kplab.expsum import Carried
-from kplab.tanhexp import PanelGrid, _unit_rule, based_cumulative, exp_cumulative
+from kplab import tanhexp
+from kplab.tanhexp import (PanelGrid, _sweep_kernel, _unit_rule, based_cumulative,
+                           exp_cumulative)
 
 ZS = np.linspace(-7.0, 7.0, 57)
 
@@ -220,3 +222,61 @@ def test_non_finite_weight_rejected(q):
     for side in ("left", "right"):
         with pytest.raises(RegionViolation):
             exp_cumulative(grid, np.ones_like(grid.z), q, side)
+
+
+# ----- the per-rate sweep kernel -----
+
+
+def _scalar_loop_sweep(grid, g, q):
+    """The left sweep with every array built per call and a numpy scalar carry."""
+    off, w = grid.offsets, grid.unit_w
+    totals = g @ (w * np.exp(q * (off - 1.0)))
+    edge_acc = np.empty(grid.npan, dtype=complex)
+    acc = 0j
+    step = np.exp(-q)
+    for k in range(grid.npan):
+        edge_acc[k] = acc
+        acc = acc * step + totals[k]
+    carried = edge_acc[:, None] * np.exp(-q * off)[None, :]
+    kernel = off[:, None] * w[None, :] * np.exp(q * off[:, None] * (off[None, :] - 1.0))
+    local = np.matmul(kernel[:, None, :], grid._basis)[:, 0, :]
+    return carried + g @ local.T
+
+
+@pytest.mark.parametrize("npan", [2, 3, 102, 320])
+@pytest.mark.parametrize("q", [0.0, 0.7, -0.7, 0.7 + 0.2j, 0.4j, "edge", "-edge"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cached_sweep_equals_the_scalar_loop(npan, q, side):
+    grid = PanelGrid(-(npan // 2), npan - npan // 2)
+    if isinstance(q, str):  # the largest rate the window admits
+        q = (-1.0 if q.startswith("-") else 1.0) * 640.0 / npan
+    rng = np.random.default_rng(npan)
+    vals = rng.standard_normal(grid.z.size) + 1j * rng.standard_normal(grid.z.size)
+    got = exp_cumulative(grid, vals, q, side)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanhexp, "_left_sweep", _scalar_loop_sweep)
+        want = exp_cumulative(grid, vals, q, side)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(got, want)
+
+
+def test_sweep_kernel_cache_is_bounded_and_read_only():
+    limit = _sweep_kernel.cache_info().maxsize
+    assert isinstance(limit, int)
+    first = [arr.tobytes() for arr in _sweep_kernel(0.3 + 0.1j, 16)]
+    for k in range(limit + 5):
+        for arr in _sweep_kernel(0.01 * (k + 1), 16):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    assert _sweep_kernel.cache_info().currsize <= limit
+    misses = _sweep_kernel.cache_info().misses
+    # the evicted rate is rebuilt with the same bytes
+    assert [arr.tobytes() for arr in _sweep_kernel(0.3 + 0.1j, 16)] == first
+    assert _sweep_kernel.cache_info().misses == misses + 1
+
+
+def test_grid_arrays_are_read_only():
+    grid = PanelGrid(-4, 4, per_unit=8)
+    for arr in (grid.edges, grid.z, grid.w):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
