@@ -613,6 +613,9 @@ def kink_profile(c: float) -> Rational:
     return root * _hyperbolic(root)[0]
 
 
+# like _hyperbolic, one profile per gap, so a sweep over (eta, alpha) feeds
+# the same object, and so the same node values, to every operator
+@lru_cache(maxsize=64)
 def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
     root = _channel_root(c)
@@ -654,6 +657,44 @@ def _channel_nodes(c: float, window: int) -> tuple[PanelGrid, np.ndarray, np.nda
     return (grid, *out)
 
 
+def _check_finite(vals: np.ndarray, what: str) -> None:
+    if not np.isfinite(vals).all():
+        raise ConfigMismatch(f"{what} is not finite at every grid node")
+
+
+# the node values of an input profile at one (c, window): keyed by the
+# profile object (a Rational compares by identity), the last 16
+@lru_cache(maxsize=16)
+def _profile_nodes(profile: Rational, c: float, window: int) -> np.ndarray:
+    """The read-only values of profile at the channel's grid nodes;
+    ConfigMismatch where one is not finite."""
+    vals = profile.eval(_channel_nodes(c, window)[0].z, 0.0, 0.0)
+    _check_finite(vals, "input profile")
+    vals.flags.writeable = False
+    return vals
+
+
+# the low plus inverse's secular profile, once per (c, window, gamma)
+@lru_cache(maxsize=16)
+def _secular_nodes(c: float, window: int, gam: complex) -> np.ndarray:
+    """The read-only values of (gamma - sqrt(c) tanh) sech exp(gamma z) / 2,
+    the adjoint kernel the low plus input must be orthogonal to, at the nodes."""
+    root = _channel_root(c)
+    tanh, sech, _ = _hyperbolic(root)
+    sec = (0.5 * gam - (0.5 * root) * tanh) * (sech * _exp_line(gam))
+    vals = sec.eval(_channel_nodes(c, window)[0].z, 0.0, 0.0)
+    vals.flags.writeable = False
+    return vals
+
+
+@lru_cache(maxsize=16)
+def _interior(c: float, window: int) -> slice:
+    """The nodes with |z| <= window - 1.5, where `t1_roundtrip` reads its error,
+    as a slice of the channel's ascending grid."""
+    z, edge = _channel_nodes(c, window)[0].z, window - 1.5
+    return slice(int(np.searchsorted(z, -edge, "left")), int(np.searchsorted(z, edge, "right")))
+
+
 class OneDimDarboux:
     """The channel transforms +/- d/dz + i eta dz^{-1} - 2 psi on a window.
 
@@ -664,10 +705,14 @@ class OneDimDarboux:
     The window is a symmetric integer half-width in z; the default makes
     the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
-    applications and the integral inverses live on the panel grid.  The grid
-    and the node profiles depend only on (c, window), so every operator at
-    one (c, window) shares them, whatever its eta and alpha.  alpha must be
-    finite and nonnegative, else AlphaOutOfRange.
+    applications and the integral inverses live on the panel grid.  The grid,
+    the node profiles, the low plus inverse's secular profile (per branch
+    root) and the interior `t1_roundtrip` reads depend only on (c, window),
+    so every operator at one (c, window) shares them, whatever its eta and
+    alpha; so do an input profile's node values, kept per profile object in
+    a cache of the last 16.  Sampled inputs must be finite, else
+    ConfigMismatch.  alpha must be finite and nonnegative, else
+    AlphaOutOfRange.
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
@@ -717,12 +762,15 @@ class OneDimDarboux:
                 - 2.0 * self.node_profiles[0] * vals)
 
     def _on_grid(self, f) -> np.ndarray:
-        """Node samples of a carried or bare profile, or checked samples."""
+        """Node values of a carried or bare profile, shared and read-only, or
+        checked samples; ConfigMismatch where either is not finite."""
         if isinstance(f, Carried):
             f = f.value
         if isinstance(f, Rational):
-            return f.eval(self.grid.z, 0.0, 0.0)
-        return self.grid._panels(f).ravel()
+            return _profile_nodes(f, self.c, self.window)
+        vals = self.grid._panels(f).ravel()
+        _check_finite(vals, "sampled input")
+        return vals
 
 
 def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Rational]]:
@@ -803,10 +851,18 @@ def commutation_parts(c: float, eta: complex, drift: float,
 
 def _tail(grid: PanelGrid, g: np.ndarray, q: complex, side: str) -> np.ndarray:
     """exp_cumulative of g on one side, once |g| e^{Re(q) z} sits ~1e-12 below
-    its peak at that side's window edge; else the window truncates real mass."""
-    logmass = np.log(np.abs(g) + 1e-300) + np.real(q) * grid.z
-    edge = np.max(logmass[:3]) if side == "left" else np.max(logmass[-3:])
-    if edge > np.max(logmass) - 27.6:
+    its peak at that side's window edge; else the window truncates real mass.
+    The log mass is built in one array; a NaN or inf in g makes its peak not
+    finite, which raises ConfigMismatch."""
+    logmass = np.abs(g)
+    logmass += 1e-300
+    np.log(logmass, out=logmass)
+    logmass += q.real * grid.z
+    peak = logmass.max()
+    if not np.isfinite(peak):
+        raise ConfigMismatch(f"{side} tail integrand is not finite on the grid")
+    edge = logmass[:3].max() if side == "left" else logmass[-3:].max()
+    if edge > peak - 27.6:
         raise RegionViolation(
             f"{side} tail integrand has not decayed at the {side} window edge; "
             "widen the window or revisit alpha")
@@ -860,7 +916,7 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
             raise RegionViolation(
                 "based minus inverse needs Re gamma > sqrt(c)-alpha; "
                 f"got Re gamma {gam.real:.6f}")
-        gvals = coshv * fvals
+        gvals = np.asarray(coshv * fvals, dtype=complex)  # once, for both tails
         right = _tail(grid, gvals, -gam, "right")
         if low:
             left = based_cumulative(grid, gvals, gam)
@@ -877,9 +933,7 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
-    tanh, sech, _ = _hyperbolic(root)
-    sec = (0.5 * gam - (0.5 * root) * tanh) * (sech * _exp_line(gam))
-    secv = sec.eval(z, 0.0, 0.0)
+    secv = _secular_nodes(op.c, op.window, gam)
     pairing = grid.integral(secv * fvals)
     pairing_scale = grid.integral(np.abs(secv) * np.abs(fvals)).real
     if abs(pairing) > 1e-6 * max(pairing_scale, 1e-300):
@@ -903,14 +957,16 @@ def t1_roundtrip(op: OneDimDarboux, sign: int, f, low: bool = False) -> float:
     the low minus error grows as 1e-14 to 1e-12 times
     exp((Re gamma(eta) - sqrt(c)) window).
     No gate of `t1_apply` catches either, so read this error, not the gates.
+    The interior |z| <= window - 1.5 is a slice of the shared grid, kept per
+    (c, window) like the grid itself.
     """
     fvals = op._on_grid(f)
-    v = t1_apply(op, sign, fvals, low=low)
+    v = t1_apply(op, sign, f, low=low)
     back = op.m_apply_sampled(sign, v)
-    inner = np.abs(op.grid.z) <= op.window - 1.5
+    inner = _interior(op.c, op.window)
     # against sup |f|: a pointwise scale would inflate truncation error in the tails
     scale = max(float(np.max(np.abs(fvals))), 1e-300)
-    return float(np.max(np.abs(back - fvals)[inner]) / scale)
+    return float(np.abs(back[inner] - fvals[inner]).max() / scale)
 
 
 # ----- aggregate report -----

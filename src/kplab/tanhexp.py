@@ -16,6 +16,7 @@ cumulative at that rate.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -89,8 +90,9 @@ class PanelGrid:
     weighted cumulatives contract the latter with their exponential.  They
     belong to the order's read-only `_unit_rule`, which every grid of that
     order shares and a cache keeps for the last 8 orders.  Edges and order
-    must be integers, else ConfigMismatch.  Sampled smooth functions keep
-    spectral accuracy end to end.
+    must be integers, else ConfigMismatch.  `has_origin` records whether the
+    origin is a panel edge, as `based_cumulative` needs.  Sampled smooth
+    functions keep spectral accuracy end to end.
     """
 
     def __init__(self, lo: int, hi: int, per_unit: int = 32):
@@ -104,6 +106,7 @@ class PanelGrid:
         self.lo, self.hi = float(lo), float(hi)
         self.order = order
         self.npan = hi - lo
+        self.has_origin = lo <= 0 <= hi
         self.edges = lo + np.arange(self.npan + 1, dtype=float)
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         self.z = (mids[:, None] + 0.5 * rule.nodes[None, :]).ravel()
@@ -135,26 +138,28 @@ class PanelGrid:
 
 
 def _exp_guard(q: complex, span: float) -> None:
-    if not np.isfinite(q):
+    if not cmath.isfinite(q):
         raise RegionViolation(f"exponential rate must be finite, got {q}")
-    if abs(np.real(q)) * span > 650.0:
+    if abs(q.real) * span > 650.0:
         raise RegionViolation(
             "exponential weight outruns the quadrature window; "
-            f"|Re q| * span = {abs(np.real(q)) * span:.1f}"
+            f"|Re q| * span = {abs(q.real) * span:.1f}"
         )
 
 
 # a round trip reads at most three rates (+/-gamma and the antiderivative's
 # 0), and the two tails of a two-sided inverse share +gamma.  Rates +0 and -0
-# compare equal and share one entry; their carry factors differ only in the
-# sign of a zero imaginary part, which changes no nonzero output.
+# compare equal and share one entry; their carry factors and steps differ
+# only in the sign of a zero imaginary part, which changes no nonzero output.
 @lru_cache(maxsize=16)
-def _sweep_kernel(q: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(totals weights, carry factors, local) of the left sweep at rate q.
+def _sweep_kernel(q: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                  complex]:
+    """(totals weights, carry factors, local, step) of the left sweep at rate q.
 
     totals weights  w e^{q (off - 1)}: a panel's integral weighted to its right edge
     carry factors   e^{-q off}: an edge's accumulated integral carried to each node
     local[i, m]     weight of sample m in the integral over [edge, edge + off[i]]
+    step            e^{-q} as a Python complex: one panel's carry, panel length being one
     """
     rule = _unit_rule(order)
     off, w = rule.offsets, rule.unit_w
@@ -163,12 +168,12 @@ def _sweep_kernel(q: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.nd
            np.matmul(kernel[:, None, :], rule.basis)[:, 0, :])
     for arr in out:
         arr.flags.writeable = False
-    return out
+    return (*out, complex(np.exp(-q)))
 
 
 def _left_sweep(grid: PanelGrid, g: np.ndarray, q: complex) -> np.ndarray:
     """Integral over [lo, z] with kernel e^{q (z' - z)} of panel samples g."""
-    weights, carry, local = _sweep_kernel(q, grid.order)
+    weights, carry, local, step = _sweep_kernel(q, grid.order)
     totals = g @ weights
     # edge_acc[k]: integral over [lo, edges[k]] weighted to edges[k], carried
     # one panel at a time from left to right.  The carry stays sequential: at
@@ -176,7 +181,6 @@ def _left_sweep(grid: PanelGrid, g: np.ndarray, q: complex) -> np.ndarray:
     # remnant of a cancelling secular integral, so any reordering of the
     # carry (a doubling scan, say) shows there as a round-trip error some
     # 20 times larger.
-    step = complex(np.exp(-q))  # panel length is one
     edge_acc = np.fromiter(
         accumulate(totals[:-1].tolist(), lambda acc, t: acc * step + t, initial=0j),
         complex, count=grid.npan)
@@ -204,7 +208,7 @@ def exp_cumulative(grid: PanelGrid, vals, q: complex, side: str) -> np.ndarray:
 
 def based_cumulative(grid: PanelGrid, vals, q: complex) -> np.ndarray:
     """Oriented integral from the origin: e^{q(z'-z)} g over [0, z]."""
-    if not np.any(np.isclose(grid.edges, 0.0)):
+    if not grid.has_origin:
         raise ConfigMismatch("based cumulative needs the origin on a panel edge")
     vals = np.asarray(vals, dtype=complex)
     above = grid.z >= 0.0

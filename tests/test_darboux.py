@@ -19,7 +19,11 @@ from kplab.darboux import (
     MiuraData,
     OneDimDarboux,
     _channel_nodes,
+    _interior,
     _level_steps,
+    _profile_nodes,
+    _secular_nodes,
+    _tail,
     backlund_catalog,
     backlund_parts,
     bump_profile,
@@ -713,6 +717,126 @@ def test_channel_node_cache_is_bounded():
     assert _channel_nodes.cache_info().misses == misses + 1
 
 
+def test_bump_profile_is_one_object_per_gap():
+    assert bump_profile(CP) is bump_profile(CP)
+    assert bump_profile(0.25) is not bump_profile(CP)
+
+
+def test_profile_node_cache_is_bounded_and_read_only():
+    limit = _profile_nodes.cache_info().maxsize
+    assert isinstance(limit, int)
+    prof = bump_profile(0.3).value
+    first = _profile_nodes(prof, 0.3, 12).tobytes()
+    for k in range(limit + 5):
+        c = 0.5 + 0.1 * k
+        vals = OneDimDarboux(c, 1.0, alpha=0.2, window=12)._on_grid(bump_profile(c))
+        with pytest.raises(ValueError):
+            vals[...] = 0.0
+    assert _profile_nodes.cache_info().currsize <= limit
+    misses = _profile_nodes.cache_info().misses
+    # the evicted profile is rebuilt with the same bytes
+    assert _profile_nodes(prof, 0.3, 12).tobytes() == first
+    assert _profile_nodes.cache_info().misses == misses + 1
+
+
+def test_one_profile_gets_node_values_per_window_and_gap():
+    f = bump_profile(CP)
+    ops = [OneDimDarboux(CP, 2.0, alpha=0.3, window=24),
+           OneDimDarboux(CP, 2.0, alpha=0.3, window=48),
+           OneDimDarboux(1.0, 2.0, alpha=0.3, window=24)]
+    vals = [op._on_grid(f) for op in ops]
+    for op, v in zip(ops, vals):
+        assert np.array_equal(v, on_line(f.value, op.grid.z))
+        assert op._on_grid(f.value) is v  # a bare Rational shares its carrier's entry
+    assert vals[0].size != vals[1].size
+    assert vals[2] is not vals[0]
+
+
+def test_secular_node_cache_is_bounded_and_read_only():
+    limit = _secular_nodes.cache_info().maxsize
+    assert isinstance(limit, int)
+    first = _secular_nodes(CP, 24, 0.75 + 0.1j).tobytes()
+    for k in range(limit + 5):
+        with pytest.raises(ValueError):
+            _secular_nodes(CP, 24, 0.5 + 0.01 * k)[...] = 0.0
+    assert _secular_nodes.cache_info().currsize <= limit
+    misses = _secular_nodes.cache_info().misses
+    assert _secular_nodes(CP, 24, 0.75 + 0.1j).tobytes() == first
+    assert _secular_nodes.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("window", [1, 2, 12, 51])
+def test_roundtrip_interior_is_the_masked_nodes(window):
+    z = _channel_nodes(CP, window)[0].z
+    mask = np.abs(z) <= window - 1.5
+    assert np.array_equal(np.arange(z.size)[_interior(CP, window)], np.flatnonzero(mask))
+
+
+# (c, eta, alpha, window, sign, low, input): every inverse form, the low plus
+# one on the plus transform of the bump, which is in its solvable span
+ROUNDTRIP_CASES = [
+    (CP, 2.0, 0.3, None, 1, False, "bump"),
+    (CP, 2.0, 0.3, None, -1, False, "bump"),
+    (CP, 0.3, 0.3, None, -1, True, "bump"),
+    (CP, 0.0, 0.3, None, 1, True, "transformed"),
+    (0.25, 0.3 - 0.18j, 0.03, 96, -1, False, "bump"),
+]
+
+
+def _roundtrip_bytes() -> list[bytes]:
+    out = []
+    for c, eta, alpha, window, sign, low, kind in ROUNDTRIP_CASES:
+        op = OneDimDarboux(c, eta, alpha=alpha, window=window)
+        f = bump_profile(c)
+        if kind == "transformed":
+            f = op.m_apply(1, f)
+        out.append(np.float64(t1_roundtrip(op, sign, f, low=low)).tobytes())
+        out.append(t1_apply(op, sign, f, low=low).tobytes())
+    return out
+
+
+def test_roundtrip_is_byte_stable_across_cleared_caches():
+    warm = _roundtrip_bytes()
+    assert _roundtrip_bytes() == warm
+    for cached in (bump_profile, _channel_nodes, _profile_nodes, _secular_nodes, _interior,
+                   tanhexp._sweep_kernel, tanhexp._unit_rule):
+        cached.cache_clear()
+    assert _roundtrip_bytes() == warm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("sign,eta,low", [(1, 2.0, False), (-1, 2.0, False),
+                                          (-1, 0.3, True), (1, 0.0, True)])
+def test_non_finite_samples_raise(bad, sign, eta, low):
+    """One bad sample among thousands is a ConfigMismatch, never a NaN output."""
+    op = OneDimDarboux(CP, eta, alpha=0.3)
+    f = bump_profile(CP)
+    vals = np.array(op._on_grid(op.m_apply(1, f) if low and sign == 1 else f))
+    vals[1000] = bad
+    with pytest.raises(ConfigMismatch):
+        t1_apply(op, sign, vals, low=low)
+    with pytest.raises(ConfigMismatch):
+        t1_roundtrip(op, sign, vals, low=low)
+    with pytest.raises(ConfigMismatch):
+        op.m_apply_sampled(sign, vals)
+
+
+def test_non_finite_profile_raises():
+    op = OneDimDarboux(CP, 2.0, alpha=0.3)
+    with pytest.raises(ConfigMismatch):
+        t1_apply(op, 1, bump_profile(CP).value * np.nan)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tail_gate_rejects_a_non_finite_integrand(side, bad):
+    grid = _channel_nodes(CP, 24)[0]
+    g = np.exp(-grid.z ** 2).astype(complex)
+    g[7] = bad
+    with pytest.raises(ConfigMismatch):
+        _tail(grid, g, 0.5, side)
+
+
 def test_kink_and_bump_profiles():
     psi = kink_profile(CP)
     zs = np.linspace(-4.0, 4.0, 33)
@@ -759,12 +883,18 @@ def test_identity_report_is_green_and_stable():
     assert worst < 1e-9, f"worst residual {worst:.2e}"
 
 
+# The 16-point sample sets of the report_small benchmark's seed streams 0-20
+# that fail the gate in their first 1,500 timed ops: bench seed 1 at ops 226
+# and 1410, bench seed 12 at op 1415 (about 1.2e-5 of all reports drawn).
 @pytest.mark.xfail(strict=True, reason=(
-    "defect 3: at (x, y, t) = (2.093, 0.550, 0.455) the numerators of both parts of "
-    "o_shift_wave_step_ch12 cancel by 3.9e8, so it reads 2.86e-7 (ch34 9.9e-9); a "
-    "50-digit mpmath evaluation of the same coefficients still reads 2.35e-7"))
-def test_report_on_a_cancelling_sample_set_passes_the_gate():
-    rep = identity_report(seed=1712216964, npts=16)
+    "defect 3: at (x, y, t) = (2.093, 0.550, 0.455) of seed 1712216964 the numerators "
+    "of both parts of o_shift_wave_step_ch12 cancel by 3.9e8, so it reads 2.86e-7 "
+    "(ch34 9.9e-9); a 50-digit mpmath evaluation of the same coefficients still reads "
+    "2.35e-7.  Seed 1143500821 reads ch12 1.25e-9, seed 1475449262 ch12 1.92e-9 and "
+    "ch34 1.35e-9"))
+@pytest.mark.parametrize("sample_seed", [1712216964, 1143500821, 1475449262])
+def test_report_on_a_cancelling_sample_set_passes_the_gate(sample_seed):
+    rep = identity_report(seed=sample_seed, npts=16)
     assert max(rep.values()) < 1e-9, max(rep.items(), key=lambda kv: kv[1])
 
 

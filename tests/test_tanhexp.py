@@ -260,19 +260,39 @@ def test_cached_sweep_equals_the_scalar_loop(npan, q, side):
     assert np.array_equal(got, want)
 
 
+def _kernel_bytes(kern) -> list[bytes]:
+    """The bytes of a sweep kernel's arrays and of its step."""
+    return [arr.tobytes() for arr in kern[:3]] + [np.complex128(kern[3]).tobytes()]
+
+
 def test_sweep_kernel_cache_is_bounded_and_read_only():
     limit = _sweep_kernel.cache_info().maxsize
     assert isinstance(limit, int)
-    first = [arr.tobytes() for arr in _sweep_kernel(0.3 + 0.1j, 16)]
+    first = _kernel_bytes(_sweep_kernel(0.3 + 0.1j, 16))
     for k in range(limit + 5):
-        for arr in _sweep_kernel(0.01 * (k + 1), 16):
+        kern = _sweep_kernel(0.01 * (k + 1), 16)
+        assert type(kern[3]) is complex  # the step: immutable, and carried in Python complex
+        for arr in kern[:3]:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
     assert _sweep_kernel.cache_info().currsize <= limit
     misses = _sweep_kernel.cache_info().misses
     # the evicted rate is rebuilt with the same bytes
-    assert [arr.tobytes() for arr in _sweep_kernel(0.3 + 0.1j, 16)] == first
+    assert _kernel_bytes(_sweep_kernel(0.3 + 0.1j, 16)) == first
     assert _sweep_kernel.cache_info().misses == misses + 1
+
+
+def test_sweep_kernel_step_is_one_panel_of_decay():
+    q = 0.3 + 0.1j
+    assert _sweep_kernel(q, 16)[3] == complex(np.exp(-q))
+
+
+def test_grid_records_whether_the_origin_is_an_edge():
+    assert PanelGrid(-4, 4, per_unit=8).has_origin
+    assert PanelGrid(0, 3, per_unit=8).has_origin
+    assert PanelGrid(-3, 0, per_unit=8).has_origin
+    assert not PanelGrid(1, 5, per_unit=8).has_origin
+    assert not PanelGrid(-5, -2, per_unit=8).has_origin
 
 
 def test_grid_arrays_are_read_only():
