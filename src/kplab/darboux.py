@@ -642,14 +642,21 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
     return carried_from_primitive((-root / gam) * (sech * _exp_line(gam)))
 
 
+# one grid per window, whatever the gap: the last 16 windows
+@lru_cache(maxsize=16)
+def _window_grid(window: int) -> PanelGrid:
+    """The panel grid on [-window, window]."""
+    return PanelGrid(-window, window)
+
+
 # a sweep over (eta, alpha) at a fixed (c, window) builds these once; a
 # sweep over gaps or windows keeps its last 16
 @lru_cache(maxsize=16)
 def _channel_nodes(c: float, window: int) -> tuple[PanelGrid, np.ndarray, np.ndarray,
                                                    np.ndarray]:
-    """The panel grid on [-window, window] and the read-only (psi, sech, cosh)
-    at its nodes."""
-    grid = PanelGrid(-window, window)
+    """The window's panel grid and the read-only (psi, sech, cosh) at its
+    nodes."""
+    grid = _window_grid(window)
     _, sech, cosh = _hyperbolic(_channel_root(c))
     out = tuple(prof.eval(grid.z, 0.0, 0.0) for prof in (kink_profile(c), sech, cosh))
     for arr in out:
@@ -662,37 +669,16 @@ def _check_finite(vals: np.ndarray, what: str) -> None:
         raise ConfigMismatch(f"{what} is not finite at every grid node")
 
 
-# the node values of an input profile at one (c, window): keyed by the
+# the node values of an input profile on one window's grid: keyed by the
 # profile object (a Rational compares by identity), the last 16
 @lru_cache(maxsize=16)
-def _profile_nodes(profile: Rational, c: float, window: int) -> np.ndarray:
-    """The read-only values of profile at the channel's grid nodes;
+def _profile_nodes(profile: Rational, window: int) -> np.ndarray:
+    """The read-only values of profile at the window's grid nodes;
     ConfigMismatch where one is not finite."""
-    vals = profile.eval(_channel_nodes(c, window)[0].z, 0.0, 0.0)
+    vals = profile.eval(_window_grid(window).z, 0.0, 0.0)
     _check_finite(vals, "input profile")
     vals.flags.writeable = False
     return vals
-
-
-# the low plus inverse's secular profile, once per (c, window, gamma)
-@lru_cache(maxsize=16)
-def _secular_nodes(c: float, window: int, gam: complex) -> np.ndarray:
-    """The read-only values of (gamma - sqrt(c) tanh) sech exp(gamma z) / 2,
-    the adjoint kernel the low plus input must be orthogonal to, at the nodes."""
-    root = _channel_root(c)
-    tanh, sech, _ = _hyperbolic(root)
-    sec = (0.5 * gam - (0.5 * root) * tanh) * (sech * _exp_line(gam))
-    vals = sec.eval(_channel_nodes(c, window)[0].z, 0.0, 0.0)
-    vals.flags.writeable = False
-    return vals
-
-
-@lru_cache(maxsize=16)
-def _interior(c: float, window: int) -> slice:
-    """The nodes with |z| <= window - 1.5, where `t1_roundtrip` reads its error,
-    as a slice of the channel's ascending grid."""
-    z, edge = _channel_nodes(c, window)[0].z, window - 1.5
-    return slice(int(np.searchsorted(z, -edge, "left")), int(np.searchsorted(z, edge, "right")))
 
 
 class OneDimDarboux:
@@ -705,12 +691,11 @@ class OneDimDarboux:
     The window is a symmetric integer half-width in z; the default makes
     the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
-    applications and the integral inverses live on the panel grid.  The grid,
-    the node profiles, the low plus inverse's secular profile (per branch
-    root) and the interior `t1_roundtrip` reads depend only on (c, window),
-    so every operator at one (c, window) shares them, whatever its eta and
-    alpha; so do an input profile's node values, kept per profile object in
-    a cache of the last 16.  Sampled inputs must be finite, else
+    applications and the integral inverses live on the panel grid.  The grid
+    depends only on the window and the node profiles only on (c, window), so
+    every operator at one (c, window) shares them, whatever its eta and
+    alpha; an input profile's node values are kept per (profile object,
+    window) in a cache of the last 16.  Sampled inputs must be finite, else
     ConfigMismatch.  alpha must be finite and nonnegative, else
     AlphaOutOfRange.
     """
@@ -767,7 +752,7 @@ class OneDimDarboux:
         if isinstance(f, Carried):
             f = f.value
         if isinstance(f, Rational):
-            return _profile_nodes(f, self.c, self.window)
+            return _profile_nodes(f, self.window)
         vals = self.grid._panels(f).ravel()
         _check_finite(vals, "sampled input")
         return vals
@@ -933,7 +918,8 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
-    secv = _secular_nodes(op.c, op.window, gam)
+    # the adjoint kernel (gamma - sqrt(c) tanh) sech e^{gamma z} / 2 at the nodes
+    secv = 0.5 * (gam - stv) * sechv * np.exp(gam * z)
     pairing = grid.integral(secv * fvals)
     pairing_scale = grid.integral(np.abs(secv) * np.abs(fvals)).real
     if abs(pairing) > 1e-6 * max(pairing_scale, 1e-300):
@@ -957,13 +943,13 @@ def t1_roundtrip(op: OneDimDarboux, sign: int, f, low: bool = False) -> float:
     the low minus error grows as 1e-14 to 1e-12 times
     exp((Re gamma(eta) - sqrt(c)) window).
     No gate of `t1_apply` catches either, so read this error, not the gates.
-    The interior |z| <= window - 1.5 is a slice of the shared grid, kept per
-    (c, window) like the grid itself.
+    The interior |z| <= window - 1.5 is a slice of the ascending grid.
     """
     fvals = op._on_grid(f)
     v = t1_apply(op, sign, f, low=low)
     back = op.m_apply_sampled(sign, v)
-    inner = _interior(op.c, op.window)
+    z, edge = op.grid.z, op.window - 1.5
+    inner = slice(np.searchsorted(z, -edge, "left"), np.searchsorted(z, edge, "right"))
     # against sup |f|: a pointwise scale would inflate truncation error in the tails
     scale = max(float(np.max(np.abs(fvals))), 1e-300)
     return float(np.abs(back[inner] - fvals[inner]).max() / scale)

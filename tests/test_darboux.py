@@ -19,10 +19,9 @@ from kplab.darboux import (
     MiuraData,
     OneDimDarboux,
     _channel_nodes,
-    _interior,
     _level_steps,
     _profile_nodes,
-    _secular_nodes,
+    _window_grid,
     _tail,
     backlund_catalog,
     backlund_parts,
@@ -726,7 +725,7 @@ def test_profile_node_cache_is_bounded_and_read_only():
     limit = _profile_nodes.cache_info().maxsize
     assert isinstance(limit, int)
     prof = bump_profile(0.3).value
-    first = _profile_nodes(prof, 0.3, 12).tobytes()
+    first = _profile_nodes(prof, 12).tobytes()
     for k in range(limit + 5):
         c = 0.5 + 0.1 * k
         vals = OneDimDarboux(c, 1.0, alpha=0.2, window=12)._on_grid(bump_profile(c))
@@ -735,11 +734,11 @@ def test_profile_node_cache_is_bounded_and_read_only():
     assert _profile_nodes.cache_info().currsize <= limit
     misses = _profile_nodes.cache_info().misses
     # the evicted profile is rebuilt with the same bytes
-    assert _profile_nodes(prof, 0.3, 12).tobytes() == first
+    assert _profile_nodes(prof, 12).tobytes() == first
     assert _profile_nodes.cache_info().misses == misses + 1
 
 
-def test_one_profile_gets_node_values_per_window_and_gap():
+def test_one_profile_gets_node_values_per_window_shared_across_gaps():
     f = bump_profile(CP)
     ops = [OneDimDarboux(CP, 2.0, alpha=0.3, window=24),
            OneDimDarboux(CP, 2.0, alpha=0.3, window=48),
@@ -749,27 +748,9 @@ def test_one_profile_gets_node_values_per_window_and_gap():
         assert np.array_equal(v, on_line(f.value, op.grid.z))
         assert op._on_grid(f.value) is v  # a bare Rational shares its carrier's entry
     assert vals[0].size != vals[1].size
-    assert vals[2] is not vals[0]
-
-
-def test_secular_node_cache_is_bounded_and_read_only():
-    limit = _secular_nodes.cache_info().maxsize
-    assert isinstance(limit, int)
-    first = _secular_nodes(CP, 24, 0.75 + 0.1j).tobytes()
-    for k in range(limit + 5):
-        with pytest.raises(ValueError):
-            _secular_nodes(CP, 24, 0.5 + 0.01 * k)[...] = 0.0
-    assert _secular_nodes.cache_info().currsize <= limit
-    misses = _secular_nodes.cache_info().misses
-    assert _secular_nodes(CP, 24, 0.75 + 0.1j).tobytes() == first
-    assert _secular_nodes.cache_info().misses == misses + 1
-
-
-@pytest.mark.parametrize("window", [1, 2, 12, 51])
-def test_roundtrip_interior_is_the_masked_nodes(window):
-    z = _channel_nodes(CP, window)[0].z
-    mask = np.abs(z) <= window - 1.5
-    assert np.array_equal(np.arange(z.size)[_interior(CP, window)], np.flatnonzero(mask))
+    # the grid depends only on the window, so one gap's entry serves the other
+    assert ops[2].grid is ops[0].grid
+    assert vals[2] is vals[0]
 
 
 # (c, eta, alpha, window, sign, low, input): every inverse form, the low plus
@@ -798,7 +779,7 @@ def _roundtrip_bytes() -> list[bytes]:
 def test_roundtrip_is_byte_stable_across_cleared_caches():
     warm = _roundtrip_bytes()
     assert _roundtrip_bytes() == warm
-    for cached in (bump_profile, _channel_nodes, _profile_nodes, _secular_nodes, _interior,
+    for cached in (bump_profile, _window_grid, _channel_nodes, _profile_nodes,
                    tanhexp._sweep_kernel, tanhexp._unit_rule):
         cached.cache_clear()
     assert _roundtrip_bytes() == warm
