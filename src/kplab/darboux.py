@@ -688,8 +688,9 @@ class OneDimDarboux:
     transverse mode exp(i eta y), where dx^{-1}dy acts as i eta dz^{-1}.
     c is the channel's quarter squared gap, eta the transverse frequency
     (real or complex), alpha the exponential weight the inverses work in.
-    The window is a symmetric integer half-width in z; the default makes
-    the sech envelope fall below 1e-13 at the edges.  Exact applications
+    The window is a symmetric integer half-width in z of at least 2, so
+    that the interior `t1_roundtrip` reads is not empty, else ConfigMismatch;
+    the default makes the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
     applications and the integral inverses live on the panel grid.  The grid
     depends only on the window and the node profiles only on (c, window), so
@@ -712,6 +713,8 @@ class OneDimDarboux:
         if window is None:
             window = int(np.clip(np.ceil(38.0 / self.root), 12, 160))
         self.window = _whole(window, "channel window")
+        if self.window < 2:
+            raise ConfigMismatch(f"channel window must be at least 2, got {window}")
 
     @cached_property
     def grid(self) -> PanelGrid:

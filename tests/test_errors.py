@@ -14,8 +14,10 @@ import kplab
 from kplab import errors
 from kplab.branches import Branch
 from kplab.darboux import (OneDimDarboux, bump_profile, identity_report, kink_profile,
-                           minus_kernel_profile, sample_points, t1_apply)
+                           level_shift_parts, minus_kernel_profile, mode_transfer_parts,
+                           sample_points, t1_apply)
 from kplab.expsum import ExpSum, log_derivatives
+from kplab.jost import JostFamily
 from kplab.solitons import SolitonConfig, frame_of, wronskian_tau
 
 SRC = Path(kplab.__file__).resolve().parent
@@ -191,8 +193,50 @@ def test_every_cache_is_bounded():
     assert [entry.split(":")[0] for entry in flagged] == ["a", "b", "c"]
 
 
+def _random_readers(tree: ast.Module) -> list[str]:
+    """The innermost function (or <module>) around each read of numpy's
+    random module: np.random, numpy.random or an import from it."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute):
+            reads = (node.attr == "random" and isinstance(node.value, ast.Name)
+                     and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            reads = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names))
+        elif isinstance(node, ast.Import):
+            reads = any(alias.name.startswith("numpy.random") for alias in node.names)
+        else:
+            reads = False
+        if reads:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_sample_points_draws():
+    """src/kplab draws its sample points in one place, `darboux.sample_points`;
+    every identity takes its points from the caller."""
+    readers = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+               for owner in _random_readers(ast.parse(path.read_text(), filename=str(path)))]
+    assert readers == ["darboux.sample_points"]
+    assert _random_readers(ast.parse(
+        "import numpy as np\nfrom numpy import random\nimport numpy.random\n"
+        "def f():\n    def g():\n        return np.random.default_rng(0)\n"
+        "    return np.linalg\nclass C:\n    def h(self):\n"
+        "        from numpy.random import default_rng\n")) == ["<module>", "<module>", "g", "h"]
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
+P = SolitonConfig("p_type", KP)
 
 
 @pytest.mark.parametrize("build,error", [
@@ -234,6 +278,12 @@ CP = 0.5625
     (lambda: identity_report(7, 0), errors.ConfigMismatch),
     (lambda: identity_report(7, 2.5), errors.ConfigMismatch),
     (lambda: identity_report(-1, 16), errors.ConfigMismatch),
+    (lambda: JostFamily(P).phi(math.nan), errors.ConfigMismatch),
+    (lambda: JostFamily(P).phi_star(math.inf), errors.ConfigMismatch),
+    (lambda: JostFamily(P).phi_star(complex(1.0, math.nan)), errors.ConfigMismatch),
+    (lambda: level_shift_parts(P, math.nan), errors.ConfigMismatch),
+    (lambda: mode_transfer_parts(P, math.nan), errors.ConfigMismatch),
+    (lambda: OneDimDarboux(900.0, 1.0, window=1), errors.ConfigMismatch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
@@ -243,7 +293,8 @@ CP = 0.5625
         "minus_inverse_branch_point", "plus_inverse_branch_point", "sample_count_zero",
         "sample_count_negative", "sample_count_fractional", "sample_count_bool",
         "sample_seed_negative", "report_count_zero", "report_count_fractional",
-        "report_seed_negative"])
+        "report_seed_negative", "wave_at_nan", "dual_at_inf", "dual_at_imag_nan",
+        "level_shift_at_nan", "mode_transfer_at_nan", "channel_window_one"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

@@ -1,4 +1,9 @@
-"""Wave families: annihilation, residues, completeness, products, kernels."""
+"""Wave families: annihilation, residues, completeness, products, kernels.
+
+`kplab.jost` states the product maps as part lists (`product_parts`); the
+completeness sum and the two-point resolvent kernel checks are built here
+from the waves and residues of `JostFamily`, on sample points drawn here.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kplab.errors import CaseMismatch, PoleAtKappa
-from kplab.expsum import worst_residual
-from kplab.jost import (JostFamily, flow_parts, green_kernel_checks, heat_parts,
-                        product_residuals)
+from kplab.branches import branch_of
+from kplab.errors import ConfigMismatch, PoleAtKappa
+from kplab.expsum import sum_residual, worst_residual
+from kplab.jost import JostFamily, flow_parts, heat_parts, product_parts
 from kplab.solitons import SolitonConfig, potential, potential_yprim, theta_eval
 
 KP = (-2.0, -1.0, 0.5, 3.0)
@@ -23,6 +28,7 @@ def families():
         "one": JostFamily(SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2))),
         "narrow": JostFamily(SolitonConfig("one_line", (-0.5, 2.5), pair=(1, 2))),
         "flat": JostFamily(SolitonConfig("vacuum", ())),
+        "line23": JostFamily(SolitonConfig("one_line", KP, pair=(2, 3))),
     }
 
 
@@ -86,6 +92,13 @@ def test_family_keeps_its_waves():
     for build, arg in ((fam.phi, 1.7), (fam.phi_star, 0.3 + 0.4j),
                        (fam.phi_residue, 2), (fam.phi_star_residue, 3)):
         assert build(arg) is build(arg)
+    # a non-finite point raises each time and is never kept
+    kept = len(fam._waves)
+    for build, arg in ((fam.phi, np.nan), (fam.phi, np.nan), (fam.phi_star, np.inf),
+                       (fam.phi_star, complex(1.0, np.nan))):
+        with pytest.raises(ConfigMismatch):
+            build(arg)
+    assert len(fam._waves) == kept
 
 
 # ----- annihilation by the compatibility operators -----
@@ -105,8 +118,15 @@ INSTANCES = [
     ("flat", dict(beta=0.77)),
 ]
 
+# The branch-point waves of the resolvent kernels, held to 1e-11: the (2, 3)
+# channel over the vacuum and the (1, 4) channel over the (2, 3) line.
+BRANCH_INSTANCES = [
+    (name, dict(beta=branch_of(SolitonConfig("p_type", KP), pair).beta(eta, side)))
+    for name, pair in (("flat", (2, 3)), ("line23", (1, 4)))
+    for eta in (0.35, 1.2) for side in (1, -1)]
 
-@pytest.mark.parametrize("name,kw", INSTANCES)
+
+@pytest.mark.parametrize("name,kw", INSTANCES + BRANCH_INSTANCES)
 def test_operators_annihilate_waves(name, kw):
     fam = families()[name]
     x, y, t = sample_points(3)
@@ -116,7 +136,8 @@ def test_operators_annihilate_waves(name, kw):
     for kind, parts in (("L", heat_parts(u, wave, False)), ("B", flow_parts(u, uy, wave, False)),
                         ("Lstar", heat_parts(u, dual, True)),
                         ("Bstar", flow_parts(u, uy, dual, True))):
-        assert worst_residual(parts, x, y, t) < 1e-9, (name, kw, kind)
+        bound = 1e-11 if (name, kw) in BRANCH_INSTANCES else 1e-9
+        assert worst_residual(parts, x, y, t) < bound, (name, kw, kind)
 
 
 # ----- discrete waves and completeness -----
@@ -160,14 +181,20 @@ def test_one_line_dual_residue_is_inverse_tau():
         assert np.max(np.abs(got * tau - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["p", "o", "one"])
-def test_completeness_at_independent_points(name):
-    fam = families()[name]
+def completeness(fam, pts, primed) -> float:
+    """Worst ratio of the sum over phases of wave(pts) times dual residue(primed)."""
+    total, scale = sum_residual(
+        fam.phi_residue(j).eval(*pts) * fam.phi_star_residue(j).eval(*primed)
+        for j in range(1, fam.config.m_phases + 1))
+    return float(np.max(total / scale))
+
+
+@pytest.mark.parametrize("name,bound", [("p", 1e-10), ("o", 1e-10), ("one", 1e-10),
+                                        ("line23", 1e-11)], ids=["p", "o", "one", "line23"])
+def test_completeness_at_independent_points(name, bound):
     rng = np.random.default_rng(7)
-    x, y, t = rng.uniform(-2.0, 2.0, (3, 20))
-    xp, yp, tp = rng.uniform(-2.0, 2.0, (3, 20))
-    total, scale = fam.completeness_sum(x, y, t, xp, yp, tp)
-    assert np.max(total / scale) < 1e-10
+    pts, primed = rng.uniform(-2.0, 2.0, (2, 3, 20))
+    assert completeness(families()[name], pts, primed) < bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,9 +217,8 @@ def test_residues_over_kappa(raw, kind, seed):
         # a gap that halves with eps closes linearly onto the residue
         coarse, fine = gap(1e-5), gap(5e-6)
         assert abs(fine / coarse - 0.5) < 0.01, (kind, kappa, j, coarse, fine)
-    xp, yp, tp = sample_points(seed + 1, n=8, lo=-1.5, hi=1.5)
-    total, scale = fam.completeness_sum(x, y, t, xp, yp, tp)
-    assert np.max(total / scale) < 1e-10, (kind, kappa)
+    primed = sample_points(seed + 1, n=8, lo=-1.5, hi=1.5)
+    assert completeness(fam, (x, y, t), primed) < 1e-10, (kind, kappa)
 
 
 # ----- product solution maps -----
@@ -205,32 +231,99 @@ def test_residues_over_kappa(raw, kind, seed):
     ("one", dict(beta=1.6)),
 ])
 def test_wave_product_solution_maps(name, kw):
-    fam = families()[name]
+    parts = product_parts(families()[name], kw["beta"])
+    assert set(parts) == {"primitive", "product", "derivative"}
     x, y, t = sample_points(8, n=16, lo=-2.0, hi=2.0)
-    out = product_residuals(fam, kw["beta"], x, y, t)
-    assert out["primitive"] < 1e-9
-    assert out["product"] < 1e-9
-    assert out["derivative"] < 1e-9
+    for key, identity in parts.items():
+        assert worst_residual(identity, x, y, t) < 1e-9, (name, kw, key)
+        # one part scaled by 1 + 1e-7 reads near 1e-7: the scale cannot swamp the parts
+        mutated = [(1.0 + 1e-7) * identity[0]] + identity[1:]
+        assert 1e-8 < worst_residual(mutated, x, y, t) < 1e-6, (name, kw, key)
 
 
 # ----- resolvent kernels -----
 
 
+def resolvent_errors(level: int, eta: float) -> dict[str, float]:
+    """Worst relative errors of the two-sided resolvent kernels at t = 0,
+    on 24 two-point samples of seed 3.
+
+    level 0 pairs the vacuum with the (2, 3) channel of KP, level 1 the
+    (2, 3) line with the (1, 4) channel, whose branch-wave products carry
+    corrections from the residues at phases 2 and 3.
+
+    split           the side-selected wave product equals the smooth
+                    component times one plus the residue corrections
+    continuity      the component agrees across the sloped diagonal when
+                    reconstructed separately from each branch product
+    jump            d/dx of the component jumps by exp((i eta - k_i k_j)(y-y'))
+    weighted_match  the residue-weighted d/dx ratios match across sides
+    """
+    fam, corr_js, pair = ((families()["flat"], (), (2, 3)) if level == 0
+                          else (families()["line23"], (2, 3), (1, 4)))
+    br = branch_of(SolitonConfig("p_type", KP), pair)
+    gam, beta = br.gamma(eta), {s: br.beta(eta, s) for s in (1, -1)}
+    npts = 24
+    rng = np.random.default_rng(3)
+    rng.random(3 * npts)  # skipped, so the points stay those the bounds were set on
+    yy, yyp = rng.uniform(-1.5, 1.5, (2, npts))
+    zz, zzp, zd = rng.uniform(-2.5, 2.5, (3, npts))
+    t0 = np.zeros(npts)
+
+    def corr(s, x, y, xp, yp):
+        """Residue correction sum and its x-derivative."""
+        tot = totx = 0.0
+        for j in corr_js:
+            kv, pj = KP[j - 1], fam.phi_residue(j)
+            theta = theta_eval(KP, j, xp, yp, 0.0) - theta_eval(KP, j, x, y, 0.0)
+            weight = np.exp(theta) * fam.phi_star_residue(j).eval(xp, yp, t0) / (beta[s] - kv)
+            val = pj.eval(x, y, t0)
+            tot = tot + weight * val
+            totx = totx + weight * (pj.dx().eval(x, y, t0) - kv * val)
+        return tot, totx
+
+    def product(s, x, y, xp, yp, deriv=False):
+        w = fam.phi(beta[s])
+        lhs = (w.dx() if deriv else w).eval(x, y, t0)
+        return -lhs * fam.phi_star(beta[s]).eval(xp, yp, t0) / (2.0 * gam)
+
+    # off the diagonal: side-selected product vs component times corrections
+    x, xp = zz - 2.0 * br.a * yy, zzp - 2.0 * br.a * yyp
+    pref = sum(theta_eval(KP, j, x, yy, 0.0) - theta_eval(KP, j, xp, yyp, 0.0) for j in pair)
+    comp = -np.exp(0.5 * pref - gam * np.abs(zz - zzp) + 1j * eta * (yy - yyp)) / (2.0 * gam)
+    below = zz > zzp
+    direct = np.where(below, product(-1, x, yy, xp, yyp), product(1, x, yy, xp, yyp))
+    expected = comp * (1.0 + np.where(below, corr(-1, x, yy, xp, yyp)[0],
+                                      corr(1, x, yy, xp, yyp)[0]))
+    # one side against its closed form, which is stricter than max-part
+    out = {"split": float(np.max(np.abs(direct - expected) / np.abs(expected)))}
+
+    # on the diagonal: component reconstructed from each branch product
+    xd, xdp = zd - 2.0 * br.a * yy, zd - 2.0 * br.a * yyp
+
+    def reconstruct(s):
+        d, dx = (product(s, xd, yy, xdp, yyp, deriv=deriv) for deriv in (False, True))
+        cv, cx = corr(s, xd, yy, xdp, yyp)
+        return d / (1.0 + cv), (dx * (1.0 + cv) - d * cx) / (1.0 + cv) ** 2
+
+    (gm, gmx), (gp, gpx) = reconstruct(-1), reconstruct(1)
+    res, scale = sum_residual([gm, -gp])
+    out["continuity"] = float(np.max(res / scale))
+    jump = np.exp((1j * eta - KP[pair[0] - 1] * KP[pair[1] - 1]) * (yy - yyp))
+    # against the closed-form jump, which is stricter than max-part
+    out["jump"] = float(np.max(np.abs((gmx - gpx) - jump) / np.abs(jump)))
+    wm = []
+    for j in corr_js or pair:
+        kv = KP[j - 1]
+        res, scale = sum_residual([(gmx - kv * gm) / (beta[-1] - kv),
+                                   -((gpx - kv * gp) / (beta[1] - kv))])
+        wm.append(np.max(res / scale))
+    out["weighted_match"] = float(np.max(wm))
+    return out
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("eta", [0.35, 1.2])
 def test_green_kernel_checks(level, eta):
-    out = green_kernel_checks(KP, level, eta, seed=3)
-    for key, val in out.items():
+    for key, val in resolvent_errors(level, eta).items():
         assert val < 1e-11, (level, eta, key, val)
-
-
-@pytest.mark.parametrize("eta", [0.35, 1.2])
-def test_completeness_reported_only_where_computed(eta):
-    # the vacuum has no discrete phases, so level 0 has nothing to pair
-    assert "completeness" not in green_kernel_checks(KP, 0, eta, seed=3)
-    assert green_kernel_checks(KP, 1, eta, seed=3)["completeness"] < 1e-11
-
-
-def test_green_kernel_level_is_validated():
-    with pytest.raises(CaseMismatch):
-        green_kernel_checks(KP, 2, 0.3)
