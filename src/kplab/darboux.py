@@ -1,8 +1,9 @@
 """Transforms that couple adjacent tau levels, and their line restrictions.
 
 A coupled pair (tau_1, tau_2), where tau_2 is built on one more Wronskian
-entry than tau_1, satisfies two bilinear identities; everything else in
-this module flows from that coupling.  The pair carries exact potentials
+entry than tau_1, satisfies two bilinear identities; every tau here is a
+`solitons.wronskian_tau` minor expansion.  Everything else in this module
+flows from that coupling.  The pair carries exact potentials
 u_i = 2 (log tau_i)_xx and the log-gradient v = dx log(tau_2/tau_1), the
 first-order transforms  sign*dx + dx^{-1}dy - 2v  move linearized waves
 between the levels (`transform_parts` lists their summands), and each
@@ -47,8 +48,7 @@ from .errors import (
 )
 from .expsum import Carried, ExpSum, Rational, _worst_residual
 from .jost import JostFamily, flow_parts, heat_parts, linearized_parts, pair_product
-from .solitons import (SolitonConfig, build_tau, potential, potential_yprim, theta_gens,
-                       wronskian_tau)
+from .solitons import SolitonConfig, build_tau, potential, potential_yprim, wronskian_tau
 from .tanhexp import PanelGrid, _whole, based_cumulative, exp_cumulative
 
 
@@ -74,27 +74,6 @@ def _equation_parts(lhs: list, rhs: list) -> list:
 
 
 # ----- bilinear pair coupling -----
-
-
-def pair_wronskian(kappa, coeffs_a, coeffs_b) -> ExpSum:
-    """Wronskian f_a f_b' - f_b f_a' of two phase sums, coefficients as given.
-
-    Unlike the minor expansion this places no sign restriction on the
-    coefficients, so it can realize couplings whose lower tau is not itself
-    a regular configuration.
-    """
-    fa, fb = phase_sum(kappa, coeffs_a), phase_sum(kappa, coeffs_b)
-    return fa * fb.dx() - fb * fa.dx()
-
-
-def phase_sum(kappa, coeffs) -> ExpSum:
-    """Sum of coeffs[m] exp(theta_m) over the phases of kappa."""
-    ka = tuple(float(v) for v in kappa)
-    if len(coeffs) != len(ka):
-        raise ConfigMismatch(f"{len(coeffs)} coefficients for {len(ka)} phases")
-    items = [(tuple(1 if j == i else 0 for j in range(len(ka))), complex(c))
-             for i, c in enumerate(coeffs) if c != 0]
-    return ExpSum.from_terms(theta_gens(ka), items)
 
 
 def backlund_parts(tau1: ExpSum, tau2: ExpSum) -> dict[str, list[ExpSum]]:
@@ -133,10 +112,14 @@ def backlund_parts(tau1: ExpSum, tau2: ExpSum) -> dict[str, list[ExpSum]]:
 def backlund_catalog() -> tuple[tuple[str, ExpSum, ExpSum], ...]:
     """Named coupled pairs spanning every supported tau shape.
 
-    Includes the elementary line over the vacuum, irregular lower taus with
-    mixed-sign Wronskians, the rank-degenerate reductions, both orderings of
-    a shifted line, and the two four-phase types against their one-line
-    partners.  The pairs are constants, built on the first call and kept.
+    Includes the elementary line over the vacuum, irregular lower taus, the
+    rank-degenerate reductions, both orderings of a shifted line, and the
+    two four-phase types against their one-line partners.  Every tau is a
+    `wronskian_tau` minor expansion: a one-column matrix for a lower level,
+    two columns for an upper one.  The one lower level with mixed signs,
+    three_phase_skew's e^{theta_1} - b e^{theta_3}, is the difference of two
+    one-phase expansions.  The pairs are constants, built on the first call
+    and kept.
     """
     a, b, c, d = 0.7, 1.3, 0.4, 0.9
     k2 = (-1.0, 0.5)
@@ -148,29 +131,31 @@ def backlund_catalog() -> tuple[tuple[str, ExpSum, ExpSum], ...]:
     pairs: list[tuple[str, ExpSum, ExpSum]] = []
     pairs.append(("line_over_vacuum", one,
                   build_tau(SolitonConfig("one_line", k2, pair=(1, 2)))))
-    pairs.append(("three_term_over_vacuum", one, phase_sum(k3, (1.0, a, b))))
+    pairs.append(("three_term_over_vacuum", one, wronskian_tau(k3, [[1.0], [a], [b]])))
 
-    t2_full = wronskian_tau(k4, np.array([[1.0, 0.0], [0.0, 1.0], [-c, a], [-d, b]]))
-    pairs.append(("full_rank_pair", phase_sum(k4, (0.0, 1.0, a, b)), t2_full))
-    pairs.append(("rank_pair_degenerate", phase_sum(k4, (0.0, 1.0, a, 0.0)),
-                  wronskian_tau(k4, np.array([[0.0, -1.0], [1.0, 0.0], [a, 0.0], [0.0, d]]))))
+    t2_full = wronskian_tau(k4, [[1.0, 0.0], [0.0, 1.0], [-c, a], [-d, b]])
+    pairs.append(("full_rank_pair", wronskian_tau(k4, [[0.0], [1.0], [a], [b]]), t2_full))
+    pairs.append(("rank_pair_degenerate", wronskian_tau(k4, [[0.0], [1.0], [a], [0.0]]),
+                  wronskian_tau(k4, [[0.0, -1.0], [1.0, 0.0], [a, 0.0], [0.0, d]])))
 
-    t1_split = phase_sum(k4, (0.0, 0.0, 1.0, a))
-    t2_split0 = pair_wronskian(k4, (1.0, b, 0.0, 0.0), (0.0, 0.0, 1.0, a))
+    t1_split = wronskian_tau(k4, [[0.0], [0.0], [1.0], [a]])
+    t2_split0 = wronskian_tau(k4, [[1.0, 0.0], [b, 0.0], [0.0, 1.0], [0.0, a]])
     pairs.append(("split_pair_generic", t1_split,
-                  wronskian_tau(k4, np.array([[1.0, 0.0], [b, 0.0], [0.0, 1.0], [-c, a]]))))
+                  wronskian_tau(k4, [[1.0, 0.0], [b, 0.0], [0.0, 1.0], [-c, a]])))
     pairs.append(("split_pair_wronskian", t1_split, t2_split0))
-    pairs.append(("split_pair_other_partner", phase_sum(k4, (1.0, b, 0.0, 0.0)), t2_split0))
+    pairs.append(("split_pair_other_partner", wronskian_tau(k4, [[1.0], [b], [0.0], [0.0]]),
+                  t2_split0))
 
-    t2_three = pair_wronskian(k3, (1.0, 0.0, -b), (0.0, 1.0, a))
-    pairs.append(("three_phase_skew", phase_sum(k3, (1.0, 0.0, -b)), t2_three))
-    pairs.append(("three_phase_mixed", phase_sum(k3, (1.0, b / a, 0.0)), t2_three))
+    t2_three = wronskian_tau(k3, [[1.0, 0.0], [0.0, 1.0], [-b, a]])
+    skew = wronskian_tau(k3, [[1.0], [0.0], [0.0]]) - b * wronskian_tau(k3, [[0.0], [0.0], [1.0]])
+    pairs.append(("three_phase_skew", skew, t2_three))
+    pairs.append(("three_phase_mixed", wronskian_tau(k3, [[1.0], [b / a], [0.0]]), t2_three))
 
-    t1_shift = phase_sum(k3, (1.0, a, b))
+    t1_shift = wronskian_tau(k3, [[1.0], [a], [b]])
     pairs.append(("shifted_line_low", t1_shift,
-                  pair_wronskian(k3, (1.0, a, 0.0), (1.0, a, b))))
+                  wronskian_tau(k3, [[1.0, 1.0], [a, a], [0.0, b]])))
     pairs.append(("shifted_line_high", t1_shift,
-                  pair_wronskian(k3, (1.0, a, b), (0.0, a, b))))
+                  wronskian_tau(k3, [[1.0, 0.0], [a, a], [b, b]])))
 
     pairs.append(("p_type_pair", build_tau(SolitonConfig("one_line", k4, pair=(2, 3))),
                   build_tau(SolitonConfig("p_type", k4))))

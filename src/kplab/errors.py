@@ -27,7 +27,10 @@ class PoleAtKappa(KplabError):
 
 
 class ConfigMismatch(KplabError):
-    """Operands were built from different soliton configurations."""
+    """An input does not fit the operation: non-finite samples or spectral
+    points, bad sample counts or seeds, channel windows, panel edges or
+    orders, sample shapes, cumulative sides, a based cumulative without the
+    origin on a panel edge, or a level chain of the wrong kind."""
 
 
 class MissingPrimitive(KplabError):

@@ -1,10 +1,11 @@
 """Line-soliton tau functions, frames, fields and far-field profiles.
 
-Everything is built from tau = sum of Vandermonde-weighted minors times
-exponentials of theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t, and the
-field u = 2 (log tau)_xx.  Supported configurations: the vacuum, a single
-line soliton on any phase pair, and the two nondegenerate two-line types
-with four phases.
+Every tau in the package is built here, by `wronskian_tau`: a sum of
+Vandermonde-weighted minors of a coefficient matrix times exponentials of
+theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t.  The field is
+u = 2 (log tau)_xx.  Supported configurations: the vacuum, a single line
+soliton on any phase pair, and the two nondegenerate two-line types with
+four phases.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .branches import Branch, branch_of
+from .branches import Branch, branch_of, check_sign
 from .errors import DegenerateFrame, InvalidBranch, RejectedConfig
 from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
@@ -43,17 +45,19 @@ def _vandermonde(vals: tuple[float, ...]) -> float:
     return out
 
 
-def wronskian_tau(kappa: tuple[float, ...], amatrix: np.ndarray) -> ExpSum:
+def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
     """tau from phases kappa and an M x N coefficient matrix.
 
     Expands the Wronskian of f_n = sum_m a_{mn} exp(theta_m) into minors:
     every subset S of N rows contributes det(A[S]) times the Vandermonde
     of kappa[S] times exp(sum of theta over S).  Each term is keyed by the
     indicator vector of S, in the order of the subsets, and zero minors are
-    dropped.  Minors must be nonnegative and the matrix must have full
-    column rank, else the configuration is rejected.
+    dropped.  Phases and entries must be finite, minors nonnegative and the
+    matrix of full column rank, else the configuration is rejected.
     """
     amatrix = np.asarray(amatrix, dtype=float)
+    if not (np.isfinite(amatrix).all() and all(map(math.isfinite, kappa))):
+        raise RejectedConfig(f"non-finite phases {kappa} or coefficients {amatrix.tolist()}")
     big_m, small_n = amatrix.shape
     if len(kappa) != big_m:
         raise RejectedConfig(f"coefficient matrix has {big_m} rows for {len(kappa)} phases")
@@ -221,8 +225,7 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     shift mu = log(c_{S+j} / c_{S+i}) / 2; it depends on which side of the
     interaction region the channel is observed from.
     """
-    if y_sign not in (1, -1):
-        raise InvalidBranch(f"y_sign must be +1 or -1, got {y_sign}")
+    check_sign(y_sign)
     pair = (int(pair[0]), int(pair[1]))
     if pair not in config.channel_pairs():
         raise InvalidBranch(f"{pair} is not a channel of this {config.kind} configuration")

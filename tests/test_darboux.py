@@ -37,8 +37,6 @@ from kplab.darboux import (
     minus_kernel_profile,
     miura_lax_parts,
     mode_transfer_parts,
-    pair_wronskian,
-    phase_sum,
     sample_points,
     t1_apply,
     t1_roundtrip,
@@ -60,7 +58,7 @@ from kplab.errors import (
 )
 from kplab.expsum import Carried, ExpSum, Rational, sum_residual, worst_residual
 from kplab.jost import JostFamily, pair_product
-from kplab.solitons import SolitonConfig, sech2, theta_eval
+from kplab.solitons import SolitonConfig, sech2, theta_eval, theta_gens, wronskian_tau
 from kplab.tanhexp import PanelGrid
 
 KP = (-2.0, -1.0, 0.5, 3.0)
@@ -102,11 +100,67 @@ def test_elementary_pair_is_machine_exact():
     assert res["x"] < 1e-12 and res["t"] < 1e-12
 
 
+def phase_sum(kappa, coeffs) -> ExpSum:
+    """Reference sum of coeffs[m] exp(theta_m), built term by term."""
+    units = np.eye(len(kappa), dtype=int)
+    return ExpSum.from_terms(theta_gens(kappa), [(tuple(units[m]), complex(c))
+                                                 for m, c in enumerate(coeffs) if c])
+
+
+def explicit_wronskian(kappa, coeffs_a, coeffs_b) -> ExpSum:
+    """Reference Wronskian f_a f_b' - f_b f_a' of two phase sums."""
+    fa, fb = phase_sum(kappa, coeffs_a), phase_sum(kappa, coeffs_b)
+    return fa * fb.dx() - fb * fa.dx()
+
+
+def exact_terms(tau: ExpSum):
+    return tau.gens, [(key, c.real.hex(), c.imag.hex()) for key, c in tau.terms.items()]
+
+
+# Each catalog tau built on one Wronskian entry, by the coefficients of that entry.
+ONE_COLUMN = {
+    ("three_term_over_vacuum", 2): (K3, (1.0, 0.7, 1.3)),
+    ("full_rank_pair", 1): (KP, (0.0, 1.0, 0.7, 1.3)),
+    ("rank_pair_degenerate", 1): (KP, (0.0, 1.0, 0.7, 0.0)),
+    ("split_pair_generic", 1): (KP, (0.0, 0.0, 1.0, 0.7)),
+    ("split_pair_other_partner", 1): (KP, (1.0, 1.3, 0.0, 0.0)),
+    ("three_phase_skew", 1): (K3, (1.0, 0.0, -1.3)),
+    ("three_phase_mixed", 1): (K3, (1.0, 1.3 / 0.7, 0.0)),
+    ("shifted_line_low", 1): (K3, (1.0, 0.7, 1.3)),
+}
+# Each catalog tau built on two Wronskian entries, by their coefficients.
+TWO_COLUMN = {
+    "split_pair_wronskian": (KP, (1.0, 1.3, 0.0, 0.0), (0.0, 0.0, 1.0, 0.7)),
+    "three_phase_skew": (K3, (1.0, 0.0, -1.3), (0.0, 1.0, 0.7)),
+    "shifted_line_low": (K3, (1.0, 0.7, 0.0), (1.0, 0.7, 1.3)),
+    "shifted_line_high": (K3, (1.0, 0.7, 1.3), (0.0, 0.7, 1.3)),
+}
+
+
+def test_one_column_taus_are_phase_sums():
+    """Each one-column catalog tau is sum c_m exp(theta_m) byte for byte,
+    the mixed-sign difference of two one-phase expansions included."""
+    cat = {name: (t1, t2) for name, t1, t2 in backlund_catalog()}
+    for (name, level), (kappa, coeffs) in ONE_COLUMN.items():
+        assert exact_terms(cat[name][level - 1]) == exact_terms(phase_sum(kappa, coeffs)), name
+
+
+def test_two_column_taus_match_the_explicit_wronskian():
+    """Each two-column catalog tau has the explicit Wronskian's key set and
+    its coefficients within 4 ulp."""
+    cat = {name: t2 for name, _, t2 in backlund_catalog()}
+    for name, (kappa, coeffs_a, coeffs_b) in TWO_COLUMN.items():
+        tau, reference = cat[name], explicit_wronskian(kappa, coeffs_a, coeffs_b)
+        assert tau.gens == reference.gens and tau.terms.keys() == reference.terms.keys(), name
+        for key, c in reference.terms.items():
+            assert abs(tau.terms[key] - c) <= 4 * np.spacing(abs(c)), (name, key)
+
+
 def test_wrong_partner_is_refuted():
     """A lower tau that is not a cofactor row fails the coupling loudly."""
     x, y, t = pts(3)
-    tau2 = pair_wronskian(KP, (1.0, 1.3, 0.0, 0.0), (0.0, 0.0, 1.0, 0.7))
-    wrong = phase_sum(KP, (1.0, 0.7, 0.0, 0.0))
+    tau2 = wronskian_tau(KP, [[1.0, 0.0], [1.3, 0.0], [0.0, 1.0], [0.0, 0.7]])
+    wrong = wronskian_tau(KP, [[1.0], [0.7], [0.0], [0.0]])
     res = worst(backlund_parts(wrong, tau2), x, y, t)
     assert res["x"] > 1e-3 and res["t"] > 1e-3
 
@@ -142,15 +196,10 @@ def test_three_phase_partners_build_one_tau():
     """Two different second rows span the same three-phase Wronskian."""
     b, a = 1.3, 0.7
     x, y, t = pts(6)
-    skew = pair_wronskian(K3, (1.0, 0.0, -b), (0.0, 1.0, a))
-    mixed = pair_wronskian(K3, (1.0, b / a, 0.0), (0.0, 1.0, a))
+    skew = wronskian_tau(K3, [[1.0, 0.0], [0.0, 1.0], [-b, a]])
+    mixed = wronskian_tau(K3, [[1.0, 0.0], [b / a, 1.0], [0.0, a]])
     vs, vm = skew.eval(x, y, t), mixed.eval(x, y, t)
     assert np.max(np.abs(vs - vm)) < 1e-12 * np.max(np.abs(vs))
-
-
-def test_pair_wronskian_length_mismatch():
-    with pytest.raises(ConfigMismatch):
-        phase_sum(K3, (1.0, 2.0))
 
 
 # ----- pair potentials -----
@@ -165,7 +214,7 @@ def test_pair_invariants(label):
     elif label == "vacuum_line":
         data = MiuraData(None, JostFamily(SolitonConfig("one_line", K3, pair=(1, 3))).tau)
     elif label == "vacuum_three":
-        data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 1.3)))
+        data = MiuraData(None, wronskian_tau(K3, [[1.0], [0.7], [1.3]]))
     else:
         pair = (1, 2) if label == "o_ch12" else (3, 4)
         low = JostFamily(SolitonConfig("one_line", KO, pair=pair))
@@ -177,8 +226,8 @@ def test_pair_invariants(label):
 
 def test_invariants_refute_uncoupled_pair():
     x, y, t = pts(8)
-    data = MiuraData(phase_sum(KP, (1.0, 0.7, 0.0, 0.0)),
-                     pair_wronskian(KP, (1.0, 1.3, 0.0, 0.0), (0.0, 0.0, 1.0, 0.7)))
+    data = MiuraData(wronskian_tau(KP, [[1.0], [0.7], [0.0], [0.0]]),
+                     wronskian_tau(KP, [[1.0, 0.0], [1.3, 0.0], [0.0, 1.0], [0.0, 0.7]]))
     res = worst(data.invariant_parts(), x, y, t)
     assert res["map_plus"] > 1e-3 and res["flow"] > 1e-3
 
@@ -207,7 +256,7 @@ def test_transform_signs_differ_by_twice_dx():
 
 
 def test_transform_needs_nonlocal_data():
-    data = MiuraData(None, phase_sum(K3, (1.0, 0.7, 0.0)))
+    data = MiuraData(None, wronskian_tau(K3, [[1.0], [0.7], [0.0]]))
     bare = Carried(data.u2)
     with pytest.raises(MissingPrimitive):
         transform_parts(data.v, bare)

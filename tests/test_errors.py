@@ -193,26 +193,14 @@ def test_every_cache_is_bounded():
     assert [entry.split(":")[0] for entry in flagged] == ["a", "b", "c"]
 
 
-def _random_readers(tree: ast.Module) -> list[str]:
-    """The innermost function (or <module>) around each read of numpy's
-    random module: np.random, numpy.random or an import from it."""
+def _readers(tree: ast.Module, reads) -> list[str]:
+    """The innermost function (or <module>) around each node where `reads` holds."""
     found: list[str] = []
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Attribute):
-            reads = (node.attr == "random" and isinstance(node.value, ast.Name)
-                     and node.value.id in ("np", "numpy"))
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            reads = module.startswith("numpy.random") or (
-                module == "numpy" and any(alias.name == "random" for alias in node.names))
-        elif isinstance(node, ast.Import):
-            reads = any(alias.name.startswith("numpy.random") for alias in node.names)
-        else:
-            reads = False
-        if reads:
+        if reads(node):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -221,17 +209,56 @@ def _random_readers(tree: ast.Module) -> list[str]:
     return found
 
 
+def _reads_random(node: ast.AST) -> bool:
+    """A read of numpy's random module: np.random, numpy.random or an import from it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (
+            module == "numpy" and any(alias.name == "random" for alias in node.names))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    return False
+
+
+def _reads_theta_gens(node: ast.AST) -> bool:
+    """A load of theta_gens, bare or as an attribute, or an import of it."""
+    if isinstance(node, ast.Name):
+        return node.id == "theta_gens" and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "theta_gens" and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "theta_gens" for alias in node.names)
+    return False
+
+
+def _src_readers(reads) -> list[str]:
+    return [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+            for owner in _readers(ast.parse(path.read_text(), filename=str(path)), reads)]
+
+
 def test_only_sample_points_draws():
     """src/kplab draws its sample points in one place, `darboux.sample_points`;
     every identity takes its points from the caller."""
-    readers = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
-               for owner in _random_readers(ast.parse(path.read_text(), filename=str(path)))]
-    assert readers == ["darboux.sample_points"]
-    assert _random_readers(ast.parse(
+    assert _src_readers(_reads_random) == ["darboux.sample_points"]
+    assert _readers(ast.parse(
         "import numpy as np\nfrom numpy import random\nimport numpy.random\n"
         "def f():\n    def g():\n        return np.random.default_rng(0)\n"
         "    return np.linalg\nclass C:\n    def h(self):\n"
-        "        from numpy.random import default_rng\n")) == ["<module>", "<module>", "g", "h"]
+        "        from numpy.random import default_rng\n"), _reads_random) == [
+            "<module>", "<module>", "g", "h"]
+
+
+def test_only_wronskian_tau_builds_taus():
+    """Every tau is a minor expansion: the phase generators are read in
+    src/kplab by `solitons.wronskian_tau` alone."""
+    assert _src_readers(_reads_theta_gens) == ["solitons.wronskian_tau"]
+    assert _readers(ast.parse(
+        "from .solitons import theta_gens\ndef f(k):\n    return theta_gens(k)\n"
+        "def g(k):\n    return solitons.theta_gens(k)\ndef theta_gens(k):\n"
+        "    theta_gens = k\n"), _reads_theta_gens) == ["<module>", "f", "g"]
 
 
 KP = (-2.0, -1.0, 0.5, 3.0)
@@ -257,6 +284,10 @@ P = SolitonConfig("p_type", KP)
     (lambda: kink_profile(-1.0), errors.InvalidBranch),
     (lambda: wronskian_tau((0.0, 1.0), np.ones((3, 1))), errors.RejectedConfig),
     (lambda: wronskian_tau((0.0, 1.0), np.eye(2, 3)), errors.RejectedConfig),
+    (lambda: wronskian_tau((0.0, 1.0), [[math.nan], [1.0]]), errors.RejectedConfig),
+    (lambda: wronskian_tau((0.0, 1.0), [[1.0], [math.inf]]), errors.RejectedConfig),
+    (lambda: wronskian_tau((math.nan, 1.0), [[1.0], [1.0]]), errors.RejectedConfig),
+    (lambda: wronskian_tau((0.0, math.inf), [[1.0], [1.0]]), errors.RejectedConfig),
     (lambda: SolitonConfig("p_type", KP, pair=(2, 3)), errors.RejectedConfig),
     (lambda: SolitonConfig("one_line", KP), errors.RejectedConfig),
     (lambda: SolitonConfig("vacuum", (), pair=(1, 2)), errors.RejectedConfig),
@@ -287,7 +318,8 @@ P = SolitonConfig("p_type", KP)
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
-        "tau_rows_mismatch", "tau_columns_exceed_phases", "p_type_with_pair",
+        "tau_rows_mismatch", "tau_columns_exceed_phases", "tau_entry_nan", "tau_entry_inf",
+        "tau_kappa_nan", "tau_kappa_inf", "p_type_with_pair",
         "one_line_without_pair", "vacuum_with_pair", "equal_channel_slopes",
         "log_of_zero_sum", "alpha_nan", "alpha_inf", "kernel_branch_point",
         "minus_inverse_branch_point", "plus_inverse_branch_point", "sample_count_zero",
