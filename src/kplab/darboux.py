@@ -592,14 +592,15 @@ def _exp_line(rate: complex) -> ExpSum:
     return ExpSum.exponential(1.0, (complex(rate), 0j, 0j))
 
 
+# like _hyperbolic, one kink and one bump per gap, so a sweep over (eta,
+# alpha) feeds the same objects, and so the same node values, to every operator
+@lru_cache(maxsize=64)
 def kink_profile(c: float) -> Rational:
     """psi = sqrt(c) tanh(sqrt(c) z), the kink the line transforms subtract."""
     root = _channel_root(c)
     return root * _hyperbolic(root)[0]
 
 
-# like _hyperbolic, one profile per gap, so a sweep over (eta, alpha) feeds
-# the same object, and so the same node values, to every operator
 @lru_cache(maxsize=64)
 def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
@@ -637,16 +638,14 @@ def _window_grid(window: int) -> PanelGrid:
 # a sweep over (eta, alpha) at a fixed (c, window) builds these once; a
 # sweep over gaps or windows keeps its last 16
 @lru_cache(maxsize=16)
-def _channel_nodes(c: float, window: int) -> tuple[PanelGrid, np.ndarray, np.ndarray,
-                                                   np.ndarray]:
-    """The window's panel grid and the read-only (psi, sech, cosh) at its
-    nodes."""
-    grid = _window_grid(window)
+def _channel_nodes(c: float, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (psi, sech, cosh) at the nodes of the window's grid."""
+    z = _window_grid(window).z
     _, sech, cosh = _hyperbolic(_channel_root(c))
-    out = tuple(prof.eval(grid.z, 0.0, 0.0) for prof in (kink_profile(c), sech, cosh))
+    out = tuple(prof.eval(z, 0.0, 0.0) for prof in (kink_profile(c), sech, cosh))
     for arr in out:
         arr.flags.writeable = False
-    return (grid, *out)
+    return out
 
 
 def _check_finite(vals: np.ndarray, what: str) -> None:
@@ -678,10 +677,11 @@ class OneDimDarboux:
     the default makes the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
     applications and the integral inverses live on the panel grid.  The grid
-    depends only on the window and the node profiles only on (c, window), so
-    every operator at one (c, window) shares them, whatever its eta and
-    alpha; an input profile's node values are kept per (profile object,
-    window) in a cache of the last 16.  Sampled inputs must be finite, else
+    is the window's one `_window_grid`, and the node values of psi, sech and
+    cosh are kept per (c, window) by `_channel_nodes`, so every operator at
+    one (c, window) shares them, whatever its eta and alpha; an input
+    profile's node values are kept per (profile object, window) in a cache
+    of the last 16.  Sampled inputs must be finite, else
     ConfigMismatch.  alpha must be finite and nonnegative, else
     AlphaOutOfRange.
     """
@@ -703,7 +703,7 @@ class OneDimDarboux:
 
     @cached_property
     def grid(self) -> PanelGrid:
-        return _channel_nodes(self.c, self.window)[0]
+        return _window_grid(self.window)
 
     @cached_property
     def psi(self) -> Rational:
@@ -712,7 +712,7 @@ class OneDimDarboux:
     @cached_property
     def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(psi, sech, cosh) at the grid nodes, shared and read-only."""
-        return _channel_nodes(self.c, self.window)[1:]
+        return _channel_nodes(self.c, self.window)
 
     def m_parts(self, sign: int, f: Carried) -> list[Rational]:
         """Summands of the exact transform: `transform_parts` at v = psi, whose
@@ -762,7 +762,7 @@ def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Ra
     op = OneDimDarboux(c, eta)
     gp, gm = op.branch.gamma(eta), op.branch.gamma(-eta)
     _, sech, cosh = _hyperbolic(op.root)
-    u1 = (2.0 * c) * (sech * sech)
+    u1 = (2.0 * c) * bump_profile(c).value
     fv, fp = f.value, f.prim()
     plus, minus = op.m_apply(1, f), op.m_apply(-1, f)
 
@@ -789,13 +789,14 @@ def commutation_parts(c: float, eta: complex, drift: float,
     the profile, d/dz of the dressed generator on G must equal d/dz of the
     transform on H; "plus" dresses with the sech^2 potential, "minus" is
     free.  The drift coefficient enters both generators identically, so the
-    identity holds for any value; passing the channel's frame drift keeps
-    the magnitudes representative.
+    identity holds for any finite value, else ConfigMismatch; passing the
+    channel's frame drift keeps the magnitudes representative.
     """
     op = OneDimDarboux(c, eta)
+    if not np.isfinite(drift):
+        raise ConfigMismatch(f"drift coefficient must be finite, got {drift}")
     eta, psi = op.eta, op.psi
-    sech = _hyperbolic(op.root)[1]
-    u1 = (2.0 * c) * (sech * sech)
+    u1 = (2.0 * c) * bump_profile(c).value
     fv, fp = f.value, f.prim()
     c4 = 4.0 * c
 

@@ -26,13 +26,12 @@ again, equal to one evaluated before, skips building them.  Nothing kept
 holds point data.  Sums whose generator tuples already line up (equal, or
 one starting the other) add and multiply without remapping their keys.
 
-Sums, differences, products and scalar multiples build one dict each:
-they drop their own zero terms and hand the dict to the sum they return,
-while the public `ExpSum(gens, terms)` copies and filters.  Every sum on
-one generator tuple shares one read-only generator matrix.  Evaluation
-computes in float64 when a sum's phases and coefficients are all real and
-in complex128 otherwise (`ExpSum.arrays()` decides, once per content), and
-builds its (3, N) point stack in place in that dtype.
+Sums, products and scalar multiples build one dict each: they drop their
+own zero terms and hand the dict to the sum they return, while the public
+`ExpSum(gens, terms)` copies and filters.  Evaluation computes in float64
+when a sum's phases and coefficients are all real and in complex128
+otherwise (`ExpSum.arrays()` decides, once per content), and builds its
+(3, N) point stack in place in that dtype.
 `worst_residual` evaluates each distinct ExpSum of an identity once.
 """
 from __future__ import annotations
@@ -41,7 +40,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, inf
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,21 +93,13 @@ def _nonzero(acc: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], compl
     return acc
 
 
-@lru_cache(maxsize=256)
-def _gen_matrix(gens: tuple[Gen, ...]) -> np.ndarray:
-    """The (len(gens), 3) read-only complex matrix of the generators."""
-    mat = np.asarray(gens, dtype=complex).reshape(len(gens), 3)
-    mat.flags.writeable = False
-    return mat
-
-
 @lru_cache(maxsize=1024)
 def _sorted_arrays(gens: tuple[Gen, ...], items: tuple) -> tuple[np.ndarray, np.ndarray]:
     """`ExpSum.arrays()` of the sum on gens with the sorted (key, coefficient) items."""
     width = len(gens)
     lattice = np.fromiter(chain.from_iterable(k for k, _ in items), dtype=float,
                           count=len(items) * width)
-    ph = lattice.reshape(len(items), width) @ _gen_matrix(gens)
+    ph = lattice.reshape(len(items), width) @ np.asarray(gens, dtype=complex).reshape(width, 3)
     coeff = np.fromiter((c for _, c in items), dtype=complex, count=len(items))
     if not (ph.imag.any() or coeff.imag.any()):
         ph, coeff = ph.real, coeff.real
@@ -193,13 +184,6 @@ class ExpSum(Ring):
     def exponential(coeff: complex, gen: Gen) -> "ExpSum":
         return ExpSum((gen,), {(1,): complex(coeff)} if coeff != 0 else {})
 
-    @staticmethod
-    def from_terms(gens: tuple[Gen, ...], items: Iterable[tuple[tuple[int, ...], complex]]) -> "ExpSum":
-        acc: dict[tuple[int, ...], complex] = {}
-        for key, c in items:
-            acc[key] = acc.get(key, 0) + c
-        return ExpSum(gens, acc)
-
     # ----- structure -----
 
     def is_zero(self) -> bool:
@@ -250,17 +234,6 @@ class ExpSum(Ring):
         get = acc.get
         for k, c in right:
             acc[k] = get(k, 0) + c
-        return ExpSum._of(gens, _nonzero(acc))
-
-    def __sub__(self, other):
-        if not isinstance(other, ExpSum):
-            return self + (-other)
-        gens, left, right = self._operands(other)
-        acc = dict(left)
-        get = acc.get
-        # c * -1.0, not -c: the coefficient `self + (-other)` adds
-        for k, c in right:
-            acc[k] = get(k, 0) + c * -1.0
         return ExpSum._of(gens, _nonzero(acc))
 
     def __mul__(self, other):
@@ -513,10 +486,10 @@ class Rational(Ring):
     `den` maps each base to its power.  ExpSum defines no __eq__, so the
     dict is keyed by base identity and keeps first-seen order; a den is
     shared between Rationals and never mutated, every merge copies it.
-    Closed under +, -, *, scalar multiples, d/dx, d/dy, d/dt and division
-    by an ExpSum base, which is everything the layered field constructions
-    need.  Evaluation combines scaled pieces so numerator and denominator
-    overflow cancel exactly.
+    Closed under +, -, *, scalar multiples, d/dx, d/dy and d/dt, which is
+    everything the layered field constructions need; `from_quotient` puts
+    ExpSum bases under a numerator.  Evaluation combines scaled pieces so
+    numerator and denominator overflow cancel exactly.
     """
 
     __slots__ = ("num", "den", "_partials")
@@ -565,13 +538,6 @@ class Rational(Ring):
 
         return Rational(lift(self) + lift(other), den)
 
-    def __truediv__(self, other):
-        if isinstance(other, ExpSum):
-            den = dict(self.den)
-            den[other] = den.get(other, 0) + 1
-            return Rational(self.num, den)
-        return super().__truediv__(other)
-
     # -- calculus --
 
     def _partial(self, axis: int) -> "Rational":
@@ -586,11 +552,11 @@ class Rational(Ring):
             bases = list(self.den)
             new_num = self.num._partial(axis) * reduce(mul, bases)
             for i, (base, power) in enumerate(self.den.items()):
-                term = (self.num if power == 1 else power * self.num) * base._partial(axis)
+                term = (-power * self.num) * base._partial(axis)
                 rest = bases[:i] + bases[i + 1:]
                 if rest:
                     term = term * reduce(mul, rest)
-                new_num = new_num - term
+                new_num = new_num + term
             out = Rational(new_num, {base: power + 1 for base, power in self.den.items()})
         self._partials[axis] = out
         return out

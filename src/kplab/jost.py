@@ -99,7 +99,7 @@ class JostFamily:
             if not 1 <= pole <= len(kappa):
                 raise PoleAtKappa(f"phase index {pole} out of range 1..{len(kappa)}")
             skip, w = pole - 1, kappa[pole - 1]
-        items: list[tuple[tuple[int, ...], complex]] = []
+        terms: dict[tuple[int, ...], complex] = {}
         for subset, factor in self.tau.terms.items():
             if pole is not None and subset[skip] != dual:
                 continue
@@ -115,11 +115,11 @@ class JostFamily:
                         f"(kappa={kappa[m]}); use phi_star_residue")
                 else:
                     factor /= d
-            items.append((subset, factor))
+            terms[subset] = factor
         gen = plane_gen(w)
         if dual:
             gen = tuple(-g for g in gen)
-        num = ExpSum.exponential(1.0, gen) * ExpSum.from_terms(self.tau.gens, items)
+        num = ExpSum.exponential(1.0, gen) * ExpSum(self.tau.gens, terms)
         self._waves[key] = Rational.from_quotient(num, self.tau)
         return self._waves[key]
 

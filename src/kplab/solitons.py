@@ -64,18 +64,30 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
     if small_n > big_m:
         raise RejectedConfig("more columns than phases")
     scale = max(1.0, float(np.abs(amatrix).max(initial=0.0)) ** small_n)
-    terms: list[tuple[tuple[int, ...], complex]] = []
+    terms: dict[tuple[int, ...], complex] = {}
     for subset in combinations(range(big_m), small_n):
         minor = float(np.linalg.det(amatrix[list(subset), :])) if small_n else 1.0
         if minor < -1e-12 * scale:
             raise RejectedConfig(f"negative minor {minor:.3e} on rows {tuple(s + 1 for s in subset)}")
         if minor <= 1e-12 * scale:
             continue
-        terms.append((tuple(1 if m in subset else 0 for m in range(big_m)),
-                      complex(minor * _vandermonde(tuple(kappa[s] for s in subset)))))
+        key = tuple(1 if m in subset else 0 for m in range(big_m))
+        terms[key] = complex(minor * _vandermonde(tuple(kappa[s] for s in subset)))
     if small_n and (not terms or np.linalg.matrix_rank(amatrix) < small_n):
         raise RejectedConfig("coefficient matrix has rank below its column count")
-    return ExpSum.from_terms(theta_gens(kappa), terms)
+    return ExpSum(theta_gens(kappa), terms)
+
+
+def _phase_pair(pair) -> tuple[int, int] | None:
+    """pair as two ints, or None unless it is a tuple or list of two integral
+    reals, not bools; 1.0 reads as 1, and 1.5 is not rounded."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        return None
+    for v in pair:
+        real = isinstance(v, (int, float, np.integer, np.floating))
+        if isinstance(v, (bool, np.bool_)) or not real or not math.isfinite(v) or v != int(v):
+            return None
+    return int(pair[0]), int(pair[1])
 
 
 @dataclass(frozen=True)
@@ -103,10 +115,11 @@ class SolitonConfig:
         if self.kind == "one_line":
             if self.pair is None:
                 raise RejectedConfig("one_line needs a pair")
-            i, j = self.pair
-            if not (1 <= i < j <= len(ks)):
-                raise RejectedConfig(f"pair {self.pair} out of range for {len(ks)} phases")
-            object.__setattr__(self, "pair", (int(i), int(j)))
+            pair = _phase_pair(self.pair)
+            if pair is None or not 1 <= pair[0] < pair[1] <= len(ks):
+                raise RejectedConfig(f"pair {self.pair!r} is not two increasing phase "
+                                     f"indices in 1..{len(ks)}")
+            object.__setattr__(self, "pair", pair)
         if self.kind == "vacuum" and self.pair is not None:
             raise RejectedConfig("vacuum does not take a pair")
 
@@ -226,9 +239,9 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     interaction region the channel is observed from.
     """
     check_sign(y_sign)
-    pair = (int(pair[0]), int(pair[1]))
+    given, pair = pair, _phase_pair(pair)
     if pair not in config.channel_pairs():
-        raise InvalidBranch(f"{pair} is not a channel of this {config.kind} configuration")
+        raise InvalidBranch(f"{given!r} is not a channel of this {config.kind} configuration")
     k = config.kappa
     i, j = pair[0] - 1, pair[1] - 1
     terms = build_tau(config).terms

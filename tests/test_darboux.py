@@ -42,7 +42,7 @@ from kplab.darboux import (
     t1_roundtrip,
     transform_parts,
 )
-from kplab import tanhexp
+from kplab import expsum, solitons, tanhexp
 from kplab.branches import Branch
 from kplab.errors import (
     AlphaOutOfRange,
@@ -103,8 +103,8 @@ def test_elementary_pair_is_machine_exact():
 def phase_sum(kappa, coeffs) -> ExpSum:
     """Reference sum of coeffs[m] exp(theta_m), built term by term."""
     units = np.eye(len(kappa), dtype=int)
-    return ExpSum.from_terms(theta_gens(kappa), [(tuple(units[m]), complex(c))
-                                                 for m, c in enumerate(coeffs) if c])
+    return ExpSum(theta_gens(kappa), {tuple(units[m]): complex(c)
+                                      for m, c in enumerate(coeffs) if c})
 
 
 def explicit_wronskian(kappa, coeffs_a, coeffs_b) -> ExpSum:
@@ -755,19 +755,24 @@ def test_operators_of_one_channel_share_grid_and_nodes():
 def test_channel_node_cache_is_bounded():
     limit = _channel_nodes.cache_info().maxsize
     assert isinstance(limit, int)
-    first = [arr.tobytes() for arr in _channel_nodes(0.3, 12)[1:]]
+    first = [arr.tobytes() for arr in _channel_nodes(0.3, 12)]
     for k in range(limit + 5):
         OneDimDarboux(0.5 + 0.1 * k, 1.0, alpha=0.2, window=12).node_profiles
     assert _channel_nodes.cache_info().currsize <= limit
     misses = _channel_nodes.cache_info().misses
     # the evicted channel is rebuilt with the same bytes
-    assert [arr.tobytes() for arr in _channel_nodes(0.3, 12)[1:]] == first
+    assert [arr.tobytes() for arr in _channel_nodes(0.3, 12)] == first
     assert _channel_nodes.cache_info().misses == misses + 1
 
 
 def test_bump_profile_is_one_object_per_gap():
     assert bump_profile(CP) is bump_profile(CP)
     assert bump_profile(0.25) is not bump_profile(CP)
+
+
+def test_kink_profile_is_one_object_per_gap():
+    assert kink_profile(CP) is kink_profile(CP) is OneDimDarboux(CP, 2.0).psi
+    assert kink_profile(0.25) is not kink_profile(CP)
 
 
 def test_profile_node_cache_is_bounded_and_read_only():
@@ -828,7 +833,7 @@ def _roundtrip_bytes() -> list[bytes]:
 def test_roundtrip_is_byte_stable_across_cleared_caches():
     warm = _roundtrip_bytes()
     assert _roundtrip_bytes() == warm
-    for cached in (bump_profile, _window_grid, _channel_nodes, _profile_nodes,
+    for cached in (bump_profile, kink_profile, _window_grid, _channel_nodes, _profile_nodes,
                    tanhexp._sweep_kernel, tanhexp._unit_rule):
         cached.cache_clear()
     assert _roundtrip_bytes() == warm
@@ -860,7 +865,7 @@ def test_non_finite_profile_raises():
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_tail_gate_rejects_a_non_finite_integrand(side, bad):
-    grid = _channel_nodes(CP, 24)[0]
+    grid = _window_grid(24)
     g = np.exp(-grid.z ** 2).astype(complex)
     g[7] = bad
     with pytest.raises(ConfigMismatch):
@@ -1032,6 +1037,17 @@ def test_second_report_builds_no_wave(monkeypatch):
     built.clear()
     identity_report(npts=4)
     assert built == []
+
+
+def test_report_is_repr_stable_across_cleared_caches():
+    """The caches the report reads only keep work: emptied, they give back the
+    same report, value for value."""
+    warm = [repr(identity_report(seed=seed, npts=16)) for seed in (7, 11)]
+    for cached in (expsum._unify, expsum._key_adder, expsum._sorted_arrays,
+                   expsum._closure_plan, solitons.theta_gens, solitons.build_tau,
+                   backlund_catalog, _level_steps):
+        cached.cache_clear()
+    assert [repr(identity_report(seed=seed, npts=16)) for seed in (7, 11)] == warm
 
 
 def test_level_chains_are_bounded():

@@ -13,12 +13,12 @@ import pytest
 import kplab
 from kplab import errors
 from kplab.branches import Branch
-from kplab.darboux import (OneDimDarboux, bump_profile, identity_report, kink_profile,
-                           level_shift_parts, minus_kernel_profile, mode_transfer_parts,
-                           sample_points, t1_apply)
+from kplab.darboux import (OneDimDarboux, bump_profile, commutation_parts, identity_report,
+                           kink_profile, level_shift_parts, minus_kernel_profile,
+                           mode_transfer_parts, sample_points, t1_apply)
 from kplab.expsum import ExpSum, log_derivatives
 from kplab.jost import JostFamily
-from kplab.solitons import SolitonConfig, frame_of, wronskian_tau
+from kplab.solitons import SolitonConfig, asymptotic_profile, frame_of, wronskian_tau
 
 SRC = Path(kplab.__file__).resolve().parent
 
@@ -261,9 +261,51 @@ def test_only_wronskian_tau_builds_taus():
         "    theta_gens = k\n"), _reads_theta_gens) == ["<module>", "f", "g"]
 
 
+def _derived_operators(tree: ast.Module) -> list[str]:
+    """Class.name for each operator `expsum.Ring` derives that a class body
+    defines or assigns."""
+    derived = {"__sub__", "__rsub__", "__neg__", "__radd__", "__rmul__", "__truediv__"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [f"{node.name}.{name}" for name in names if name in derived]
+    return found
+
+
+def test_only_ring_derives_operators():
+    """ExpSum, Rational and Carried write only __add__ and __mul__; the `Ring`
+    base derives the reflected forms, negation, subtraction and scalar
+    division from them."""
+    tree = ast.parse((SRC / "expsum.py").read_text())
+    assert sorted(_derived_operators(tree)) == [
+        f"Ring.{name}" for name in ("__neg__", "__radd__", "__rmul__", "__rsub__",
+                                    "__sub__", "__truediv__")]
+    assert _derived_operators(ast.parse(
+        "class A:\n    def __add__(self, o): pass\n    def __sub__(self, o): pass\n"
+        "def __neg__(x): pass\nclass B(A):\n    __rmul__ = A.__add__\n"
+        "    x = 1\n")) == ["A.__sub__", "B.__rmul__"]
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 P = SolitonConfig("p_type", KP)
+
+
+def test_integral_float_pairs_are_accepted():
+    """A pair of integral floats names the same channel as the int pair."""
+    line = SolitonConfig("one_line", KP, pair=(1.0, 2.0))
+    assert line == SolitonConfig("one_line", KP, pair=(1, 2))
+    assert line.pair == (1, 2) and all(type(i) is int for i in line.pair)
+    assert asymptotic_profile(P, (2.0, 3.0), 1) == asymptotic_profile(P, (2, 3), 1)
 
 
 @pytest.mark.parametrize("build,error", [
@@ -291,6 +333,13 @@ P = SolitonConfig("p_type", KP)
     (lambda: SolitonConfig("p_type", KP, pair=(2, 3)), errors.RejectedConfig),
     (lambda: SolitonConfig("one_line", KP), errors.RejectedConfig),
     (lambda: SolitonConfig("vacuum", (), pair=(1, 2)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP, pair=(1.5, 2)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP, pair=(1, 2, 3)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP, pair=("1", 2)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP, pair=(True, 2)), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", KP, pair=(1, math.nan)), errors.RejectedConfig),
+    (lambda: asymptotic_profile(P, (2.7, 3.2), 1), errors.InvalidBranch),
+    (lambda: asymptotic_profile(P, (2, 3, 4), 1), errors.InvalidBranch),
     (lambda: frame_of(SolitonConfig("p_type", (-2.0, -1.0, 1.0, 2.0))), errors.DegenerateFrame),
     (lambda: log_derivatives(ExpSum.constant(0.0), (1, 0, 0), 0.0, 0.0, 0.0), ZeroDivisionError),
     (lambda: OneDimDarboux(CP, 1.0, alpha=math.nan), errors.AlphaOutOfRange),
@@ -315,18 +364,23 @@ P = SolitonConfig("p_type", KP)
     (lambda: level_shift_parts(P, math.nan), errors.ConfigMismatch),
     (lambda: mode_transfer_parts(P, math.nan), errors.ConfigMismatch),
     (lambda: OneDimDarboux(900.0, 1.0, window=1), errors.ConfigMismatch),
+    (lambda: commutation_parts(CP, 1.3, math.nan, bump_profile(CP)), errors.ConfigMismatch),
+    (lambda: commutation_parts(CP, 1.3, math.inf, bump_profile(CP)), errors.ConfigMismatch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
         "tau_rows_mismatch", "tau_columns_exceed_phases", "tau_entry_nan", "tau_entry_inf",
         "tau_kappa_nan", "tau_kappa_inf", "p_type_with_pair",
-        "one_line_without_pair", "vacuum_with_pair", "equal_channel_slopes",
+        "one_line_without_pair", "vacuum_with_pair", "pair_fractional", "pair_of_three",
+        "pair_string", "pair_bool", "pair_nan", "profile_pair_fractional",
+        "profile_pair_of_three", "equal_channel_slopes",
         "log_of_zero_sum", "alpha_nan", "alpha_inf", "kernel_branch_point",
         "minus_inverse_branch_point", "plus_inverse_branch_point", "sample_count_zero",
         "sample_count_negative", "sample_count_fractional", "sample_count_bool",
         "sample_seed_negative", "report_count_zero", "report_count_fractional",
         "report_seed_negative", "wave_at_nan", "dual_at_inf", "dual_at_imag_nan",
-        "level_shift_at_nan", "mode_transfer_at_nan", "channel_window_one"])
+        "level_shift_at_nan", "mode_transfer_at_nan", "channel_window_one",
+        "commutation_drift_nan", "commutation_drift_inf"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()
