@@ -380,16 +380,16 @@ def _dominant_groups(ex: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # Points per block of `log_derivatives`.  Per point, a block's scratch holds
 # the terms' exponentials, two values per computed partial (its term sum and
 # its quotient) and two spare values: 40 float64 for the KP residual (4-term
-# taus, 17 partials), so 16384 points make 5.2 MB.  A sweep of the median
-# time of the `kp_grid` bench op (two 384^2 residuals; 2-core x86-64, 2 MB
-# L2 per core) read 67, 57, 53, 52, 52, 65 and 68 ms at 4096, 8192, 16384,
-# 24576, 32768, 49152 and 65536 points: 16384 is as fast as the larger
-# blocks with half their scratch.
+# taus, 17 partials), so 16384 points make 5.2 MB.  With the residual
+# reduced per block, the median of two 384^2 residuals (the `kp_grid` op;
+# 2-core x86-64, 2 MB L2 per core; October 2026, five processes each) read
+# 15-20, 17-19, 13-19, 16-23 and 13-16 ms at 4096, 8192, 16384, 32768 and
+# 65536 points: only 65536 may be faster, for four times the scratch.
 BLOCK = 16384
 
 
 def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
-                    *, only=None) -> dict[tuple[int, int, int], np.ndarray]:
+                    *, only=None, reduce=None) -> dict:
     """Mixed partials of log tau up to `orders`, on broadcast points.
 
     Points are grouped by which term carries the largest real exponent and
@@ -404,12 +404,15 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     closure of the returned keys (every multi-index below one), so each
     value is the one the full box gives for the same key.  Each group runs
     in blocks of `BLOCK` points, gathered from the term-major exponents
-    into preallocated scratch.  Beyond the returned arrays, the memory that
-    grows with the N points is: the (3, N) point stack, freed once the
-    (terms, N) exponents are built from it; those exponents, the only copy;
-    the groups' point indices (N intp, plus two N-sized arrays while the
-    groups are found); and one block's scratch, (terms + 2 * computed
-    partials + 2) * `BLOCK` values in tau's dtype.
+    into preallocated scratch.  `reduce`, if given, maps each block's
+    partials (a dict of 1-D arrays, valid only during the call; with no
+    points, one call on empty ones) to a dict of 1-D arrays of the block's
+    length, which the result holds instead.  Beyond the stored arrays, the
+    memory that grows with the N points is: the (3, N) point stack, freed
+    once the (terms, N) exponents are built from it; those exponents, the
+    only copy; the groups' point indices (N intp, plus two N-sized arrays
+    while the groups are found); and one block's scratch, (terms + 2 *
+    computed partials + 2) * `BLOCK` values in tau's dtype.
 
     When tau's phases and coefficients are real, the partials of order
     >= 1 are computed and returned in float64; otherwise in complex128.
@@ -425,55 +428,61 @@ def log_derivatives(tau: ExpSum, orders: tuple[int, int, int], x, y, t,
     pts, shape = _points(x, y, t, ph.dtype)
     ex = ph @ pts  # (terms, N), term-major
     del pts
-    groups = _dominant_groups(ex.real)
+    groups = _dominant_groups(ex.real) or [(0, np.empty(0, np.intp))]  # no points: one empty block
     nterms, npts = ex.shape
-    out = {gamma: np.empty(npts, dtype=complex if gamma == (0, 0, 0) else ph.dtype)
-           for gamma in wanted}
-    rows = [(val, idx.index(gamma)) for gamma, val in out.items() if gamma != (0, 0, 0)]
+    rows = [(gamma, idx.index(gamma)) for gamma in wanted]  # row 0 is (0,0,0)
     slopes = [(idx.index(gamma), axis) for axis, gamma in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
               if gamma in idx]
-    nb = min(BLOCK, npts)
+    nb = max(min(BLOCK, npts), 1)
     w_flat = np.empty(nterms * nb, dtype=ph.dtype)
     sums, g = np.empty((2, len(idx), nb), dtype=ph.dtype)
     top, tmp = np.empty((2, nb), dtype=ph.dtype)
+    views, out = {}, None
     for d, cols in groups:
         q = ph - ph[d]  # dominant term recentered to phase zero
         # one vector-matrix product per partial: a matrix product over all
         # rows may round a row differently with the row count, and `only`
         # must not change any value
         vecs = [coeff * q[:, 0] ** i * q[:, 1] ** j * q[:, 2] ** k for i, j, k in idx]
-        for start in range(0, cols.size, nb):
+        for start in range(0, cols.size or 1, nb):
             block = cols[start:start + nb]
             n = block.size
+            if n not in views:  # scratch views and recursion operands, bound once per length
+                gn, sn = list(g[:, :n]), list(sums[:, :n])
+                steps_n = [(gn[r], sn[r], [(c, sn[a], gn[b]) for c, a, b in steps])
+                           for r, steps in plan]
+                views[n] = w_flat[:nterms * n].reshape(nterms, n), top[:n], tmp[:n], sn, gn, steps_n
+            w, top_n, tmp_n, sn, gn, steps_n = views[n]
             # a C-contiguous (terms, n) block, so each product reads whole
             # rows; it may round a point differently with the block's length
             # and the point's place in it, never with `only` or the shape of
             # the points
-            w = np.take(ex, block, axis=1, out=w_flat[:nterms * n].reshape(nterms, n), mode="clip")
-            top[:n] = w[d]
-            w -= top[:n]
+            np.take(ex, block, axis=1, out=w, mode="clip")
+            top_n[...] = w[d]
+            w -= top_n
             np.exp(w, out=w)
-            for r, vec in enumerate(vecs):
-                np.matmul(vec, w, out=sums[r, :n])
-            s0 = sums[0, :n]
-            for r, steps in plan:
-                acc, first = g[r, :n], sums[r, :n]
-                for weight, delta, rest in steps:
+            for vec, s in zip(vecs, sn):
+                np.matmul(vec, w, out=s)
+            s0 = sn[0]
+            for acc, first, steps in steps_n:
+                for weight, s_delta, g_rest in steps:
                     if weight == 1:
-                        np.multiply(sums[delta, :n], g[rest, :n], out=tmp[:n])
+                        np.multiply(s_delta, g_rest, out=tmp_n)
                     else:
-                        np.multiply(sums[delta, :n], weight, out=tmp[:n])
-                        tmp[:n] *= g[rest, :n]
-                    np.subtract(first, tmp[:n], out=acc)
+                        np.multiply(s_delta, weight, out=tmp_n)
+                        tmp_n *= g_rest
+                    np.subtract(first, tmp_n, out=acc)
                     first = acc
                 np.divide(first, s0, out=acc)
             # first derivatives regain the recentering slope
             for r, axis in slopes:
-                g[r, :n] += ph[d, axis]
-            for val, r in rows:
-                val[block] = g[r, :n]
-            if (0, 0, 0) in out:
-                out[(0, 0, 0)][block] = np.log(s0.astype(complex)) + top[:n]
+                gn[r] += ph[d, axis]
+            parts = {gamma: gn[r] if r else np.log(s0.astype(complex)) + top_n for gamma, r in rows}
+            res = parts if reduce is None else reduce(parts)
+            if out is None:
+                out = {key: np.empty(npts, dtype=val.dtype) for key, val in res.items()}
+            for key, val in res.items():
+                out[key][block] = val
     return {key: val.reshape(shape) for key, val in out.items()}
 
 

@@ -263,12 +263,25 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
 _KP_PARTIALS = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1), (2, 2, 0))
 
 
+def _kp_block(partials: dict) -> dict:
+    """The KP-II residual and its term scale on one block of `_KP_PARTIALS`."""
+    g = {key: val.real for key, val in partials.items()}
+    # with u = 2 g200: 4u_xt = 8 g301, u_xxxx = 2 g600, 3u_yy = 6 g220 and
+    # 3(u^2)_xx = 6(u_x^2 + u u_xx) = 24(g300^2 + g200 g400)
+    term_t = 8.0 * g[(3, 0, 1)]
+    term_x4 = 2.0 * g[(6, 0, 0)]
+    term_nl = 24.0 * (g[(3, 0, 0)] ** 2 + g[(2, 0, 0)] * g[(4, 0, 0)])
+    term_y2 = 6.0 * g[(2, 2, 0)]
+    return dict(zip(("res", "scale"), sum_residual([term_t, term_x4, term_nl, term_y2])))
+
+
 class SolitonField:
     """Evaluates the KP-II residual of u = 2 (log tau)_xx on point sets.
 
     The residual reads u and its partials from `log_derivatives` of tau,
     not from the exact Rational `potential` that the Jost and Darboux
     identities use, so u has two routes: this one and `potential`.
+    Each block's partials are reduced to the residual inside `log_derivatives`.
     """
 
     def __init__(self, config: SolitonConfig):
@@ -277,12 +290,5 @@ class SolitonField:
 
     def kpii_residual(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise |4u_xt + u_xxxx + 3(u^2)_xx + 3u_yy| and its term scale."""
-        g = {key: val.real for key, val in
-             log_derivatives(self.tau, (6, 2, 1), x, y, t, only=_KP_PARTIALS).items()}
-        # with u = 2 g200: 4u_xt = 8 g301, u_xxxx = 2 g600, 3u_yy = 6 g220 and
-        # 3(u^2)_xx = 6(u_x^2 + u u_xx) = 24(g300^2 + g200 g400)
-        term_t = 8.0 * g[(3, 0, 1)]
-        term_x4 = 2.0 * g[(6, 0, 0)]
-        term_nl = 24.0 * (g[(3, 0, 0)] ** 2 + g[(2, 0, 0)] * g[(4, 0, 0)])
-        term_y2 = 6.0 * g[(2, 2, 0)]
-        return sum_residual([term_t, term_x4, term_nl, term_y2])
+        out = log_derivatives(self.tau, (6, 2, 1), x, y, t, only=_KP_PARTIALS, reduce=_kp_block)
+        return out["res"], out["scale"]

@@ -397,6 +397,39 @@ def test_nan_point_is_nan_in_every_partial_there_only():
             assert np.array_equal(np.isnan(val), bad), key
 
 
+def test_no_points_give_the_whole_box_empty():
+    for tau in _mixed_tau():
+        dtype = tau.arrays()[0].dtype
+        g = log_derivatives(tau, (2, 1, 1), np.empty((0, 1)), np.zeros((1, 4)), 0.0)
+        assert list(g) == expsum.multi_indices((2, 1, 1))
+        for key, val in g.items():
+            assert val.shape == (0, 4), key
+            assert val.dtype == (np.complex128 if key == (0, 0, 0) else dtype), key
+
+
+def test_reduce_maps_each_block_into_the_result():
+    tau = _mixed_tau()[1]
+    x, y, t = _wide_points(tau, 3 * BLOCK + 37)
+    only = [(0, 0, 0), (2, 0, 1)]
+    sizes = []
+
+    def halve(parts):
+        assert list(parts) == only
+        sizes.append(parts[(2, 0, 1)].size)
+        return {"half": parts[(2, 0, 1)] / 2, "log": parts[(0, 0, 0)]}
+
+    full = log_derivatives(tau, (2, 0, 1), x, y, t, only=only)
+    got = log_derivatives(tau, (2, 0, 1), x, y, t, only=only, reduce=halve)
+    assert list(got) == ["half", "log"]
+    assert got["half"].tobytes() == (full[(2, 0, 1)] / 2).tobytes()
+    assert got["log"].tobytes() == full[(0, 0, 0)].tobytes()
+    assert sum(sizes) == x.size and max(sizes) == BLOCK and len(sizes) > len(tau.terms)
+    sizes.clear()
+    empty = log_derivatives(tau, (2, 0, 1), np.empty((0, 3)), 0.0, 0.0, only=only, reduce=halve)
+    assert sizes == [0]
+    assert empty["half"].shape == empty["log"].shape == (0, 3)
+
+
 def test_real_tau_runs_in_float64_and_agrees_with_rotated_tau():
     rng = np.random.default_rng(19)
     x, y, t = _pts(rng, n=50, span=4.0)

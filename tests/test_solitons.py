@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kplab import solitons
 from kplab.errors import DegenerateFrame, InvalidBranch, RejectedConfig
-from kplab.expsum import ExpSum, log_derivatives
-from kplab.solitons import (SolitonConfig, asymptotic_profile, build_tau, frame_of,
-                            potential, theta_eval, theta_gens, wronskian_tau)
+from kplab.expsum import BLOCK, ExpSum, log_derivatives, sum_residual
+from kplab.solitons import (_KP_PARTIALS, SolitonConfig, asymptotic_profile, build_tau,
+                            frame_of, potential, theta_eval, theta_gens, wronskian_tau)
 
 KP = (-2.0, -1.0, 0.5, 3.0)   # two-line type with crossing channels (2,3), (1,4)
 KO = (-2.0, -1.0, 1.0, 2.0)   # two-line type with parallel-ordered channels (1,2), (3,4)
@@ -205,9 +206,10 @@ def test_residual_at_a_nan_point_is_nan():
 
 
 def test_residual_peak_memory_is_a_few_grids():
-    # numpy reports its buffers to tracemalloc.  The partials, the exponents
-    # and the equation's terms take about 15 grids of float64; scratch the
-    # size of the grid instead of one block would exceed the bound
+    # numpy reports its buffers to tracemalloc.  The exponents, the point
+    # stack, the dominant-term groups and the residual and its scale take
+    # about 10 grids of float64; gathering the six partials into full grids
+    # (about 14) or scratch the size of the grid would exceed the bound
     n = 512
     base = np.linspace(-7.5, 7.5, n)
     fld = p_config().field()
@@ -218,7 +220,71 @@ def test_residual_peak_memory_is_a_few_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 8 * n * n, peak / (8 * n * n)
+    assert peak < 12 * 8 * n * n, peak / (8 * n * n)
+
+
+def _kp_reference(tau, x, y, t):
+    """The KP-II residual and scale from partials gathered over all points first."""
+    g = {key: val.real for key, val in
+         log_derivatives(tau, (6, 2, 1), x, y, t, only=_KP_PARTIALS).items()}
+    term_t = 8.0 * g[(3, 0, 1)]
+    term_x4 = 2.0 * g[(6, 0, 0)]
+    term_nl = 24.0 * (g[(3, 0, 0)] ** 2 + g[(2, 0, 0)] * g[(4, 0, 0)])
+    term_y2 = 6.0 * g[(2, 2, 0)]
+    return sum_residual([term_t, term_x4, term_nl, term_y2])
+
+
+@pytest.mark.parametrize("rotate", [1.0, 1j], ids=["tau", "i_tau"])
+@pytest.mark.parametrize("cfg", [
+    SolitonConfig("p_type", KP), SolitonConfig("o_type", KO),
+    SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2)),
+    SolitonConfig("vacuum", (-1.0, 0.5, 2.0))], ids=["p", "o", "one_line", "vacuum"])
+def test_blockwise_residual_is_byte_identical_to_gathered_partials(cfg, rotate):
+    fld = cfg.field()
+    fld.tau = rotate * fld.tau
+    rng = np.random.default_rng(43)
+    n = 4 * BLOCK + 37
+    x, y = rng.uniform(-6.0, 6.0, (2, n))
+    t = rng.uniform(-1.0, 1.0, n)
+    # some dominant-term group spans several blocks and ends in a short one
+    ph, _ = fld.tau.arrays()
+    counts = np.bincount(np.argmax(ph.real @ np.stack([x, y, t]), axis=0))
+    assert counts.max() > BLOCK and (counts % BLOCK).max() > 0
+    x[[5, BLOCK + 7]] = np.nan
+    t[2 * BLOCK - 1] = np.nan
+    grid = np.linspace(-7.5, 7.5, 97)
+    for pts in ((grid[:, None], grid[None, :] - 0.3, 0.37), (x, y, t)):
+        with np.errstate(invalid="ignore"):  # division flags NaN operands
+            got = fld.kpii_residual(*pts)
+            want = _kp_reference(fld.tau, *pts)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("x, y, shape", [
+    (np.empty(0), 0.5, (0,)), (np.empty((0, 1)), np.zeros((1, 5)), (0, 5))])
+def test_residual_on_no_points_is_empty(x, y, shape):
+    fld = p_config().field()
+    for tau in (fld.tau, 1j * fld.tau):
+        fld.tau = tau
+        for val in fld.kpii_residual(x, y, 0.2):
+            assert val.shape == shape and val.dtype == np.float64
+
+
+def test_residual_makes_one_log_derivatives_call(monkeypatch):
+    # the benchmark tracer times `log_derivatives` by this name and reads
+    # `orders` as its second positional argument
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log_derivatives(*args, **kwargs)
+
+    monkeypatch.setattr(solitons, "log_derivatives", counted)
+    base = np.linspace(-7.5, 7.5, 40)
+    p_config().field().kpii_residual(base[:, None], base[None, :], 0.3)
+    assert len(calls) == 1 and calls[0][1] == (6, 2, 1)
 
 
 def test_no_overflow_far_out():
