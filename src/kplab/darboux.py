@@ -45,6 +45,7 @@ from .errors import (
     MissingPrimitive,
     OrthogonalityViolation,
     RegionViolation,
+    finite_real,
 )
 from .expsum import Carried, ExpSum, Rational, _worst_residual
 from .jost import JostFamily, flow_parts, heat_parts, linearized_parts, pair_product
@@ -495,8 +496,10 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     if config.kind != "p_type":
         raise CaseMismatch(
             f"resonant transfer checks exist for the p_type chain, got {config.kind}")
-    k = config.kappa
     eta = complex(eta)
+    if not np.isfinite(eta):
+        raise InadmissibleEta(f"transverse frequency must be finite, got {eta}")
+    k = config.kappa
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
     v1, v2 = lower.v, upper.v
@@ -553,8 +556,8 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
 
 
 def _channel_root(c: float, eta: complex = 0.0) -> float:
-    """sqrt(c) of a channel with gap c > 0 and a finite frequency eta."""
-    if not (np.isfinite(c) and c > 0):
+    """sqrt(c) of a channel with a real gap c > 0 and a finite frequency eta."""
+    if not (finite_real(c) and c > 0):
         raise InvalidBranch(f"channel gap c must be positive and finite, got {c}")
     if not np.isfinite(complex(eta)):
         raise InadmissibleEta(f"transverse frequency must be finite, got {eta}")
@@ -635,32 +638,20 @@ def _window_grid(window: int) -> PanelGrid:
     return PanelGrid(-window, window)
 
 
-# a sweep over (eta, alpha) at a fixed (c, window) builds these once; a
-# sweep over gaps or windows keeps its last 16
-@lru_cache(maxsize=16)
-def _channel_nodes(c: float, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (psi, sech, cosh) at the nodes of the window's grid."""
-    z = _window_grid(window).z
-    _, sech, cosh = _hyperbolic(_channel_root(c))
-    out = tuple(prof.eval(z, 0.0, 0.0) for prof in (kink_profile(c), sech, cosh))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def _check_finite(vals: np.ndarray, what: str) -> None:
     if not np.isfinite(vals).all():
         raise ConfigMismatch(f"{what} is not finite at every grid node")
 
 
-# the node values of an input profile on one window's grid: keyed by the
-# profile object (a Rational compares by identity), the last 16
+# the node values of every exact profile on one window's grid, whether an
+# operator's own psi, sech and cosh or an input: keyed by the profile object
+# (a Rational or ExpSum compares by identity), the last 16
 @lru_cache(maxsize=16)
-def _profile_nodes(profile: Rational, window: int) -> np.ndarray:
+def _profile_nodes(profile: Rational | ExpSum, window: int) -> np.ndarray:
     """The read-only values of profile at the window's grid nodes;
     ConfigMismatch where one is not finite."""
     vals = profile.eval(_window_grid(window).z, 0.0, 0.0)
-    _check_finite(vals, "input profile")
+    _check_finite(vals, "profile")
     vals.flags.writeable = False
     return vals
 
@@ -677,19 +668,19 @@ class OneDimDarboux:
     the default makes the sech envelope fall below 1e-13 at the edges.  Exact applications
     act on Rational profiles in z = x, evaluated at (z, 0, 0); sampled
     applications and the integral inverses live on the panel grid.  The grid
-    is the window's one `_window_grid`, and the node values of psi, sech and
-    cosh are kept per (c, window) by `_channel_nodes`, so every operator at
-    one (c, window) shares them, whatever its eta and alpha; an input
-    profile's node values are kept per (profile object, window) in a cache
-    of the last 16.  Sampled inputs must be finite, else
-    ConfigMismatch.  alpha must be finite and nonnegative, else
-    AlphaOutOfRange.
+    is the window's one `_window_grid`.  `_profile_nodes` keeps the node
+    values of every exact profile, the gap's one psi, sech and cosh and the
+    inputs, per (profile object, window), so every operator at one (c,
+    window) shares them, whatever its eta and alpha.  An input is a Rational
+    or ExpSum profile, bare or carried, or node samples, which must be
+    numeric and finite, else ConfigMismatch.  alpha must be a finite
+    nonnegative real, else AlphaOutOfRange.
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
                  window: int | None = None):
         self.root = _channel_root(c, eta)
-        if not (np.isfinite(alpha) and alpha >= 0):
+        if not (finite_real(alpha) and alpha >= 0):
             raise AlphaOutOfRange(f"weight rate must be finite and nonnegative, got {alpha}")
         self.c = float(c)
         self.eta = complex(eta)
@@ -700,19 +691,14 @@ class OneDimDarboux:
         self.window = _whole(window, "channel window")
         if self.window < 2:
             raise ConfigMismatch(f"channel window must be at least 2, got {window}")
-
-    @cached_property
-    def grid(self) -> PanelGrid:
-        return _window_grid(self.window)
-
-    @cached_property
-    def psi(self) -> Rational:
-        return kink_profile(self.c)
+        self.grid = _window_grid(self.window)
+        self.psi = kink_profile(self.c)
 
     @cached_property
     def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(psi, sech, cosh) at the grid nodes, shared and read-only."""
-        return _channel_nodes(self.c, self.window)
+        _, sech, cosh = _hyperbolic(self.root)
+        return tuple(map(self._on_grid, (self.psi, sech, cosh)))
 
     def m_parts(self, sign: int, f: Carried) -> list[Rational]:
         """Summands of the exact transform: `transform_parts` at v = psi, whose
@@ -735,11 +721,12 @@ class OneDimDarboux:
                 - 2.0 * self.node_profiles[0] * vals)
 
     def _on_grid(self, f) -> np.ndarray:
-        """Node values of a carried or bare profile, shared and read-only, or
-        checked samples; ConfigMismatch where either is not finite."""
+        """Node values of a carried or bare Rational or ExpSum profile, shared and
+        read-only, or checked samples; ConfigMismatch where either is not
+        finite or the samples are not numeric."""
         if isinstance(f, Carried):
             f = f.value
-        if isinstance(f, Rational):
+        if isinstance(f, (Rational, ExpSum)):
             return _profile_nodes(f, self.window)
         vals = self.grid._panels(f).ravel()
         _check_finite(vals, "sampled input")
@@ -793,7 +780,7 @@ def commutation_parts(c: float, eta: complex, drift: float,
     channel's frame drift keeps the magnitudes representative.
     """
     op = OneDimDarboux(c, eta)
-    if not np.isfinite(drift):
+    if not finite_real(drift):
         raise ConfigMismatch(f"drift coefficient must be finite, got {drift}")
     eta, psi = op.eta, op.psi
     u1 = (2.0 * c) * bump_profile(c).value

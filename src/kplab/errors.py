@@ -1,9 +1,25 @@
-"""Shared exception types.
+"""Shared exception types, and the number rules their callers check.
 
 Every precondition failure in the package raises one of these, with a message
 naming the violated condition and the offending values.
 """
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def finite_real(value) -> bool:
+    """Whether value is a finite int, float or numpy real scalar, not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_)) and math.isfinite(value))
+
+
+def whole_number(value) -> int | None:
+    """value as an int when it is a `finite_real` with no fractional part,
+    else None; 1.0 reads as 1, and 1.5 is not rounded."""
+    return int(value) if finite_real(value) and value == int(value) else None
 
 
 class KplabError(Exception):

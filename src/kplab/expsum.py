@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingPrimitive
+from .errors import ConfigMismatch, MissingPrimitive
 
 Gen = tuple[complex, complex, complex]
 
@@ -674,8 +674,11 @@ def worst_residual(parts, *pts) -> float:
     Each distinct ExpSum object among the parts, the numerators of Rational
     parts and their denominator bases is evaluated once per call, through
     `ExpSum.eval_scaled`; the pairs are dropped when the call returns.
-    No parts at all raise ValueError.
+    pts must be the three point arrays x, y, t, else ConfigMismatch; no
+    parts at all raise ValueError.
     """
+    if len(pts) != 3:
+        raise ConfigMismatch(f"residuals need the three point arrays x, y, t; got {len(pts)}")
     return _worst_residual(parts, pts, {})
 
 

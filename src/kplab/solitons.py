@@ -5,7 +5,8 @@ Vandermonde-weighted minors of a coefficient matrix times exponentials of
 theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t.  The field is
 u = 2 (log tau)_xx.  Supported configurations: the vacuum, a single line
 soliton on any phase pair, and the two nondegenerate two-line types with
-four phases.
+four phases.  A far-field line of `asymptotic_profile` is a tau too: one
+column, whose row scale is the line's local phase shift.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .branches import Branch, branch_of, check_sign
-from .errors import DegenerateFrame, InvalidBranch, RejectedConfig
+from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, whole_number
 from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
 KINDS = ("vacuum", "one_line", "p_type", "o_type")
@@ -28,13 +29,6 @@ KINDS = ("vacuum", "one_line", "p_type", "o_type")
 def theta_gens(kappa: tuple[float, ...]) -> tuple[Gen, ...]:
     """Shared phase generators (kappa, kappa^2, -kappa^3), one per phase."""
     return tuple((complex(k), complex(k * k), complex(-(k * k * k))) for k in kappa)
-
-
-def theta_eval(kappa: tuple[float, ...], m: int, x, y, t) -> np.ndarray:
-    """theta_m on broadcast points, m is 1-based."""
-    k = kappa[m - 1]
-    x, y, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float), np.asarray(t, float))
-    return k * x + k * k * y - k ** 3 * t
 
 
 def _vandermonde(vals: tuple[float, ...]) -> float:
@@ -56,6 +50,8 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
     matrix of full column rank, else the configuration is rejected.
     """
     amatrix = np.asarray(amatrix, dtype=float)
+    if amatrix.ndim != 2:
+        raise RejectedConfig(f"coefficient matrix must be 2-D, got shape {amatrix.shape}")
     if not (np.isfinite(amatrix).all() and all(map(math.isfinite, kappa))):
         raise RejectedConfig(f"non-finite phases {kappa} or coefficients {amatrix.tolist()}")
     big_m, small_n = amatrix.shape
@@ -79,15 +75,12 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
 
 
 def _phase_pair(pair) -> tuple[int, int] | None:
-    """pair as two ints, or None unless it is a tuple or list of two integral
-    reals, not bools; 1.0 reads as 1, and 1.5 is not rounded."""
+    """pair as two ints, or None unless it is a tuple or list of two
+    `errors.whole_number`s."""
     if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
         return None
-    for v in pair:
-        real = isinstance(v, (int, float, np.integer, np.floating))
-        if isinstance(v, (bool, np.bool_)) or not real or not math.isfinite(v) or v != int(v):
-            return None
-    return int(pair[0]), int(pair[1])
+    out = tuple(map(whole_number, pair))
+    return None if None in out else out
 
 
 @dataclass(frozen=True)
@@ -207,24 +200,14 @@ def frame_of(config: SolitonConfig) -> Frame:
     return Frame(b1=b1, b2=b2, channels=chans)
 
 
-def sech2(z: np.ndarray) -> np.ndarray:
-    """sech^2 without overflow at large |z|."""
-    e = np.exp(-2.0 * np.abs(z))
-    return 4.0 * e / (1.0 + e) ** 2
-
-
 @dataclass(frozen=True)
 class Profile:
-    """One far-field line soliton: amplitude * sech^2((theta_j - theta_i)/2 + mu)."""
-    kappa: tuple[float, ...]
+    """One far-field line soliton on `pair`: tau = e^{theta_i} + e^{2 mu} e^{theta_j},
+    the one-column `wronskian_tau`, whose field potential(tau) is the line
+    2c sech^2((theta_j - theta_i)/2 + mu)."""
     pair: tuple[int, int]
-    amplitude: float
     mu: float
-
-    def eval(self, x, y, t) -> np.ndarray:
-        i, j = self.pair
-        z = 0.5 * (theta_eval(self.kappa, j, x, y, t) - theta_eval(self.kappa, i, x, y, t)) + self.mu
-        return self.amplitude * sech2(z)
+    tau: ExpSum
 
 
 def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int) -> Profile:
@@ -236,7 +219,8 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     to a rate all subsets of one size share.  The two leading terms are
     S+i and S+j, which tie exactly, and their coefficients give the phase
     shift mu = log(c_{S+j} / c_{S+i}) / 2; it depends on which side of the
-    interaction region the channel is observed from.
+    interaction region the channel is observed from.  A shift so large that
+    the `Profile` tau drops an entry as a zero minor raises RejectedConfig.
     """
     check_sign(y_sign)
     given, pair = pair, _phase_pair(pair)
@@ -255,7 +239,12 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
         raise InvalidBranch(f"the leading terms {lead} on channel {pair} are not one i<->j pair")
     with_i, with_j = lead
     mu = 0.5 * math.log(terms[with_j].real / terms[with_i].real)
-    return Profile(k, pair, 2.0 * config.c_of(pair), mu)
+    column = np.zeros((len(k), 1))
+    column[[i, j], 0] = 1.0, math.exp(2.0 * mu)
+    tau = wronskian_tau(k, column)
+    if len(tau.terms) != 2:
+        raise RejectedConfig(f"phase shift mu = {mu} on channel {pair} drops a term of its tau")
+    return Profile(pair, mu, tau)
 
 
 # The partials of log tau that kpii_residual reads: u = 2 (log tau)_xx and

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import ConfigMismatch, RegionViolation
+from .errors import ConfigMismatch, RegionViolation, whole_number
 
 __all__ = [
     "PanelGrid",
@@ -71,12 +71,11 @@ def _unit_rule(order: int) -> _UnitRule:
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; ConfigMismatch unless it is a finite integral real, not a bool."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
-    if (isinstance(value, (bool, np.bool_)) or not real or not np.isfinite(value)
-            or value != int(value)):
+    """value as an int; ConfigMismatch unless it is an `errors.whole_number`."""
+    out = whole_number(value)
+    if out is None:
         raise ConfigMismatch(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return out
 
 
 class PanelGrid:
@@ -117,7 +116,10 @@ class PanelGrid:
         self._deriv, self._basis = rule.deriv, rule.basis
 
     def _panels(self, vals) -> np.ndarray:
-        vals = np.asarray(vals, dtype=complex)
+        try:
+            vals = np.asarray(vals, dtype=complex)
+        except (TypeError, ValueError):
+            raise ConfigMismatch(f"sampled input is not numeric: {type(vals).__name__}") from None
         if vals.shape != self.z.shape:
             raise ConfigMismatch(
                 f"sampled input has shape {vals.shape}, grid has {self.z.shape}")

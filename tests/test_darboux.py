@@ -18,8 +18,8 @@ from kplab.darboux import (
     REPORT_KAPPA_P,
     MiuraData,
     OneDimDarboux,
-    _channel_nodes,
     _level_steps,
+    _hyperbolic,
     _profile_nodes,
     _window_grid,
     _tail,
@@ -58,8 +58,10 @@ from kplab.errors import (
 )
 from kplab.expsum import Carried, ExpSum, Rational, sum_residual, worst_residual
 from kplab.jost import JostFamily, pair_product
-from kplab.solitons import SolitonConfig, sech2, theta_eval, theta_gens, wronskian_tau
+from kplab.solitons import SolitonConfig, theta_gens, wronskian_tau
 from kplab.tanhexp import PanelGrid
+
+from closed_forms import sech2, theta
 
 KP = (-2.0, -1.0, 0.5, 3.0)
 KO = (-2.0, -1.0, 1.0, 2.0)
@@ -171,8 +173,8 @@ def test_shifted_line_low_matches_closed_form():
     x, y, t = pts(4)
     cat = {name: (t1, t2) for name, t1, t2 in backlund_catalog()}
     u2 = MiuraData(*cat["shifted_line_low"]).u2
-    th1 = theta_eval(K3, 1, x, y, t)
-    th2 = theta_eval(K3, 2, x, y, t)
+    th1 = theta(K3, 1, x, y, t)
+    th2 = theta(K3, 2, x, y, t)
     mu = 0.5 * np.log(a * (K3[2] - K3[1]) / (K3[2] - K3[0]))
     expected = 0.5 * (K3[1] - K3[0]) ** 2 * sech2(0.5 * (th2 - th1) + mu)
     got = u2.eval(x, y, t).real
@@ -184,8 +186,8 @@ def test_shifted_line_high_matches_closed_form():
     x, y, t = pts(5)
     cat = {name: (t1, t2) for name, t1, t2 in backlund_catalog()}
     u2 = MiuraData(*cat["shifted_line_high"]).u2
-    th2 = theta_eval(K3, 2, x, y, t)
-    th3 = theta_eval(K3, 3, x, y, t)
+    th2 = theta(K3, 2, x, y, t)
+    th3 = theta(K3, 3, x, y, t)
     mu = 0.5 * np.log((b / a) * (K3[2] - K3[0]) / (K3[1] - K3[0]))
     expected = 0.5 * (K3[2] - K3[1]) ** 2 * sech2(0.5 * (th3 - th2) + mu)
     got = u2.eval(x, y, t).real
@@ -752,17 +754,14 @@ def test_operators_of_one_channel_share_grid_and_nodes():
     assert all(w is not n for w, n in zip(wider.node_profiles, a.node_profiles))
 
 
-def test_channel_node_cache_is_bounded():
-    limit = _channel_nodes.cache_info().maxsize
-    assert isinstance(limit, int)
-    first = [arr.tobytes() for arr in _channel_nodes(0.3, 12)]
-    for k in range(limit + 5):
-        OneDimDarboux(0.5 + 0.1 * k, 1.0, alpha=0.2, window=12).node_profiles
-    assert _channel_nodes.cache_info().currsize <= limit
-    misses = _channel_nodes.cache_info().misses
-    # the evicted channel is rebuilt with the same bytes
-    assert [arr.tobytes() for arr in _channel_nodes(0.3, 12)] == first
-    assert _channel_nodes.cache_info().misses == misses + 1
+def test_node_profiles_come_from_the_one_profile_cache():
+    """psi, sech and cosh at the nodes are `_profile_nodes` entries, the same
+    arrays an input of those profiles reads."""
+    op = OneDimDarboux(CP, 2.0, alpha=0.3, window=24)
+    _, sech, cosh = _hyperbolic(op.root)
+    for k, profile in enumerate((op.psi, sech, cosh)):
+        assert op.node_profiles[k] is op._on_grid(profile)
+        assert op.node_profiles[k] is _profile_nodes(profile, op.window)
 
 
 def test_bump_profile_is_one_object_per_gap():
@@ -833,7 +832,7 @@ def _roundtrip_bytes() -> list[bytes]:
 def test_roundtrip_is_byte_stable_across_cleared_caches():
     warm = _roundtrip_bytes()
     assert _roundtrip_bytes() == warm
-    for cached in (bump_profile, kink_profile, _window_grid, _channel_nodes, _profile_nodes,
+    for cached in (bump_profile, kink_profile, _window_grid, _profile_nodes,
                    tanhexp._sweep_kernel, tanhexp._unit_rule):
         cached.cache_clear()
     assert _roundtrip_bytes() == warm

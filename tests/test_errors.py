@@ -13,10 +13,11 @@ import pytest
 import kplab
 from kplab import errors
 from kplab.branches import Branch
-from kplab.darboux import (OneDimDarboux, bump_profile, commutation_parts, identity_report,
-                           kink_profile, level_shift_parts, minus_kernel_profile,
-                           mode_transfer_parts, sample_points, t1_apply)
-from kplab.expsum import ExpSum, log_derivatives
+from kplab.darboux import (OneDimDarboux, _hyperbolic, bump_profile, commutation_parts,
+                           identity_report, kink_profile, level_shift_parts,
+                           minus_kernel_profile, mode_transfer_parts, sample_points, t1_apply,
+                           t1_roundtrip)
+from kplab.expsum import Carried, ExpSum, log_derivatives, worst_residual
 from kplab.jost import JostFamily
 from kplab.solitons import SolitonConfig, asymptotic_profile, frame_of, wronskian_tau
 
@@ -295,6 +296,46 @@ def test_only_ring_derives_operators():
         "    x = 1\n")) == ["A.__sub__", "B.__rmul__"]
 
 
+# The functions of src/kplab that take an (x, y, t) point triple: the term
+# algebra's evaluators and the reducers that evaluate through them.
+POINT_TAKERS = {"ExpSum.eval", "ExpSum.eval_scaled", "Rational.eval", "Rational.eval_scaled",
+                "_points", "log_derivatives", "SolitonField.kpii_residual"}
+
+
+def _point_takers(tree: ast.Module) -> list[str]:
+    """Class.function (or function) for each function whose parameters hold
+    x, y, t in a row."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                if any(names[k:k + 3] == ["x", "y", "t"] for k in range(len(names))):
+                    found.append(owner + child.name)
+                visit(child, owner + child.name + ".")
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_evaluators_and_reducers_take_points():
+    """Every quantity is built point-free and evaluated by the term algebra:
+    no other src/kplab function takes an (x, y, t) triple."""
+    takers = {name for path in sorted(SRC.glob("*.py"))
+              for name in _point_takers(ast.parse(path.read_text(), filename=str(path)))}
+    assert takers == POINT_TAKERS
+    assert _point_takers(ast.parse(
+        "def f(k, x, y, t): pass\ndef g(x, t, y): pass\nclass C:\n"
+        "    def h(self, x, y, t, *, d=0):\n        def i(x, y, t): pass\n"
+        "def j(*, x, y, t): pass\n")) == ["f", "C.h", "C.h.i", "j"]
+
+
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 P = SolitonConfig("p_type", KP)
@@ -305,7 +346,9 @@ def test_integral_float_pairs_are_accepted():
     line = SolitonConfig("one_line", KP, pair=(1.0, 2.0))
     assert line == SolitonConfig("one_line", KP, pair=(1, 2))
     assert line.pair == (1, 2) and all(type(i) is int for i in line.pair)
-    assert asymptotic_profile(P, (2.0, 3.0), 1) == asymptotic_profile(P, (2, 3), 1)
+    floats, ints = asymptotic_profile(P, (2.0, 3.0), 1), asymptotic_profile(P, (2, 3), 1)
+    assert (floats.pair, floats.mu) == (ints.pair, ints.mu)
+    assert floats.tau.terms == ints.tau.terms and floats.tau.gens == ints.tau.gens
 
 
 @pytest.mark.parametrize("build,error", [
@@ -362,10 +405,24 @@ def test_integral_float_pairs_are_accepted():
     (lambda: JostFamily(P).phi_star(math.inf), errors.ConfigMismatch),
     (lambda: JostFamily(P).phi_star(complex(1.0, math.nan)), errors.ConfigMismatch),
     (lambda: level_shift_parts(P, math.nan), errors.ConfigMismatch),
-    (lambda: mode_transfer_parts(P, math.nan), errors.ConfigMismatch),
+    (lambda: mode_transfer_parts(P, math.nan), errors.InadmissibleEta),
     (lambda: OneDimDarboux(900.0, 1.0, window=1), errors.ConfigMismatch),
     (lambda: commutation_parts(CP, 1.3, math.nan, bump_profile(CP)), errors.ConfigMismatch),
     (lambda: commutation_parts(CP, 1.3, math.inf, bump_profile(CP)), errors.ConfigMismatch),
+    (lambda: commutation_parts(CP, 1.3, "0.2", bump_profile(CP)), errors.ConfigMismatch),
+    (lambda: OneDimDarboux("0.5", 1.0), errors.InvalidBranch),
+    (lambda: bump_profile("0.5"), errors.InvalidBranch),
+    (lambda: OneDimDarboux(0.5, 1.0, alpha="0.3"), errors.AlphaOutOfRange),
+    (lambda: wronskian_tau((1.0, 2.0), [1.0, 1.0]), errors.RejectedConfig),
+    (lambda: mode_transfer_parts(P, math.inf), errors.InadmissibleEta),
+    (lambda: worst_residual([ExpSum.constant(1.0)]), errors.ConfigMismatch),
+    (lambda: worst_residual([ExpSum.constant(1.0)], [0.0], [0.0]), errors.ConfigMismatch),
+    # 0.5 + 1e-13: the (2, 3) line seen at y -> -inf is shifted by mu = -15.2
+    (lambda: asymptotic_profile(SolitonConfig("p_type", KP[:3] + (0.5 + 1e-13,)), (2, 3), -1),
+     errors.RejectedConfig),
+    (lambda: t1_apply(OneDimDarboux(CP, 2.0, alpha=0.3), 1, "abc"), errors.ConfigMismatch),
+    (lambda: t1_roundtrip(OneDimDarboux(CP, 2.0, alpha=0.3), -1, "abc"), errors.ConfigMismatch),
+    (lambda: OneDimDarboux(CP, 2.0, alpha=0.3).m_apply_sampled(1, "abc"), errors.ConfigMismatch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
@@ -380,7 +437,27 @@ def test_integral_float_pairs_are_accepted():
         "sample_seed_negative", "report_count_zero", "report_count_fractional",
         "report_seed_negative", "wave_at_nan", "dual_at_inf", "dual_at_imag_nan",
         "level_shift_at_nan", "mode_transfer_at_nan", "channel_window_one",
-        "commutation_drift_nan", "commutation_drift_inf"])
+        "commutation_drift_nan", "commutation_drift_inf", "commutation_drift_string",
+        "c_string", "bump_c_string", "alpha_string", "tau_one_dim_matrix",
+        "mode_transfer_at_inf", "residual_without_points", "residual_with_two_point_arrays",
+        "profile_shift_beyond_cutoff", "inverse_of_a_string", "roundtrip_of_a_string",
+        "sampled_transform_of_a_string"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["bare", "carried"])
+@pytest.mark.parametrize("apply", [
+    lambda op, f: t1_apply(op, 1, f),
+    lambda op, f: t1_roundtrip(op, -1, f),
+    lambda op, f: op.m_apply_sampled(1, f),
+], ids=["inverse", "roundtrip", "sampled_transform"])
+def test_exact_exp_sum_inputs_read_as_profiles(apply, carried):
+    """An ExpSum profile, bare or carried, is read at the nodes like a Rational
+    one: the channel's own cosh gives the bytes of its node samples."""
+    op = OneDimDarboux(CP, 2.0, alpha=0.3)
+    cosh = _hyperbolic(op.root)[2]
+    samples = np.array(op._on_grid(cosh))
+    got = apply(op, Carried(cosh) if carried else cosh)
+    assert np.asarray(got).tobytes() == np.asarray(apply(op, samples)).tobytes()

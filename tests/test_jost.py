@@ -15,7 +15,9 @@ from kplab.branches import branch_of
 from kplab.errors import ConfigMismatch, PoleAtKappa
 from kplab.expsum import sum_residual, worst_residual
 from kplab.jost import JostFamily, flow_parts, heat_parts, product_parts
-from kplab.solitons import SolitonConfig, potential, potential_yprim, theta_eval
+from kplab.solitons import SolitonConfig, potential, potential_yprim
+
+from closed_forms import theta
 
 KP = (-2.0, -1.0, 0.5, 3.0)
 KO = (-2.0, -1.0, 1.0, 2.0)
@@ -46,8 +48,8 @@ def test_wave_is_shifted_tau_quotient():
     k = 0.37
     x, y, t = sample_points(1)
     kap = (-1.0, 1.0)
-    th1 = theta_eval(kap, 1, x, y, t)
-    th2 = theta_eval(kap, 2, x, y, t)
+    th1 = theta(kap, 1, x, y, t)
+    th2 = theta(kap, 2, x, y, t)
     w = 1j * k
     plane = np.exp(w * x + w * w * y - w ** 3 * t)
     expected = plane * ((w - kap[0]) * np.exp(th1) + (w - kap[1]) * np.exp(th2))
@@ -60,8 +62,8 @@ def test_dual_wave_inverts_slope_factors():
     k = 0.37
     x, y, t = sample_points(2)
     kap = (-1.0, 1.0)
-    th1 = theta_eval(kap, 1, x, y, t)
-    th2 = theta_eval(kap, 2, x, y, t)
+    th1 = theta(kap, 1, x, y, t)
+    th2 = theta(kap, 2, x, y, t)
     w = 1j * k
     plane = np.exp(-(w * x + w * w * y - w ** 3 * t))
     expected = plane * (np.exp(th1) / (w - kap[0]) + np.exp(th2) / (w - kap[1]))
@@ -162,7 +164,7 @@ def test_discrete_dual_closed_forms():
     fam = families()["p"]
     x, y, t = sample_points(5, n=12)
     tau = fam.tau.eval(x, y, t)
-    th = {m: theta_eval(KP, m, x, y, t) for m in (1, 2, 3, 4)}
+    th = {m: theta(KP, m, x, y, t) for m in (1, 2, 3, 4)}
     f1 = np.exp(th[2]) + np.exp(th[3])
     f2 = np.exp(th[4]) - np.exp(th[1])
     pairs = [(1, -f1), (4, f1), (2, -f2), (3, -f2)]
@@ -275,8 +277,8 @@ def resolvent_errors(level: int, eta: float) -> dict[str, float]:
         tot = totx = 0.0
         for j in corr_js:
             kv, pj = KP[j - 1], fam.phi_residue(j)
-            theta = theta_eval(KP, j, xp, yp, 0.0) - theta_eval(KP, j, x, y, 0.0)
-            weight = np.exp(theta) * fam.phi_star_residue(j).eval(xp, yp, t0) / (beta[s] - kv)
+            phase = theta(KP, j, xp, yp, 0.0) - theta(KP, j, x, y, 0.0)
+            weight = np.exp(phase) * fam.phi_star_residue(j).eval(xp, yp, t0) / (beta[s] - kv)
             val = pj.eval(x, y, t0)
             tot = tot + weight * val
             totx = totx + weight * (pj.dx().eval(x, y, t0) - kv * val)
@@ -289,7 +291,7 @@ def resolvent_errors(level: int, eta: float) -> dict[str, float]:
 
     # off the diagonal: side-selected product vs component times corrections
     x, xp = zz - 2.0 * br.a * yy, zzp - 2.0 * br.a * yyp
-    pref = sum(theta_eval(KP, j, x, yy, 0.0) - theta_eval(KP, j, xp, yyp, 0.0) for j in pair)
+    pref = sum(theta(KP, j, x, yy, 0.0) - theta(KP, j, xp, yyp, 0.0) for j in pair)
     comp = -np.exp(0.5 * pref - gam * np.abs(zz - zzp) + 1j * eta * (yy - yyp)) / (2.0 * gam)
     below = zz > zzp
     direct = np.where(below, product(-1, x, yy, xp, yyp), product(1, x, yy, xp, yyp))
