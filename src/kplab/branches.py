@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutCrossing, InvalidBranch
+from .errors import BranchCutCrossing, InvalidBranch, whole_number
 
 
 def check_sign(sign: int) -> None:
-    """A branch or transform sign is +1 or -1; anything else raises InvalidBranch."""
-    if sign not in (1, -1):
-        raise InvalidBranch(f"sign must be +1 or -1, got {sign}")
+    """A branch or transform sign is the `errors.whole_number` +1 or -1;
+    anything else, a bool included, raises InvalidBranch."""
+    if whole_number(sign) not in (1, -1):
+        raise InvalidBranch(f"sign must be +1 or -1, got {sign!r}")
 
 
 @dataclass(frozen=True)
@@ -46,4 +47,6 @@ class Branch:
 
 
 def branch_of(config, pair: tuple[int, int]) -> Branch:
-    return Branch(a=config.a_of(pair), c=config.c_of(pair))
+    """The branch of a 1-based channel pair: a and c from its two phase speeds."""
+    ki, kj = config.kappa[pair[0] - 1], config.kappa[pair[1] - 1]
+    return Branch(a=0.5 * (ki + kj), c=0.25 * (ki - kj) ** 2)

@@ -45,6 +45,7 @@ from .errors import (
     MissingPrimitive,
     OrthogonalityViolation,
     RegionViolation,
+    finite_number,
     finite_real,
 )
 from .expsum import Carried, ExpSum, Rational, _worst_residual
@@ -491,14 +492,13 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     generators transfer: the minus transform of the upper product equals
     the plus transform of the lower one, and the adjoint statements hold
     for the dual generators.  Only the four-phase chain with an inner
-    channel supports all of these at once, so other kinds are rejected.
+    channel supports all of these at once, so other kinds are rejected; an
+    eta that is not a finite number raises InadmissibleEta.
     """
     if config.kind != "p_type":
         raise CaseMismatch(
             f"resonant transfer checks exist for the p_type chain, got {config.kind}")
-    eta = complex(eta)
-    if not np.isfinite(eta):
-        raise InadmissibleEta(f"transverse frequency must be finite, got {eta}")
+    eta = _frequency(eta)
     k = config.kappa
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
@@ -515,8 +515,10 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
         with the j-th dual residue (or wave residue)."""
         b = br.beta(eta_at, side)
         if wave_at_branch:
-            return scale * pair_product(fam.phi(b), fam.phi_star_residue(j))
-        return scale * pair_product(fam.phi_residue(j), fam.phi_star(b))
+            prod = pair_product(fam.phi(b), fam.phi_star_residue(j))
+        else:
+            prod = pair_product(fam.phi_residue(j), fam.phi_star(b))
+        return Carried(prod.value * scale, ydxinv=prod.ydxinv * scale)
 
     plus_in = gap_in / br_in.gamma(eta)
     minus_in = 1j * eta * (-1.0 / br_in.gamma(-eta))
@@ -555,12 +557,17 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
 # ----- one-dimensional channel transforms -----
 
 
-def _channel_root(c: float, eta: complex = 0.0) -> float:
-    """sqrt(c) of a channel with a real gap c > 0 and a finite frequency eta."""
+def _frequency(eta: complex) -> complex:
+    """eta as a complex; InadmissibleEta unless it is an `errors.finite_number`."""
+    if not finite_number(eta):
+        raise InadmissibleEta(f"transverse frequency must be a finite number, got {eta!r}")
+    return complex(eta)
+
+
+def _channel_root(c: float) -> float:
+    """sqrt(c) of a channel with a real gap c > 0; InvalidBranch otherwise."""
     if not (finite_real(c) and c > 0):
-        raise InvalidBranch(f"channel gap c must be positive and finite, got {c}")
-    if not np.isfinite(complex(eta)):
-        raise InadmissibleEta(f"transverse frequency must be finite, got {eta}")
+        raise InvalidBranch(f"channel gap c must be positive and finite, got {c!r}")
     return float(np.sqrt(float(c)))
 
 
@@ -574,20 +581,25 @@ def _channel_gamma(branch: Branch, eta: complex) -> complex:
     return gam
 
 
-# a sweep over channel gaps keeps the profiles of its last 64 rates
+# a sweep over channel gaps keeps the profiles of its last 64 rates; one
+# kink and one bump per rate, so a sweep over (eta, alpha) feeds the same
+# objects, and so the same node values, to every operator
 @lru_cache(maxsize=64)
-def _hyperbolic(root: float) -> tuple[Rational, Rational, ExpSum]:
-    """(tanh, sech, cosh) of root z as functions of (x, y, t) = (z, 0, 0).
+def _hyperbolic(root: float) -> tuple[Rational, Rational, ExpSum, Rational, Carried]:
+    """(tanh, sech, cosh, kink, bump) of root z as functions of (x, y, t) = (z, 0, 0).
 
-    With e = exp(root z) they are (e^2 - 1)/(1 + e^2), 2e/(1 + e^2) and
-    (e + 1/e)/2.  Both quotients hold the same base 1 + e^2, so their
-    products merge its powers and every profile of the rate shares it.
+    With e = exp(root z) the first three are (e^2 - 1)/(1 + e^2), 2e/(1 + e^2)
+    and (e + 1/e)/2; the kink is root tanh and the bump sech^2 with its
+    antiderivative (tanh - 1)/root.  Both quotients hold the same base
+    1 + e^2, so their products merge its powers and every profile of the
+    rate shares it.
     """
     gen = (complex(root), 0j, 0j)
     e = ExpSum.exponential(1.0, gen)
     base = e * e + 1.0
-    return (Rational.from_quotient(e * e - 1.0, base), Rational.from_quotient(2.0 * e, base),
-            ExpSum((gen,), {(1,): 0.5, (-1,): 0.5}))
+    tanh, sech = Rational.from_quotient(e * e - 1.0, base), Rational.from_quotient(2.0 * e, base)
+    return (tanh, sech, ExpSum((gen,), {(1,): 0.5, (-1,): 0.5}), root * tanh,
+            Carried(sech * sech, xprim=(tanh - 1.0) / root))
 
 
 def _exp_line(rate: complex) -> ExpSum:
@@ -595,21 +607,14 @@ def _exp_line(rate: complex) -> ExpSum:
     return ExpSum.exponential(1.0, (complex(rate), 0j, 0j))
 
 
-# like _hyperbolic, one kink and one bump per gap, so a sweep over (eta,
-# alpha) feeds the same objects, and so the same node values, to every operator
-@lru_cache(maxsize=64)
 def kink_profile(c: float) -> Rational:
     """psi = sqrt(c) tanh(sqrt(c) z), the kink the line transforms subtract."""
-    root = _channel_root(c)
-    return root * _hyperbolic(root)[0]
+    return _hyperbolic(_channel_root(c))[3]
 
 
-@lru_cache(maxsize=64)
 def bump_profile(c: float) -> Carried:
     """sech^2(sqrt(c) z) with its exact decaying antiderivative."""
-    root = _channel_root(c)
-    tanh, sech, _ = _hyperbolic(root)
-    return Carried(sech * sech, xprim=(tanh - 1.0) / root)
+    return _hyperbolic(_channel_root(c))[4]
 
 
 def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Carried:
@@ -620,8 +625,8 @@ def minus_kernel_profile(c: float, eta: complex, reflected: bool = False) -> Car
     decays on the right when Re gamma < sqrt(c), so outside that strip the
     mirror is rejected rather than silently carrying a growing primitive.
     """
-    root = _channel_root(c, eta)
-    gam = _channel_gamma(Branch(a=0.0, c=float(c)), eta)
+    root = _channel_root(c)
+    gam = _channel_gamma(Branch(a=0.0, c=float(c)), _frequency(eta))
     sech = _hyperbolic(root)[1]
     if not reflected:
         return carried_from_primitive((root / gam) * (sech * _exp_line(-gam)))
@@ -673,17 +678,18 @@ class OneDimDarboux:
     inputs, per (profile object, window), so every operator at one (c,
     window) shares them, whatever its eta and alpha.  An input is a Rational
     or ExpSum profile, bare or carried, or node samples, which must be
-    numeric and finite, else ConfigMismatch.  alpha must be a finite
-    nonnegative real, else AlphaOutOfRange.
+    numeric and finite, else ConfigMismatch.  eta must be a finite number,
+    else InadmissibleEta, and alpha a finite nonnegative real, else
+    AlphaOutOfRange; neither is read from a string or a bool.
     """
 
     def __init__(self, c: float, eta: complex, alpha: float = 0.0,
                  window: int | None = None):
-        self.root = _channel_root(c, eta)
+        self.root = _channel_root(c)
+        self.eta = _frequency(eta)
         if not (finite_real(alpha) and alpha >= 0):
             raise AlphaOutOfRange(f"weight rate must be finite and nonnegative, got {alpha}")
         self.c = float(c)
-        self.eta = complex(eta)
         self.alpha = float(alpha)
         self.branch = Branch(a=0.0, c=self.c)
         if window is None:
@@ -697,7 +703,7 @@ class OneDimDarboux:
     @cached_property
     def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(psi, sech, cosh) at the grid nodes, shared and read-only."""
-        _, sech, cosh = _hyperbolic(self.root)
+        sech, cosh = _hyperbolic(self.root)[1:3]
         return tuple(map(self._on_grid, (self.psi, sech, cosh)))
 
     def m_parts(self, sign: int, f: Carried) -> list[Rational]:
@@ -748,7 +754,7 @@ def factorization_parts(c: float, eta: complex, f: Carried) -> dict[str, list[Ra
     """
     op = OneDimDarboux(c, eta)
     gp, gm = op.branch.gamma(eta), op.branch.gamma(-eta)
-    _, sech, cosh = _hyperbolic(op.root)
+    sech, cosh = _hyperbolic(op.root)[1:3]
     u1 = (2.0 * c) * bump_profile(c).value
     fv, fp = f.value, f.prim()
     plus, minus = op.m_apply(1, f), op.m_apply(-1, f)

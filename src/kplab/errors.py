@@ -5,6 +5,7 @@ naming the violated condition and the offending values.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,13 @@ def finite_real(value) -> bool:
     """Whether value is a finite int, float or numpy real scalar, not a bool."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, (bool, np.bool_)) and math.isfinite(value))
+
+
+def finite_number(value) -> bool:
+    """Whether value is a `finite_real` or a finite complex or numpy complex
+    scalar; a bool or a numeric string is not one."""
+    return finite_real(value) or (isinstance(value, (complex, np.complexfloating))
+                                  and cmath.isfinite(value))
 
 
 def whole_number(value) -> int | None:

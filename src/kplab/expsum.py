@@ -13,10 +13,11 @@ reduces the scaled pairs at their common largest exponent.
 
 A Rational divides an ExpSum by powers of ExpSum bases held in a dict keyed
 by base identity; the sech^2 channel profiles of `darboux` are Rationals
-too, in z = x.  ExpSum, Rational and Carried write only __add__ and
-__mul__ (a Carried's __add__ only raises TypeError); the `Ring` base
-derives the reflected forms, negation, subtraction and scalar division
-from those.
+too, in z = x.  ExpSum and Rational write only __add__, __mul__,
+`_partial` and `eval_scaled`; the `Ring` base derives the reflected forms,
+negation, subtraction, scalar division, dx, dy, dt and `eval` from those.
+A `Carried` is a plain record, a function with its exact antiderivatives,
+and has no arithmetic.
 
 ExpSum and Rational objects are never changed once built, so each keeps
 what it derives from itself: an ExpSum its partials and its sorted,
@@ -119,11 +120,14 @@ def _points(x, y, t, dtype=float) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class Ring:
-    """Operators derived from a subclass's own __add__ and __mul__.
+    """Operators derived from a subclass's own __add__, __mul__, _partial
+    and eval_scaled.
 
-    Both must accept a Python scalar on the right; everything else here
-    (reflected forms, negation, subtraction, scalar division) reduces to
-    them, so each algebra writes only its two ring operations.
+    __add__ and __mul__ must accept a Python scalar on the right; the
+    reflected forms, negation, subtraction and scalar division reduce to
+    them.  `_partial(axis)` is d/dx, d/dy or d/dt for axis 0, 1, 2, and
+    `eval_scaled` returns (m, s) with value s * exp(m); dx, dy, dt and
+    `eval` reduce to those.  So each algebra writes only these four.
     """
 
     __slots__ = ()
@@ -150,6 +154,21 @@ class Ring:
         if isinstance(other, (int, float, complex)):
             return self * (1.0 / other)
         return NotImplemented
+
+    def dx(self):
+        return self._partial(0)
+
+    def dy(self):
+        return self._partial(1)
+
+    def dt(self):
+        return self._partial(2)
+
+    def eval(self, x, y, t) -> np.ndarray:
+        """The value s * exp(m) of `eval_scaled`; unlike the pair, it
+        overflows once the value passes about 1e308."""
+        m, s = self.eval_scaled(x, y, t)
+        return s * np.exp(m)
 
 
 class ExpSum(Ring):
@@ -269,15 +288,6 @@ class ExpSum(Ring):
             self._partials[axis] = ExpSum._of(self.gens, _nonzero(out))
         return self._partials[axis]
 
-    def dx(self):
-        return self._partial(0)
-
-    def dy(self):
-        return self._partial(1)
-
-    def dt(self):
-        return self._partial(2)
-
     # ----- evaluation -----
 
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +306,6 @@ class ExpSum(Ring):
         w = np.exp(ex - m)
         s = coeff @ w
         return m.reshape(shape), s.reshape(shape)
-
-    def eval(self, x, y, t) -> np.ndarray:
-        m, s = self.eval_scaled(x, y, t)
-        return s * np.exp(m)
 
 
 def multi_indices(orders: tuple[int, int, int]):
@@ -570,15 +576,6 @@ class Rational(Ring):
         self._partials[axis] = out
         return out
 
-    def dx(self):
-        return self._partial(0)
-
-    def dy(self):
-        return self._partial(1)
-
-    def dt(self):
-        return self._partial(2)
-
     # -- evaluation --
 
     def eval_scaled(self, x, y, t) -> tuple[np.ndarray, np.ndarray]:
@@ -594,23 +591,18 @@ class Rational(Ring):
             s = s / sb ** power
         return m, s
 
-    def eval(self, x, y, t) -> np.ndarray:
-        m, s = self.eval_scaled(x, y, t)
-        return s * np.exp(m)
 
-
-class Carried(Ring):
-    """A function bundled with exact antiderivative data.
+class Carried:
+    """A function bundled with exact antiderivative data: a record, not a ring.
 
     value    : the function itself, a Rational in (x, y, t); a channel
                profile is one in z = x, at y = t = 0
     xprim    : an exact antiderivative in x, or None; for a channel
                profile it is the one vanishing as z -> +infinity
     ydxinv   : exact dx^{-1} dy of the function, or None
-    Scalar multiples scale all three (negation and scalar division follow
-    from `Ring`); a Carried has no sum, so adding one to anything on either
-    side is a TypeError.  The level transforms read their nonlocal term
-    dx^{-1} dy from ydxinv alone and reject a wave without it.
+    It has no sum and no scalar multiple; a caller that scales one builds
+    a new record from its scaled fields.  The level transforms read their
+    nonlocal term dx^{-1} dy from ydxinv alone and reject a wave without it.
     """
 
     __slots__ = ("value", "xprim", "ydxinv")
@@ -625,17 +617,6 @@ class Carried(Ring):
         if self.xprim is None:
             raise MissingPrimitive("carried function has no exact antiderivative")
         return self.xprim
-
-    def __add__(self, other):
-        # reached from either side: `Ring.__radd__` calls it directly
-        raise TypeError(f"{type(self).__name__} has no sum; cannot add {type(other).__name__}")
-
-    def __mul__(self, c) -> "Carried":
-        if not isinstance(c, (int, float, complex)):
-            return NotImplemented
-        return Carried(self.value * c,
-                       self.xprim * c if self.xprim is not None else None,
-                       self.ydxinv * c if self.ydxinv is not None else None)
 
 
 # ----- relative residuals -----

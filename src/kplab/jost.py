@@ -17,9 +17,7 @@ here takes sample points: the caller samples and `worst_residual` reduces.
 """
 from __future__ import annotations
 
-import cmath
-
-from .errors import ConfigMismatch, PoleAtKappa
+from .errors import ConfigMismatch, PoleAtKappa, finite_number
 from .expsum import Carried, ExpSum, Gen, Rational
 from .solitons import SolitonConfig, build_tau, potential
 
@@ -86,13 +84,16 @@ class JostFamily:
         This is the package's one pole policy: a dual factor with
         |w - kappa_m| < 1e-9 raises PoleAtKappa, so every identity that builds
         a dual near a discrete phase is rejected here.  The wave has no pole.
-        A w that is not finite raises ConfigMismatch and is never kept.
+        A w that is not an `errors.finite_number` (a bool or a numeric string
+        is not one) raises ConfigMismatch before any kept wave is looked up.
         """
+        if pole is None:
+            if not finite_number(w):
+                raise ConfigMismatch(f"spectral point must be a finite number, got {w!r}")
+            w = complex(w)
         key = (w, dual, pole)
         if key in self._waves:
             return self._waves[key]
-        if pole is None and not cmath.isfinite(w):
-            raise ConfigMismatch(f"spectral point must be finite, got {w}")
         kappa = self.config.kappa
         skip = -1
         if pole is not None:
@@ -125,11 +126,11 @@ class JostFamily:
 
     def phi(self, beta: complex) -> Rational:
         """Wave annihilated by both compatibility operators; beta = ik on the real line."""
-        return self._wave(complex(beta), False)
+        return self._wave(beta, False)
 
     def phi_star(self, beta: complex) -> Rational:
         """Dual wave annihilated by the adjoint pair."""
-        return self._wave(complex(beta), True)
+        return self._wave(beta, True)
 
     def phi_residue(self, j: int) -> Rational:
         """The wave evaluated at the j-th discrete phase, 1-based."""

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .branches import Branch, branch_of, check_sign
-from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, whole_number
+from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, finite_real, whole_number
 from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
 KINDS = ("vacuum", "one_line", "p_type", "o_type")
@@ -46,13 +46,14 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
     every subset S of N rows contributes det(A[S]) times the Vandermonde
     of kappa[S] times exp(sum of theta over S).  Each term is keyed by the
     indicator vector of S, in the order of the subsets, and zero minors are
-    dropped.  Phases and entries must be finite, minors nonnegative and the
-    matrix of full column rank, else the configuration is rejected.
+    dropped.  Phases must be `errors.finite_real`s, entries finite, minors
+    nonnegative and the matrix of full column rank, else the configuration
+    is rejected.
     """
     amatrix = np.asarray(amatrix, dtype=float)
     if amatrix.ndim != 2:
         raise RejectedConfig(f"coefficient matrix must be 2-D, got shape {amatrix.shape}")
-    if not (np.isfinite(amatrix).all() and all(map(math.isfinite, kappa))):
+    if not (np.isfinite(amatrix).all() and all(map(finite_real, kappa))):
         raise RejectedConfig(f"non-finite phases {kappa} or coefficients {amatrix.tolist()}")
     big_m, small_n = amatrix.shape
     if len(kappa) != big_m:
@@ -92,11 +93,11 @@ class SolitonConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise RejectedConfig(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
-        ks = self.kappa
-        for k in ks:
-            if not math.isfinite(k):
-                raise RejectedConfig(f"phase speeds must be finite, got {k}")
+        ks = tuple(self.kappa)
+        if not all(map(finite_real, ks)):
+            raise RejectedConfig(f"phase speeds must be finite reals, got {ks!r}")
+        ks = tuple(float(k) for k in ks)
+        object.__setattr__(self, "kappa", ks)
         for a, b in zip(ks, ks[1:]):
             if not b > a:
                 raise RejectedConfig(f"phases must increase strictly, got {a} before {b}")
@@ -147,14 +148,6 @@ class SolitonConfig:
         if self.kind == "one_line":
             return (self.pair,)
         return ()
-
-    def a_of(self, pair: tuple[int, int]) -> float:
-        i, j = pair
-        return 0.5 * (self.kappa[i - 1] + self.kappa[j - 1])
-
-    def c_of(self, pair: tuple[int, int]) -> float:
-        i, j = pair
-        return 0.25 * (self.kappa[i - 1] - self.kappa[j - 1]) ** 2
 
 
 @lru_cache(maxsize=64)

@@ -758,8 +758,9 @@ def test_node_profiles_come_from_the_one_profile_cache():
     """psi, sech and cosh at the nodes are `_profile_nodes` entries, the same
     arrays an input of those profiles reads."""
     op = OneDimDarboux(CP, 2.0, alpha=0.3, window=24)
-    _, sech, cosh = _hyperbolic(op.root)
-    for k, profile in enumerate((op.psi, sech, cosh)):
+    _, sech, cosh, psi, _ = _hyperbolic(op.root)
+    assert op.psi is psi
+    for k, profile in enumerate((psi, sech, cosh)):
         assert op.node_profiles[k] is op._on_grid(profile)
         assert op.node_profiles[k] is _profile_nodes(profile, op.window)
 
@@ -832,7 +833,7 @@ def _roundtrip_bytes() -> list[bytes]:
 def test_roundtrip_is_byte_stable_across_cleared_caches():
     warm = _roundtrip_bytes()
     assert _roundtrip_bytes() == warm
-    for cached in (bump_profile, kink_profile, _window_grid, _profile_nodes,
+    for cached in (_hyperbolic, _window_grid, _profile_nodes,
                    tanhexp._sweep_kernel, tanhexp._unit_rule):
         cached.cache_clear()
     assert _roundtrip_bytes() == warm

@@ -12,7 +12,7 @@ import pytest
 
 import kplab
 from kplab import errors
-from kplab.branches import Branch
+from kplab.branches import Branch, check_sign
 from kplab.darboux import (OneDimDarboux, _hyperbolic, bump_profile, commutation_parts,
                            identity_report, kink_profile, level_shift_parts,
                            minus_kernel_profile, mode_transfer_parts, sample_points, t1_apply,
@@ -265,7 +265,8 @@ def test_only_wronskian_tau_builds_taus():
 def _derived_operators(tree: ast.Module) -> list[str]:
     """Class.name for each operator `expsum.Ring` derives that a class body
     defines or assigns."""
-    derived = {"__sub__", "__rsub__", "__neg__", "__radd__", "__rmul__", "__truediv__"}
+    derived = {"__sub__", "__rsub__", "__neg__", "__radd__", "__rmul__", "__truediv__",
+               "dx", "dy", "dt", "eval"}
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
@@ -283,13 +284,13 @@ def _derived_operators(tree: ast.Module) -> list[str]:
 
 
 def test_only_ring_derives_operators():
-    """ExpSum, Rational and Carried write only __add__ and __mul__; the `Ring`
-    base derives the reflected forms, negation, subtraction and scalar
-    division from them."""
+    """ExpSum and Rational write only __add__, __mul__, _partial and
+    eval_scaled; the `Ring` base derives the reflected forms, negation,
+    subtraction, scalar division, dx, dy, dt and eval from them."""
     tree = ast.parse((SRC / "expsum.py").read_text())
     assert sorted(_derived_operators(tree)) == [
         f"Ring.{name}" for name in ("__neg__", "__radd__", "__rmul__", "__rsub__",
-                                    "__sub__", "__truediv__")]
+                                    "__sub__", "__truediv__", "dt", "dx", "dy", "eval")]
     assert _derived_operators(ast.parse(
         "class A:\n    def __add__(self, o): pass\n    def __sub__(self, o): pass\n"
         "def __neg__(x): pass\nclass B(A):\n    __rmul__ = A.__add__\n"
@@ -298,7 +299,7 @@ def test_only_ring_derives_operators():
 
 # The functions of src/kplab that take an (x, y, t) point triple: the term
 # algebra's evaluators and the reducers that evaluate through them.
-POINT_TAKERS = {"ExpSum.eval", "ExpSum.eval_scaled", "Rational.eval", "Rational.eval_scaled",
+POINT_TAKERS = {"Ring.eval", "ExpSum.eval_scaled", "Rational.eval_scaled",
                 "_points", "log_derivatives", "SolitonField.kpii_residual"}
 
 
@@ -423,6 +424,20 @@ def test_integral_float_pairs_are_accepted():
     (lambda: t1_apply(OneDimDarboux(CP, 2.0, alpha=0.3), 1, "abc"), errors.ConfigMismatch),
     (lambda: t1_roundtrip(OneDimDarboux(CP, 2.0, alpha=0.3), -1, "abc"), errors.ConfigMismatch),
     (lambda: OneDimDarboux(CP, 2.0, alpha=0.3).m_apply_sampled(1, "abc"), errors.ConfigMismatch),
+    # True equals 1.0 and hashes like it, so a cache keyed by c would answer first
+    (lambda: (bump_profile(1.0), bump_profile(True)), errors.InvalidBranch),
+    (lambda: (kink_profile(1.0), kink_profile(True)), errors.InvalidBranch),
+    (lambda: OneDimDarboux(0.5, "0.3", alpha=0.2), errors.InadmissibleEta),
+    (lambda: mode_transfer_parts(P, "0.4"), errors.InadmissibleEta),
+    (lambda: SolitonConfig("p_type", ("-2", "-1", "0.5", "3")), errors.RejectedConfig),
+    (lambda: SolitonConfig("one_line", (False, True), pair=(1, 2)), errors.RejectedConfig),
+    (lambda: wronskian_tau(("a", 1.0), [[1.0], [1.0]]), errors.RejectedConfig),
+    (lambda: wronskian_tau((False, True), [[1.0], [1.0]]), errors.RejectedConfig),
+    (lambda: JostFamily(P).phi("1.7"), errors.ConfigMismatch),
+    (lambda: check_sign(True), errors.InvalidBranch),
+    # Re gamma(0.5i) = 0.707 <= sqrt(c) - alpha = 0.8: the based minus form does not apply
+    (lambda: t1_apply(OneDimDarboux(1.0, 0.5j, alpha=0.2), -1, bump_profile(1.0), low=True),
+     errors.RegionViolation),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
@@ -441,7 +456,9 @@ def test_integral_float_pairs_are_accepted():
         "c_string", "bump_c_string", "alpha_string", "tau_one_dim_matrix",
         "mode_transfer_at_inf", "residual_without_points", "residual_with_two_point_arrays",
         "profile_shift_beyond_cutoff", "inverse_of_a_string", "roundtrip_of_a_string",
-        "sampled_transform_of_a_string"])
+        "sampled_transform_of_a_string", "bump_c_bool", "kink_c_bool", "eta_string",
+        "mode_transfer_at_string", "kappa_strings", "kappa_bools", "tau_kappa_string",
+        "tau_kappa_bool", "wave_at_string", "sign_bool", "based_minus_below_its_gate"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

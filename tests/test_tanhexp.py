@@ -23,7 +23,7 @@ def on_line(f, z):
 
 
 def test_tanh_square_reduces_to_sech():
-    tanh, sech, _ = _hyperbolic(0.8)
+    tanh, sech, *_ = _hyperbolic(0.8)
     # (e^2 - 1)^2 + 4 e^2 - (1 + e^2)^2 cancels term by term
     assert (tanh * tanh + sech * sech - 1.0).num.is_zero()
     expected = 1.0 - 1.0 / np.cosh(0.8 * ZS) ** 2
@@ -31,14 +31,14 @@ def test_tanh_square_reduces_to_sech():
 
 
 def test_negative_sech_power_is_cosh():
-    _, sech, cosh = _hyperbolic(0.6)
+    _, sech, cosh, *_ = _hyperbolic(0.6)
     assert np.max(np.abs(on_line(cosh, ZS) - np.cosh(0.6 * ZS))) < 1e-12 * np.max(np.cosh(0.6 * ZS))
     assert np.max(np.abs(on_line(cosh * sech, ZS) - 1.0)) < 1e-15
 
 
 def test_derivative_matches_difference_quotient():
     c, root = 0.5625, 0.75
-    tanh, sech, _ = _hyperbolic(root)
+    tanh, sech, *_ = _hyperbolic(root)
     # d(sqrt(c) tanh) = c sech^2, and the bump is the same sech^2
     exact = on_line(kink_profile(c).dx(), ZS)
     assert np.max(np.abs(exact - c * on_line(sech * sech, ZS))) < 1e-15
@@ -53,20 +53,25 @@ def test_derivative_matches_difference_quotient():
 
 def _ring_operands():
     """An ExpSum and a Rational channel profile."""
-    tanh, sech, cosh = _hyperbolic(0.5)
+    tanh, sech, cosh, *_ = _hyperbolic(0.5)
     return {"expsum": cosh, "rational": tanh * sech}
 
 
 # Ring's reflected forms call the forward method directly, so a foreign
-# operand on either side reaches Python as a TypeError; a Carried has only
-# scalar multiples, and adding to or multiplying by one is foreign too.
+# operand on either side reaches Python as a TypeError; Ring divides only by
+# a scalar, and a Carried is a record with no arithmetic at all, so adding
+# to, multiplying or scaling one is foreign too.
 @pytest.mark.parametrize("combine", [
     lambda f: f + None,
     lambda f: f * "a",
     lambda f: Carried(f) + f,
     lambda f: f * Carried(f),
     lambda f: f + Carried(f),
-], ids=["plus_none", "times_str", "plus_expsum", "expsum_times", "expsum_plus"])
+    lambda f: f / f,
+    lambda f: 2.0 * Carried(f),
+    lambda f: Carried(f) + Carried(f),
+], ids=["plus_none", "times_str", "plus_expsum", "expsum_times", "expsum_plus",
+        "over_itself", "scalar_times_carried", "carried_plus_carried"])
 def test_foreign_operand_is_a_type_error(combine):
     for f in _ring_operands().values():
         with pytest.raises(TypeError):
@@ -74,7 +79,7 @@ def test_foreign_operand_is_a_type_error(combine):
 
 
 def test_far_field_evaluation_is_stable():
-    tanh, sech, _ = _hyperbolic(0.75)
+    tanh, sech, *_ = _hyperbolic(0.75)
     f = 2.0 * (tanh * sech * sech * _exp_line(-0.1))
     far = on_line(f, np.array([-420.0, 420.0]))
     assert np.all(np.isfinite(far))
