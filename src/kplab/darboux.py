@@ -35,7 +35,7 @@ from operator import mul
 
 import numpy as np
 
-from .branches import Branch, branch_of, check_sign
+from .branches import Branch, _frequency, branch_of, check_sign
 from .errors import (
     AlphaOutOfRange,
     CaseMismatch,
@@ -45,7 +45,6 @@ from .errors import (
     MissingPrimitive,
     OrthogonalityViolation,
     RegionViolation,
-    finite_number,
     finite_real,
 )
 from .expsum import Carried, ExpSum, Rational, _worst_residual
@@ -354,7 +353,7 @@ def flow_intertwining_parts(data: MiuraData, wave: Carried) -> dict[str, list[Ra
 
 
 # the report reads two configurations (P and O type); a sweep over phase
-# speeds keeps only the last two chains and every wave they hold
+# speeds keeps only the last two chains and the waves their families keep
 @lru_cache(maxsize=2)
 def _level_steps(config: SolitonConfig) -> tuple[tuple[str, JostFamily, JostFamily, MiuraData], ...]:
     """(label, lower family, upper family, MiuraData) for each adjacent step.
@@ -555,13 +554,6 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
 
 
 # ----- one-dimensional channel transforms -----
-
-
-def _frequency(eta: complex) -> complex:
-    """eta as a complex; InadmissibleEta unless it is an `errors.finite_number`."""
-    if not finite_number(eta):
-        raise InadmissibleEta(f"transverse frequency must be a finite number, got {eta!r}")
-    return complex(eta)
 
 
 def _channel_root(c: float) -> float:
@@ -955,16 +947,17 @@ def identity_report(seed: int = 7, npts: int = 16) -> dict[str, float]:
     all values are worst relative residuals over the shared sample points.
     Each family's parts are reduced as soon as they are built, so only one
     family's algebra is alive at a time.  The `JostFamily` objects of the
-    shared level chains keep every wave, dual and residue they build, so a
-    later report builds none of them again; each product of them lasts one
-    family call, and `worst_residual` evaluates each distinct sum of an
-    identity once.  A sum or Rational keeps its own partials, and a sum its
-    sorted arrays, on the object.  Besides those, only the catalog of
-    `backlund_catalog` and the bounded memo of sorted arrays by sum content
-    (so the sums a family builds again each report reuse the arrays of the
-    last one) are kept from one call to the next, and the scaled
-    pairs of the den bases (the taus) only for the current report: each is
-    evaluated once at its sample points, then shared by all its identities.
+    shared level chains keep the last 64 waves, duals and residues each
+    builds, and a report reads at most 13 per family, so a later report
+    builds none of them again; each product of them lasts one family call,
+    and `worst_residual` evaluates each distinct sum of an identity once.
+    A sum or Rational keeps its own partials on the object.  Besides those,
+    only the catalog of `backlund_catalog` and the bounded memo of sorted
+    arrays by sum content (which every evaluation of a sum reads, so the
+    sums a family builds again each report reuse the arrays of the last
+    one) are kept from one call to the next, and the scaled pairs of the
+    den bases (the taus) only for the current report: each is evaluated
+    once at its sample points, then shared by all its identities.
     """
     x, y, t = sample_points(seed, npts)
     cfg_p = SolitonConfig("p_type", REPORT_KAPPA_P)

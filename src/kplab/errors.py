@@ -30,6 +30,15 @@ def whole_number(value) -> int | None:
     return int(value) if finite_real(value) and value == int(value) else None
 
 
+def phase_pair(pair) -> tuple[int, int] | None:
+    """pair as two ints, or None unless it is a tuple or list of two
+    `whole_number`s."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        return None
+    out = tuple(map(whole_number, pair))
+    return None if None in out else out
+
+
 class KplabError(Exception):
     """Base class for all package errors."""
 

@@ -20,12 +20,13 @@ A `Carried` is a plain record, a function with its exact antiderivatives,
 and has no arithmetic.
 
 ExpSum and Rational objects are never changed once built, so each keeps
-what it derives from itself: an ExpSum its partials and its sorted,
-read-only `arrays()`, a Rational its partials.  The arrays are also kept
-in a bounded memo keyed by content (generators and terms), so a sum built
-again, equal to one evaluated before, skips building them.  Nothing kept
-holds point data.  Sums whose generator tuples already line up (equal, or
-one starting the other) add and multiply without remapping their keys.
+the partials it derives from itself.  The sorted, read-only `arrays()` of
+a sum are kept in one place only, a bounded memo keyed by content
+(generators and terms): a sum evaluated again, or built again equal to one
+evaluated before, sorts and hashes its terms and skips building them.
+Nothing kept holds point data.  Sums whose generator tuples already line
+up (equal, or one starting the other) add and multiply without remapping
+their keys.
 
 Sums, products and scalar multiples build one dict each: they drop their
 own zero terms and hand the dict to the sum they return, while the public
@@ -175,22 +176,23 @@ class ExpSum(Ring):
     """Finite exponential sum with exact phase-lattice merging.
 
     The generators in `gens` are distinct.  A sum is never changed after it
-    is built, so it keeps its own partials and sorted arrays once asked.
+    is built, so it keeps its own partials once asked; its arrays are kept
+    by content, in the memo behind `arrays()`.
     """
 
-    __slots__ = ("gens", "terms", "_partials", "_arrays")
+    __slots__ = ("gens", "terms", "_partials")
 
     def __init__(self, gens: tuple[Gen, ...], terms: dict[tuple[int, ...], complex]):
         self.gens = gens
         self.terms = {k: v for k, v in terms.items() if v != 0}
-        self._partials = self._arrays = None
+        self._partials = None
 
     @classmethod
     def _of(cls, gens: tuple[Gen, ...], terms: dict[tuple[int, ...], complex]) -> "ExpSum":
         """A sum that takes over `terms`, which hold no zero coefficient."""
         out = object.__new__(cls)
         out.gens, out.terms = gens, terms
-        out._partials = out._arrays = None
+        out._partials = None
         return out
 
     # ----- constructors -----
@@ -213,13 +215,11 @@ class ExpSum(Ring):
 
         Both are float64 when every phase and coefficient has zero
         imaginary part, else both complex128; evaluation computes in that
-        dtype.  Both arrays are read-only.  Kept on the sum after the first
-        call, and shared by content: sums with equal generators and equal
-        terms, built apart, get the same arrays through a bounded memo.
+        dtype.  Both arrays are read-only.  Each call sorts the terms and
+        reads the bounded memo keyed by content, so sums with equal
+        generators and equal terms, built apart, get the same arrays.
         """
-        if self._arrays is None:
-            self._arrays = _sorted_arrays(self.gens, tuple(sorted(self.terms.items())))
-        return self._arrays
+        return _sorted_arrays(self.gens, tuple(sorted(self.terms.items())))
 
     # ----- algebra -----
 
@@ -322,21 +322,16 @@ def _plan(orders, only):
     """(computed, returned, recursion plan) of `log_derivatives`; ValueError as it says.
 
     The computed multi-indices are the downward closure of the returned
-    ones, both graded.  The three are kept per canonical (orders, only),
-    so a repeated call validates `orders` and hashes `only`, nothing more.
+    ones, both graded.  Nothing is kept: a plan costs about 0.3 ms, against
+    about 7 ms for the points of one 384^2 KP residual.
     """
     if len(orders) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 0 for n in orders):
         raise ValueError(f"orders {tuple(orders)} is not three non-negative ints")
-    wanted = None if only is None else frozenset(tuple(gamma) for gamma in only)
-    return _closure_plan(tuple(int(n) for n in orders), wanted)
-
-
-@lru_cache(maxsize=64)
-def _closure_plan(orders: tuple[int, int, int], wanted: frozenset | None):
-    """`_plan` for valid orders; a ValueError raised here is not kept."""
+    orders = tuple(int(n) for n in orders)
     box = tuple(multi_indices(orders))
-    if wanted is None:
+    if only is None:
         return box, box, _recursion_plan(box)
+    wanted = {tuple(gamma) for gamma in only}
     if not wanted:
         raise ValueError("only names no partial")
     for gamma in wanted:

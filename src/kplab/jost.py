@@ -5,7 +5,8 @@ by a ratio of exponential sums; the dual flips the exponential factor and
 inverts the per-phase shifts.  Both are read off the minor expansion that
 tau itself stores, so every residue at a discrete phase is available in
 closed form.  One routine, `JostFamily._wave`, builds all four kinds, and
-each family keeps what it built.  The module also pairs a wave with a dual
+each family keeps the last 64 it built, so a sweep over spectral points
+holds a bounded number of waves.  The module also pairs a wave with a dual
 into a product carrying its antiderivative data (`pair_product`, which
 keeps nothing), and states the solution maps of that product as part lists
 (`product_parts`); the background potential comes from `solitons.potential`.
@@ -17,9 +18,11 @@ here takes sample points: the caller samples and `worst_residual` reduces.
 """
 from __future__ import annotations
 
-from .errors import ConfigMismatch, PoleAtKappa, finite_number
-from .expsum import Carried, ExpSum, Gen, Rational
-from .solitons import SolitonConfig, build_tau, potential
+from functools import lru_cache, partial
+
+from .errors import ConfigMismatch, PoleAtKappa, finite_number, whole_number
+from .expsum import Carried, ExpSum, Rational
+from .solitons import SolitonConfig, build_tau, plane_gen, potential
 
 
 # ----- operators of the compatibility pair and the linearized flow -----
@@ -50,28 +53,26 @@ def linearized_parts(u: Rational, f) -> list:
             6.0 * (u * f).dx().dx(), 3.0 * f.dy().dy()]
 
 
-def plane_gen(w: complex) -> Gen:
-    """Phase generator (w, w^2, -w^3) of the plane factor at spectral point w."""
-    w = complex(w)
-    return (w, w * w, -(w * w * w))
-
-
 class JostFamily:
-    """Waves, duals and residues for one configuration, each built once and kept.
+    """Waves, duals and residues for one configuration, the last 64 of them kept.
 
     The numerators reweight the terms of tau: each key is the indicator
     vector of a row subset, each coefficient its minor times Vandermonde.
-    A family never changes after it is built, so it keeps every wave, dual
-    and residue it builds, keyed by what `_wave` was asked for.
+    A family never changes after it is built, so it keeps the last 64
+    waves, duals and residues it builds, keyed by what `_wave` was asked
+    for: a report reads at most 13 per family, and a sweep over spectral
+    points keeps no more than 64.
     """
 
     def __init__(self, config: SolitonConfig):
         self.config = config
         self.tau = build_tau(config)
-        self._waves: dict[tuple, Rational] = {}
+        # bound to the phases and tau, not to the family, so that the cache
+        # makes no reference cycle and a dropped family is freed at once
+        self._waves = lru_cache(maxsize=64)(partial(self._build, config.kappa, self.tau))
 
     def _wave(self, w: complex | None, dual: bool, pole: int | None = None) -> Rational:
-        """The wave (dual False) or dual wave at w over tau, built on the first call.
+        """The wave (dual False) or dual wave at w over tau, kept once built.
 
         Each term of tau on row subset S is weighted by prod over m in S of
         (w - kappa_m), inverted for the dual, and the numerator carries the
@@ -85,23 +86,30 @@ class JostFamily:
         |w - kappa_m| < 1e-9 raises PoleAtKappa, so every identity that builds
         a dual near a discrete phase is rejected here.  The wave has no pole.
         A w that is not an `errors.finite_number` (a bool or a numeric string
-        is not one) raises ConfigMismatch before any kept wave is looked up.
+        is not one) raises ConfigMismatch, and a pole that is not an
+        `errors.whole_number` in 1..M raises PoleAtKappa, both before the
+        kept waves are looked up, so True never reads the wave kept at 1.
         """
         if pole is None:
             if not finite_number(w):
                 raise ConfigMismatch(f"spectral point must be a finite number, got {w!r}")
             w = complex(w)
-        key = (w, dual, pole)
-        if key in self._waves:
-            return self._waves[key]
-        kappa = self.config.kappa
+        else:
+            given, pole = pole, whole_number(pole)
+            if pole is None or not 1 <= pole <= len(self.config.kappa):
+                raise PoleAtKappa(
+                    f"phase index {given!r} out of range 1..{len(self.config.kappa)}")
+        return self._waves(w, dual, pole)
+
+    @staticmethod
+    def _build(kappa: tuple[float, ...], tau: ExpSum, w: complex | None, dual: bool,
+               pole: int | None) -> Rational:
+        """`_wave` of the family with phases kappa and tau, on checked arguments, uncached."""
         skip = -1
         if pole is not None:
-            if not 1 <= pole <= len(kappa):
-                raise PoleAtKappa(f"phase index {pole} out of range 1..{len(kappa)}")
             skip, w = pole - 1, kappa[pole - 1]
         terms: dict[tuple[int, ...], complex] = {}
-        for subset, factor in self.tau.terms.items():
+        for subset, factor in tau.terms.items():
             if pole is not None and subset[skip] != dual:
                 continue
             for m, bit in enumerate(subset):
@@ -120,9 +128,8 @@ class JostFamily:
         gen = plane_gen(w)
         if dual:
             gen = tuple(-g for g in gen)
-        num = ExpSum.exponential(1.0, gen) * ExpSum(self.tau.gens, terms)
-        self._waves[key] = Rational.from_quotient(num, self.tau)
-        return self._waves[key]
+        num = ExpSum.exponential(1.0, gen) * ExpSum(tau.gens, terms)
+        return Rational.from_quotient(num, tau)
 
     def phi(self, beta: complex) -> Rational:
         """Wave annihilated by both compatibility operators; beta = ik on the real line."""

@@ -2,7 +2,9 @@
 
 Every tau in the package is built here, by `wronskian_tau`: a sum of
 Vandermonde-weighted minors of a coefficient matrix times exponentials of
-theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t.  The field is
+theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t, whose generator
+(kappa_m, kappa_m^2, -kappa_m^3) is the `plane_gen` that also gives the
+Jost waves their plane factor.  The field is
 u = 2 (log tau)_xx.  Supported configurations: the vacuum, a single line
 soliton on any phase pair, and the two nondegenerate two-line types with
 four phases.  A far-field line of `asymptotic_profile` is a tau too: one
@@ -12,23 +14,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .branches import Branch, branch_of, check_sign
-from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, finite_real, whole_number
+from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, finite_real, phase_pair
 from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
 KINDS = ("vacuum", "one_line", "p_type", "o_type")
 
 
-@lru_cache(maxsize=64)
+def plane_gen(w: complex) -> Gen:
+    """Phase generator (w, w^2, -w^3) of the plane factor at spectral point w."""
+    w = complex(w)
+    return (w, w * w, -(w * w * w))
+
+
 def theta_gens(kappa: tuple[float, ...]) -> tuple[Gen, ...]:
-    """Shared phase generators (kappa, kappa^2, -kappa^3), one per phase."""
-    return tuple((complex(k), complex(k * k), complex(-(k * k * k))) for k in kappa)
+    """The phase generators of tau, one `plane_gen` per phase speed."""
+    return tuple(map(plane_gen, kappa))
 
 
 def _vandermonde(vals: tuple[float, ...]) -> float:
@@ -75,15 +81,6 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
     return ExpSum(theta_gens(kappa), terms)
 
 
-def _phase_pair(pair) -> tuple[int, int] | None:
-    """pair as two ints, or None unless it is a tuple or list of two
-    `errors.whole_number`s."""
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-        return None
-    out = tuple(map(whole_number, pair))
-    return None if None in out else out
-
-
 @dataclass(frozen=True)
 class SolitonConfig:
     kind: str                          # one of KINDS
@@ -109,7 +106,7 @@ class SolitonConfig:
         if self.kind == "one_line":
             if self.pair is None:
                 raise RejectedConfig("one_line needs a pair")
-            pair = _phase_pair(self.pair)
+            pair = phase_pair(self.pair)
             if pair is None or not 1 <= pair[0] < pair[1] <= len(ks):
                 raise RejectedConfig(f"pair {self.pair!r} is not two increasing phase "
                                      f"indices in 1..{len(ks)}")
@@ -150,8 +147,9 @@ class SolitonConfig:
         return ()
 
 
-@lru_cache(maxsize=64)
 def build_tau(config: SolitonConfig) -> ExpSum:
+    """The tau of config, built anew on each call; the fields, the level
+    chains and `darboux.backlund_catalog` each keep the tau they read."""
     return wronskian_tau(config.kappa, config.amatrix())
 
 
@@ -216,7 +214,7 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     the `Profile` tau drops an entry as a zero minor raises RejectedConfig.
     """
     check_sign(y_sign)
-    given, pair = pair, _phase_pair(pair)
+    given, pair = pair, phase_pair(pair)
     if pair not in config.channel_pairs():
         raise InvalidBranch(f"{given!r} is not a channel of this {config.kind} configuration")
     k = config.kappa

@@ -16,7 +16,6 @@ cumulative at that rate.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import ConfigMismatch, RegionViolation, whole_number
+from .errors import ConfigMismatch, RegionViolation, finite_number, whole_number
 
 __all__ = [
     "PanelGrid",
@@ -139,14 +138,18 @@ class PanelGrid:
 # ----- exponentially weighted cumulatives -----
 
 
-def _exp_guard(q: complex, span: float) -> None:
-    if not cmath.isfinite(q):
-        raise RegionViolation(f"exponential rate must be finite, got {q}")
+def _exp_guard(q: complex, span: float) -> complex:
+    """q as a complex; RegionViolation unless it is an `errors.finite_number`
+    (a bool or a numeric string is not one) whose weight fits the span."""
+    if not finite_number(q):
+        raise RegionViolation(f"exponential rate must be a finite number, got {q!r}")
+    q = complex(q)
     if abs(q.real) * span > 650.0:
         raise RegionViolation(
             "exponential weight outruns the quadrature window; "
             f"|Re q| * span = {abs(q.real) * span:.1f}"
         )
+    return q
 
 
 # a round trip reads at most three rates (+/-gamma and the antiderivative's
@@ -199,8 +202,7 @@ def exp_cumulative(grid: PanelGrid, vals, q: complex, side: str) -> np.ndarray:
     growth present in the true integral.
     """
     g = grid._panels(vals)
-    q = complex(q)
-    _exp_guard(q, grid.hi - grid.lo)
+    q = _exp_guard(q, grid.hi - grid.lo)
     if side == "left":
         return _left_sweep(grid, g, q).ravel()
     if side == "right":

@@ -1,7 +1,6 @@
 """Level transforms: couplings, routes, product maps, and line inverses."""
 from __future__ import annotations
 
-import gc
 import weakref
 
 import numpy as np
@@ -42,7 +41,7 @@ from kplab.darboux import (
     t1_roundtrip,
     transform_parts,
 )
-from kplab import expsum, solitons, tanhexp
+from kplab import expsum, tanhexp
 from kplab.branches import Branch
 from kplab.errors import (
     AlphaOutOfRange,
@@ -1020,34 +1019,56 @@ def test_report_evaluates_each_den_base_once(monkeypatch):
 
 
 def test_second_report_builds_no_wave(monkeypatch):
-    wave = JostFamily._wave
+    build = JostFamily._build
     built: list[tuple] = []
 
-    def counted(self, *args, **kwargs):
-        kept = set(map(id, self._waves.values()))
-        out = wave(self, *args, **kwargs)
-        if id(out) not in kept:
-            built.append(args)
-        return out
+    def counted(*args):
+        built.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(JostFamily, "_wave", counted)
-    _level_steps.cache_clear()
+    monkeypatch.setattr(JostFamily, "_build", staticmethod(counted))
+    _level_steps.cache_clear()  # families built from here on count their builds
     identity_report(npts=4)
     assert built
     built.clear()
     identity_report(npts=4)
     assert built == []
+    _level_steps.cache_clear()
+
+
+def _chain_families(cfg: SolitonConfig) -> list[JostFamily]:
+    """The distinct families of cfg's level chain."""
+    found = {id(f): f for _, lo, hi, _ in _level_steps(cfg) for f in (lo, hi)}
+    return list(found.values())
 
 
 def test_report_is_repr_stable_across_cleared_caches():
     """The caches the report reads only keep work: emptied, they give back the
     same report, value for value."""
     warm = [repr(identity_report(seed=seed, npts=16)) for seed in (7, 11)]
+    for kappa, kind in ((REPORT_KAPPA_P, "p_type"), (REPORT_KAPPA_O, "o_type")):
+        for family in _chain_families(SolitonConfig(kind, kappa)):
+            family._waves.cache_clear()
+    assert [repr(identity_report(seed=seed, npts=16)) for seed in (7, 11)] == warm
     for cached in (expsum._unify, expsum._key_adder, expsum._sorted_arrays,
-                   expsum._closure_plan, solitons.theta_gens, solitons.build_tau,
                    backlund_catalog, _level_steps):
         cached.cache_clear()
     assert [repr(identity_report(seed=seed, npts=16)) for seed in (7, 11)] == warm
+
+
+def test_an_eta_sweep_keeps_at_most_64_waves_per_family():
+    """200 mode transfers over eta in [0.05, 2] leave each family of the
+    P-type chain at most 64 waves, and a report's waves are still kept."""
+    cfg = SolitonConfig("p_type", REPORT_KAPPA_P)
+    for eta in np.linspace(0.05, 2.0, 200):
+        mode_transfer_parts(cfg, eta)
+    families = _chain_families(cfg)
+    assert len(families) == 3
+    assert max(f._waves.cache_info().currsize for f in families) == 64
+    identity_report(npts=4)
+    misses = [f._waves.cache_info().misses for f in families]
+    identity_report(npts=4)
+    assert [f._waves.cache_info().misses for f in families] == misses
 
 
 def test_level_chains_are_bounded():
@@ -1059,7 +1080,7 @@ def test_level_chains_are_bounded():
         if first is None:
             first = weakref.ref(_level_steps(cfg)[0][2])
     assert _level_steps.cache_info().currsize <= 2
-    gc.collect()
+    # freed by reference counting alone: no cycle holds a family or its waves
     assert first() is None
 
 

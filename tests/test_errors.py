@@ -12,7 +12,7 @@ import pytest
 
 import kplab
 from kplab import errors
-from kplab.branches import Branch, check_sign
+from kplab.branches import Branch, branch_of, check_sign
 from kplab.darboux import (OneDimDarboux, _hyperbolic, bump_profile, commutation_parts,
                            identity_report, kink_profile, level_shift_parts,
                            minus_kernel_profile, mode_transfer_parts, sample_points, t1_apply,
@@ -20,6 +20,7 @@ from kplab.darboux import (OneDimDarboux, _hyperbolic, bump_profile, commutation
 from kplab.expsum import Carried, ExpSum, log_derivatives, worst_residual
 from kplab.jost import JostFamily
 from kplab.solitons import SolitonConfig, asymptotic_profile, frame_of, wronskian_tau
+from kplab.tanhexp import PanelGrid, based_cumulative, exp_cumulative
 
 SRC = Path(kplab.__file__).resolve().parent
 
@@ -158,23 +159,35 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _callee(node: ast.AST) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _integer_maxsize(dec: ast.AST) -> bool:
+    """Whether an `lru_cache` decorator or call gives a literal integer maxsize."""
+    if not isinstance(dec, ast.Call):
+        return False
+    given = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+    size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+    return isinstance(size, int) and not isinstance(size, bool)
+
+
 def _unbounded_caches(tree: ast.Module) -> list[str]:
     """Functions whose `lru_cache` has no integer maxsize, or whose bare
-    `cache` memoizes arguments (one entry per distinct call, never evicted)."""
+    `cache` memoizes arguments (one entry per distinct call, never evicted),
+    and the wrapped function of each `lru_cache(...)(fn)` call without one."""
     out = []
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Call)
+                and _callee(node.func.func) == "lru_cache" and not _integer_maxsize(node.func)):
+            wrapped = ast.unparse(node.args[0]) if node.args else "?"
+            out.append(f"{wrapped}: lru_cache call without an integer maxsize")
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if name == "lru_cache":
-                size = None
-                if isinstance(dec, ast.Call):
-                    given = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
-                    size = given[0].value if given and isinstance(given[0], ast.Constant) else None
-                if not (isinstance(size, int) and not isinstance(size, bool)):
-                    out.append(f"{node.name}: lru_cache without an integer maxsize")
+            name = _callee(dec.func if isinstance(dec, ast.Call) else dec)
+            if name == "lru_cache" and not _integer_maxsize(dec):
+                out.append(f"{node.name}: lru_cache without an integer maxsize")
             elif name == "cache":
                 args = node.args
                 if args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg:
@@ -190,8 +203,10 @@ def test_every_cache_is_bounded():
     flagged = _unbounded_caches(ast.parse(
         "@lru_cache(maxsize=None)\ndef a(x): pass\n@lru_cache\ndef b(x): pass\n"
         "@functools.cache\ndef c(x): pass\n@cache\ndef d(): pass\n"
-        "@lru_cache(maxsize=64)\ndef e(x): pass\n@lru_cache(8)\ndef f(x): pass\n"))
-    assert [entry.split(":")[0] for entry in flagged] == ["a", "b", "c"]
+        "@lru_cache(maxsize=64)\ndef e(x): pass\n@lru_cache(8)\ndef f(x): pass\n"
+        "g = lru_cache(maxsize=None)(f1)\nh = functools.lru_cache()(self.f2)\n"
+        "k = lru_cache(maxsize=64)(f3)\nm = lru_cache(8)(f4)\n"))
+    assert [entry.split(":")[0] for entry in flagged] == ["a", "b", "c", "f1", "self.f2"]
 
 
 def _readers(tree: ast.Module, reads) -> list[str]:
@@ -438,6 +453,29 @@ def test_integral_float_pairs_are_accepted():
     # Re gamma(0.5i) = 0.707 <= sqrt(c) - alpha = 0.8: the based minus form does not apply
     (lambda: t1_apply(OneDimDarboux(1.0, 0.5j, alpha=0.2), -1, bump_profile(1.0), low=True),
      errors.RegionViolation),
+    # kappa_{0 - 1} would wrap round to kappa_4
+    (lambda: branch_of(P, (0, 2)), errors.InvalidBranch),
+    (lambda: branch_of(P, (2, 9)), errors.InvalidBranch),
+    (lambda: branch_of(P, (2, 2)), errors.InvalidBranch),
+    (lambda: branch_of(P, (3, 2)), errors.InvalidBranch),
+    (lambda: branch_of(P, (1, 2)), errors.InvalidBranch),
+    (lambda: Branch(0.0, 0.5).gamma("0.3"), errors.InadmissibleEta),
+    (lambda: Branch(0.0, 0.5).gamma(True), errors.InadmissibleEta),
+    (lambda: Branch(0.0, 0.5).gamma(math.nan), errors.InadmissibleEta),
+    (lambda: Branch(0.0, 0.5).gamma(math.inf), errors.InadmissibleEta),
+    (lambda: Branch(0.0, 0.5).gamma(np.array([0.3, math.nan])), errors.InadmissibleEta),
+    (lambda: Branch(0.0, math.nan).gamma(0.1), errors.InvalidBranch),
+    (lambda: Branch(0.0, 0.0), errors.InvalidBranch),
+    (lambda: Branch("a", 0.5), errors.InvalidBranch),
+    (lambda: exp_cumulative(PanelGrid(-4, 4, per_unit=8), np.ones(64), "0.5", "left"),
+     errors.RegionViolation),
+    (lambda: exp_cumulative(PanelGrid(-4, 4, per_unit=8), np.ones(64), True, "left"),
+     errors.RegionViolation),
+    (lambda: based_cumulative(PanelGrid(-4, 4, per_unit=8), np.ones(64), "0.5"),
+     errors.RegionViolation),
+    # True equals 1 and hashes like it, so the wave kept for pole 1 would answer
+    (lambda: [fam.phi_residue(j) for fam in [JostFamily(P)] for j in (1, True)],
+     errors.PoleAtKappa),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
@@ -458,7 +496,12 @@ def test_integral_float_pairs_are_accepted():
         "profile_shift_beyond_cutoff", "inverse_of_a_string", "roundtrip_of_a_string",
         "sampled_transform_of_a_string", "bump_c_bool", "kink_c_bool", "eta_string",
         "mode_transfer_at_string", "kappa_strings", "kappa_bools", "tau_kappa_string",
-        "tau_kappa_bool", "wave_at_string", "sign_bool", "based_minus_below_its_gate"])
+        "tau_kappa_bool", "wave_at_string", "sign_bool", "based_minus_below_its_gate",
+        "branch_pair_wraps", "branch_pair_beyond_phases", "branch_pair_repeated",
+        "branch_pair_reversed", "branch_pair_not_a_channel", "gamma_string", "gamma_bool",
+        "gamma_nan", "gamma_inf", "gamma_array_nan", "branch_c_nan", "branch_c_zero",
+        "branch_a_string", "cumulative_rate_string", "cumulative_rate_bool",
+        "based_rate_string", "residue_index_bool"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

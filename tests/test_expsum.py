@@ -335,15 +335,13 @@ def test_only_outside_the_box_is_rejected():
                     log_derivatives(tau, orders, 0.1, 0.2, 0.3, only=only)
 
 
-def test_plan_is_kept_per_canonical_request():
+def test_reordered_request_gives_the_same_partials():
     tau = _mixed_tau()[1]
     rng = np.random.default_rng(29)
     x, y, t = _pts(rng, n=20, span=3.0)
     want = log_derivatives(tau, (3, 2, 1), x, y, t, only=((2, 0, 0), (1, 2, 1)))
-    hits = expsum._closure_plan.cache_info().hits
     # a list of lists in another order names the same plan
     got = log_derivatives(tau, [3, 2, 1], x, y, t, only=[[1, 2, 1], [2, 0, 0]])
-    assert expsum._closure_plan.cache_info().hits == hits + 1
     assert set(got) == set(want)
     for key, val in got.items():
         assert np.array_equal(val, want[key]), key

@@ -110,14 +110,6 @@ def test_rejects_bad_pair_and_kind():
         SolitonConfig("p_type", (-1.0, 1.0, 2.0))
 
 
-def test_tau_cache_is_bounded():
-    """A sweep over phase speeds keeps at most 64 taus and generator tuples."""
-    for i in range(100):
-        build_tau(SolitonConfig("p_type", tuple(k + 0.01 * i for k in KP)))
-    assert build_tau.cache_info().currsize <= 64
-    assert theta_gens.cache_info().currsize <= 64
-
-
 # ----- frames -----
 
 
