@@ -158,12 +158,12 @@ def backlund_catalog() -> tuple[tuple[str, ExpSum, ExpSum], ...]:
     pairs.append(("shifted_line_high", t1_shift,
                   wronskian_tau(k3, [[1.0, 0.0], [a, a], [b, b]])))
 
-    pairs.append(("p_type_pair", build_tau(SolitonConfig("one_line", k4, pair=(2, 3))),
-                  build_tau(SolitonConfig("p_type", k4))))
-    pairs.append(("o_type_low", build_tau(SolitonConfig("one_line", ko, pair=(1, 2))),
-                  build_tau(SolitonConfig("o_type", ko))))
-    pairs.append(("o_type_high", build_tau(SolitonConfig("one_line", ko, pair=(3, 4))),
-                  build_tau(SolitonConfig("o_type", ko))))
+    # each two-line type over the line of a channel: P's inner one, both of O's
+    for top, labels in ((SolitonConfig("p_type", k4), ("p_type_pair",)),
+                        (SolitonConfig("o_type", ko), ("o_type_low", "o_type_high"))):
+        for label, pair in zip(labels, top.channel_pairs()):
+            pairs.append((label, build_tau(SolitonConfig("one_line", top.kappa, pair=pair)),
+                          build_tau(top)))
     return tuple(pairs)
 
 
@@ -358,22 +358,24 @@ def flow_intertwining_parts(data: MiuraData, wave: Carried) -> dict[str, list[Ra
 def _level_steps(config: SolitonConfig) -> tuple[tuple[str, JostFamily, JostFamily, MiuraData], ...]:
     """(label, lower family, upper family, MiuraData) for each adjacent step.
 
-    The p_type chain climbs vacuum -> line (2, 3) -> p_type and lists its
-    top step first; the o_type chain reaches the two-line level from the
-    line of each channel.  Each chain is built once per configuration and
-    shared by every family that reads it.
+    The chain of two nested lines climbs vacuum -> inner line -> both
+    lines and lists its top step first, labelled "two" and "one"; two
+    lines side by side reach the two-line level from the line of each
+    channel (i, j), labelled "ch{i}{j}".  A configuration without two
+    lines has no chain and raises ConfigMismatch.  Each chain is built once
+    per configuration and shared by every family that reads it.
     """
-    if config.kind not in ("p_type", "o_type"):
-        raise ConfigMismatch(
-            f"level chains need a p_type or o_type configuration, got {config.kind}")
+    pairs = config.channel_pairs()
+    if len(pairs) != 2:
+        raise ConfigMismatch(f"level chains need two lines, got {config.kind} with {len(pairs)}")
     top = JostFamily(config)
-    if config.kind == "o_type":
+    if not config.nested():
         steps = []
-        for i, j in config.channel_pairs():
+        for i, j in pairs:
             line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(i, j)))
             steps.append((f"ch{i}{j}", line, top, MiuraData(line.tau, top.tau)))
         return tuple(steps)
-    line = JostFamily(SolitonConfig("one_line", config.kappa, pair=(2, 3)))
+    line = JostFamily(SolitonConfig("one_line", config.kappa, pair=pairs[0]))
     vacuum = JostFamily(SolitonConfig("vacuum", ()))
     upper = MiuraData(line.tau, top.tau)
     return (("two", line, top, upper), ("one", vacuum, line, upper.base))
@@ -392,23 +394,27 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
 
     A dual within 1e-9 of a discrete phase raises PoleAtKappa where
     `JostFamily` builds it: the dual at beta_prime always, and the dual at
-    beta on the p_type chain, whose residue identities take it.  The o_type
-    chain builds only waves at beta, which have no pole there.  Every
-    adjacent step of the chain (vacuum -> line (2, 3) -> p_type, or the
-    line of each o_type channel -> o_type) gets the mixed and wave maps;
-    the residue identities are checked on the p_type chain only.  Keys
-    name the identity by what it moves.
+    beta on a chain of nested lines, whose residue identities take it.
+    Lines side by side build only waves at beta, which have no pole there.
+    Every adjacent step of the `_level_steps` chain (vacuum -> inner line
+    -> both lines when nested, else the line of each channel -> both
+    lines) gets the mixed and wave maps.  The residue identities are
+    checked on nested lines only, at the first phase of each line: i of
+    the inner line (i, j) and i' of the outer (i', j').  Keys name the
+    identity by what it moves, the step label first when nested and last
+    when side by side.
     """
     # the families keep their waves; each product is built once per call
     product, times = cache(pair_product), cache(mul)
     steps = _level_steps(config)
+    (inner, _), (outer, _) = config.channel_pairs()
     mixed = {label: transform_parts(data.v, carried_from_primitive(
         lo.phi(beta) * hi.phi_star(beta_prime))) for label, lo, hi, data in steps}
     out: dict[str, list[Rational]] = {}
     for sign, verb in ((1, "raise"), (-1, "lower")):
 
         def key(label: str, what: str) -> str:
-            return f"{verb}_{label}_{what}" if config.kind == "p_type" else f"{verb}_{what}_{label}"
+            return f"{verb}_{label}_{what}" if config.nested() else f"{verb}_{what}_{label}"
 
         ops = {}
         for label, lo, hi, data in steps:
@@ -422,7 +428,7 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
                 [p.dx() for p in transform_parts(data.v, product(
                     src.phi(beta), src.phi_star(beta_prime)))[sign]],
                 [2.0 * times(hi.phi(beta), lo.phi_star(beta_prime)).dx()])
-        if config.kind == "o_type":
+        if not config.nested():
             continue
 
         def dual_residue(label: str, j: int, kernel: bool = False) -> list[Rational]:
@@ -437,13 +443,13 @@ def darboux_map_parts(config: SolitonConfig, beta: complex,
                 transform_parts(v, product(src.phi_residue(j), src.phi_star(beta)))[sign],
                 [2.0 * times(hi.phi_residue(j), lo.phi_star(beta))])
 
-        out[f"{verb}_two_discrete_dual"] = dual_residue("two", 2)
-        out[f"{verb}_two_discrete_wave"] = wave_residue("two", 2)
+        out[f"{verb}_two_discrete_dual"] = dual_residue("two", inner)
+        out[f"{verb}_two_discrete_wave"] = wave_residue("two", inner)
         if sign == -1:
-            out["lower_two_discrete_wave_outer"] = wave_residue("two", 1)
-            out["lower_one_discrete_wave"] = wave_residue("one", 2)
-            out["kernel_two"] = dual_residue("two", 1, kernel=True)
-            out["kernel_one"] = dual_residue("one", 2, kernel=True)
+            out["lower_two_discrete_wave_outer"] = wave_residue("two", outer)
+            out["lower_one_discrete_wave"] = wave_residue("one", inner)
+            out["kernel_two"] = dual_residue("two", outer, kernel=True)
+            out["kernel_one"] = dual_residue("one", inner, kernel=True)
     return out
 
 
@@ -457,9 +463,10 @@ def level_shift_parts(config: SolitonConfig, beta: complex) -> dict[str, list[Ra
     ratio^{-1} times the upper wave, dx of ratio times the upper dual is
     minus ratio times the lower dual, and applying the free heat operator
     (or its adjoint) instead of dx lands on the x-derivative of the shifted
-    wave, doubled.  The p_type chain reports both of its steps, the o_type
-    chain one step per channel.  The duals are built at beta, so a beta
-    within 1e-9 of a discrete phase raises PoleAtKappa from `JostFamily`.
+    wave, doubled.  A chain of nested lines reports both of its steps,
+    lines side by side one step per channel.  The duals are built at beta,
+    so a beta within 1e-9 of a discrete phase raises PoleAtKappa from
+    `JostFamily`.
     """
     out: dict[str, list[Rational]] = {}
     for label, lo, hi, data in _level_steps(config):
@@ -490,23 +497,26 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     the plus transform with eigenvalue 2 dx; across levels the off-channel
     generators transfer: the minus transform of the upper product equals
     the plus transform of the lower one, and the adjoint statements hold
-    for the dual generators.  Only the four-phase chain with an inner
-    channel supports all of these at once, so other kinds are rejected; an
-    eta that is not a finite number raises InadmissibleEta.
+    for the dual generators.  Only the chain of two nested lines supports
+    all of these at once: the generators live on the branches of the inner
+    line (i, j) and the outer line (i', j'), with the residues at phases i
+    and i' and the gaps kappa_j - kappa_i and kappa_j' - kappa_i'.  Lines
+    side by side raise CaseMismatch; an eta that is not a finite number
+    raises InadmissibleEta.
     """
-    if config.kind != "p_type":
-        raise CaseMismatch(
-            f"resonant transfer checks exist for the p_type chain, got {config.kind}")
+    if not config.nested():
+        raise CaseMismatch(f"resonant transfer checks need two nested lines, got {config.kind}")
     eta = _frequency(eta)
     k = config.kappa
     etac = complex(np.conj(eta))
     (_, fam1, fam2, upper), (_, _, _, lower) = _level_steps(config)
     v1, v2 = lower.v, upper.v
 
-    br_in = branch_of(config, (2, 3))
-    br_out = branch_of(config, (1, 4))
-    gap_in = k[2] - k[1]
-    gap_out = k[3] - k[0]
+    (i_in, j_in), (i_out, j_out) = config.channel_pairs()
+    br_in = branch_of(config, (i_in, j_in))
+    br_out = branch_of(config, (i_out, j_out))
+    gap_in = k[j_in - 1] - k[i_in - 1]
+    gap_out = k[j_out - 1] - k[i_out - 1]
 
     def generator(fam: JostFamily, br: Branch, eta_at: complex, side: int, j: int,
                   scale: complex, wave_at_branch: bool) -> Carried:
@@ -522,16 +532,16 @@ def mode_transfer_parts(config: SolitonConfig, eta: complex) -> dict[str, list[R
     plus_in = gap_in / br_in.gamma(eta)
     minus_in = 1j * eta * (-1.0 / br_in.gamma(-eta))
     dual_in = -1j * etac / gap_in
-    w_in_1 = generator(fam1, br_in, eta, -1, 2, plus_in, True)
-    w_in_2 = generator(fam2, br_in, eta, -1, 2, plus_in, True)
-    w_out_2 = generator(fam2, br_out, eta, -1, 1, gap_out / br_out.gamma(eta), True)
-    wm_in_1 = generator(fam1, br_in, -eta, 1, 2, minus_in, False)
-    wm_in_2 = generator(fam2, br_in, -eta, 1, 2, minus_in, False)
-    d_in_1 = generator(fam1, br_in, -etac, -1, 2, dual_in, False)
-    d_in_2 = generator(fam2, br_in, -etac, -1, 2, dual_in, False)
-    dm_in_1 = generator(fam1, br_in, etac, 1, 2, 1.0, True)
-    dm_in_2 = generator(fam2, br_in, etac, 1, 2, 1.0, True)
-    dm_out_2 = generator(fam2, br_out, etac, 1, 1, -1.0, True)
+    w_in_1 = generator(fam1, br_in, eta, -1, i_in, plus_in, True)
+    w_in_2 = generator(fam2, br_in, eta, -1, i_in, plus_in, True)
+    w_out_2 = generator(fam2, br_out, eta, -1, i_out, gap_out / br_out.gamma(eta), True)
+    wm_in_1 = generator(fam1, br_in, -eta, 1, i_in, minus_in, False)
+    wm_in_2 = generator(fam2, br_in, -eta, 1, i_in, minus_in, False)
+    d_in_1 = generator(fam1, br_in, -etac, -1, i_in, dual_in, False)
+    d_in_2 = generator(fam2, br_in, -etac, -1, i_in, dual_in, False)
+    dm_in_1 = generator(fam1, br_in, etac, 1, i_in, 1.0, True)
+    dm_in_2 = generator(fam2, br_in, etac, 1, i_in, 1.0, True)
+    dm_out_2 = generator(fam2, br_out, etac, 1, i_out, -1.0, True)
 
     def transfer(lower_wave: Carried, upper_wave: Carried) -> list[Rational]:
         """Minus transform of the upper-level product against plus of the lower-level one."""

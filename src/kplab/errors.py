@@ -63,8 +63,8 @@ class ConfigMismatch(KplabError):
     """An input does not fit the operation: non-finite samples, spectral
     points or channel drifts, bad sample counts or seeds, channel windows,
     panel edges or orders, sample shapes, cumulative sides, a based
-    cumulative without the origin on a panel edge, or a level chain of the
-    wrong kind."""
+    cumulative without the origin on a panel edge, or a level chain asked
+    of a configuration that does not have two lines."""
 
 
 class MissingPrimitive(KplabError):

@@ -4,14 +4,20 @@ Every tau in the package is built here, by `wronskian_tau`: a sum of
 Vandermonde-weighted minors of a coefficient matrix times exponentials of
 theta_m = kappa_m x + kappa_m^2 y - kappa_m^3 t, whose generator
 (kappa_m, kappa_m^2, -kappa_m^3) is the `plane_gen` that also gives the
-Jost waves their plane factor.  The field is
-u = 2 (log tau)_xx.  Supported configurations: the vacuum, a single line
-soliton on any phase pair, and the two nondegenerate two-line types with
-four phases.  A far-field line of `asymptotic_profile` is a tau too: one
-column, whose row scale is the line's local phase shift.
+Jost waves their plane factor.  The field is u = 2 (log tau)_xx.
+
+A configuration is a matching of phases into lines, one row of
+`MATCHINGS` per kind: the vacuum is the empty matching, the P type nests
+the line (2, 3) inside (1, 4), and the O type sets (1, 2) beside (3, 4);
+a single line soliton on any phase pair (i, j) is the matching of that
+one line.  The line (i, j, s) is the column s e_i + e_j of the coefficient
+matrix, and its pair (i, j) is a channel of the configuration.  A
+far-field line of `asymptotic_profile` is a tau too: one column, whose
+row scale is the line's local phase shift.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +29,8 @@ from .branches import Branch, branch_of, check_sign
 from .errors import DegenerateFrame, InvalidBranch, RejectedConfig, finite_real, phase_pair
 from .expsum import ExpSum, Gen, Rational, log_derivatives, sum_residual
 
-KINDS = ("vacuum", "one_line", "p_type", "o_type")
+# the lines (i, j, s) of each kind, in channel order; one_line is ((i, j, +1),)
+MATCHINGS = {"vacuum": (), "p_type": ((2, 3, +1), (1, 4, -1)), "o_type": ((1, 2, +1), (3, 4, +1))}
 
 
 def plane_gen(w: complex) -> Gen:
@@ -83,12 +90,24 @@ def wronskian_tau(kappa: tuple[float, ...], amatrix: ArrayLike) -> ExpSum:
 
 @dataclass(frozen=True)
 class SolitonConfig:
-    kind: str                          # one of KINDS
+    """A kind of line soliton on strictly increasing phase speeds kappa.
+
+    The kind is "one_line", on the 1-based phase `pair`, or a row of
+    `MATCHINGS`; the two-line kinds take four phases, and the vacuum any
+    number, its tau the constant 1.  `__post_init__` resolves the kind and
+    pair into `lines`, the matching every structural method reads: the
+    line (i, j, s) is the column s e_i + e_j of `amatrix` and the channel
+    (i, j) of `channel_pairs`.
+    """
+
+    kind: str                          # "one_line" or a key of MATCHINGS
     kappa: tuple[float, ...]           # strictly increasing phase speeds
     pair: tuple[int, int] | None = None  # 1-based phase pair for one_line
+    lines: tuple[tuple[int, int, int], ...] = dataclasses.field(
+        init=False, compare=False, repr=False)  # the matching, resolved from kind and pair
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind != "one_line" and self.kind not in MATCHINGS:
             raise RejectedConfig(f"unknown kind {self.kind!r}")
         ks = tuple(self.kappa)
         if not all(map(finite_real, ks)):
@@ -98,53 +117,44 @@ class SolitonConfig:
         for a, b in zip(ks, ks[1:]):
             if not b > a:
                 raise RejectedConfig(f"phases must increase strictly, got {a} before {b}")
-        if self.kind in ("p_type", "o_type"):
-            if len(ks) != 4:
-                raise RejectedConfig(f"{self.kind} needs 4 phases, got {len(ks)}")
-            if self.pair is not None:
-                raise RejectedConfig(f"{self.kind} does not take a pair")
         if self.kind == "one_line":
-            if self.pair is None:
-                raise RejectedConfig("one_line needs a pair")
             pair = phase_pair(self.pair)
             if pair is None or not 1 <= pair[0] < pair[1] <= len(ks):
-                raise RejectedConfig(f"pair {self.pair!r} is not two increasing phase "
-                                     f"indices in 1..{len(ks)}")
+                raise RejectedConfig(f"one_line needs a pair of two increasing phase "
+                                     f"indices in 1..{len(ks)}, got {self.pair!r}")
             object.__setattr__(self, "pair", pair)
-        if self.kind == "vacuum" and self.pair is not None:
-            raise RejectedConfig("vacuum does not take a pair")
+            lines = ((*pair, 1),)
+        else:
+            lines = MATCHINGS[self.kind]
+            if lines and len(ks) != 2 * len(lines):
+                raise RejectedConfig(f"{self.kind} needs {2 * len(lines)} phases, got {len(ks)}")
+            if self.pair is not None:
+                raise RejectedConfig(f"{self.kind} does not take a pair")
+        object.__setattr__(self, "lines", lines)
 
     # ----- structure -----
 
-    @property
-    def m_phases(self) -> int:
-        return len(self.kappa)
-
     def amatrix(self) -> np.ndarray:
-        m = self.m_phases
-        if self.kind == "vacuum":
-            return np.eye(m)
-        if self.kind == "one_line":
-            col = np.zeros((m, 1))
-            col[self.pair[0] - 1, 0] = 1.0
-            col[self.pair[1] - 1, 0] = 1.0
-            return col
-        if self.kind == "p_type":
-            return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
-        return np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        """The coefficient matrix: column s e_i + e_j for each line (i, j, s)."""
+        out = np.zeros((len(self.kappa), len(self.lines)))
+        for n, (i, j, s) in enumerate(self.lines):
+            out[i - 1, n], out[j - 1, n] = s, 1.0
+        return out
 
     def field(self) -> "SolitonField":
         return SolitonField(self)
 
     def channel_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Phase pairs of the asymptotic line solitons, 1-based."""
-        if self.kind == "p_type":
-            return ((2, 3), (1, 4))
-        if self.kind == "o_type":
-            return ((1, 2), (3, 4))
-        if self.kind == "one_line":
-            return (self.pair,)
-        return ()
+        """Phase pairs of the asymptotic line solitons, 1-based, in line order."""
+        return tuple((i, j) for i, j, _ in self.lines)
+
+    def nested(self) -> bool:
+        """Whether the second line encloses the first (P type), rather than
+        standing beside it (O type); False with fewer than two lines."""
+        if len(self.lines) < 2:
+            return False
+        (i1, j1, _), (i2, j2, _) = self.lines[:2]
+        return i2 < i1 and j1 < j2
 
 
 def build_tau(config: SolitonConfig) -> ExpSum:
@@ -214,10 +224,8 @@ def asymptotic_profile(config: SolitonConfig, pair: tuple[int, int], y_sign: int
     the `Profile` tau drops an entry as a zero minor raises RejectedConfig.
     """
     check_sign(y_sign)
-    given, pair = pair, phase_pair(pair)
-    if pair not in config.channel_pairs():
-        raise InvalidBranch(f"{given!r} is not a channel of this {config.kind} configuration")
-    k = config.kappa
+    branch_of(config, pair)  # InvalidBranch unless pair is a channel
+    pair, k = phase_pair(pair), config.kappa
     i, j = pair[0] - 1, pair[1] - 1
     terms = build_tau(config).terms
     rates = {subset: y_sign * sum((k[m] - k[i]) * (k[m] - k[j])

@@ -277,6 +277,30 @@ def test_only_wronskian_tau_builds_taus():
         "    theta_gens = k\n"), _reads_theta_gens) == ["<module>", "f", "g"]
 
 
+def _is_kind(node: ast.AST) -> bool:
+    """A read of some object's `.kind`, other than a numpy dtype's."""
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            and not (isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"))
+
+
+def _branches_on_kind(node: ast.AST) -> bool:
+    """A comparison with a `.kind`, or a lookup keyed by one; a `.kind`
+    that only fills an f-string field decides nothing."""
+    if isinstance(node, ast.Compare):
+        return any(map(_is_kind, (node.left, *node.comparators)))
+    return isinstance(node, ast.Subscript) and _is_kind(node.slice)
+
+
+def test_only_soliton_config_branches_on_kind():
+    """The kind of a configuration is resolved into its matching once, in
+    `SolitonConfig.__post_init__`; every other reader asks the matching."""
+    assert set(_src_readers(_branches_on_kind)) == {"solitons.__post_init__"}
+    assert _readers(ast.parse(
+        "def f(c):\n    return c.kind == 'p_type'\ndef g(c):\n    return T[c.kind]\n"
+        "def h(c, eta):\n    raise E(f'{c.kind}') if eta.dtype.kind in 'c' else 0\n"),
+        _branches_on_kind) == ["f", "g"]
+
+
 def _derived_operators(tree: ast.Module) -> list[str]:
     """Class.name for each operator `expsum.Ring` derives that a class body
     defines or assigns."""

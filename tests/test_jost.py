@@ -187,7 +187,7 @@ def completeness(fam, pts, primed) -> float:
     """Worst ratio of the sum over phases of wave(pts) times dual residue(primed)."""
     total, scale = sum_residual(
         fam.phi_residue(j).eval(*pts) * fam.phi_star_residue(j).eval(*primed)
-        for j in range(1, fam.config.m_phases + 1))
+        for j in range(1, len(fam.config.kappa) + 1))
     return float(np.max(total / scale))
 
 

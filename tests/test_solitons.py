@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kplab import solitons
+from kplab.darboux import REPORT_KAPPA_O, REPORT_KAPPA_P
 from kplab.errors import DegenerateFrame, InvalidBranch, RejectedConfig
 from kplab.expsum import BLOCK, ExpSum, log_derivatives, sum_residual
 from kplab.solitons import (_KP_PARTIALS, SolitonConfig, asymptotic_profile, build_tau,
@@ -38,31 +39,72 @@ def field_u(cfg, x, y, t):
 
 
 def test_p_type_tau_terms():
-    tau = build_tau(p_config())
-    k1, k2, k3, k4 = KP
-    expected = {
-        (1, 1, 0, 0): k2 - k1,
-        (1, 0, 1, 0): k3 - k1,
-        (0, 1, 0, 1): k4 - k2,
-        (0, 0, 1, 1): k4 - k3,
-    }
-    assert tau.terms.keys() == expected.keys()
-    for key, val in expected.items():
-        assert abs(tau.terms[key] - val) < 1e-14
+    """The report's P tau, keys in order and coefficients exact: each is the
+    Vandermonde of its pair, 1100: 1, 1010: 2.5, 0101: 4, 0011: 2.5."""
+    tau = build_tau(SolitonConfig("p_type", REPORT_KAPPA_P))
+    k1, k2, k3, k4 = REPORT_KAPPA_P
+    expected = [((1, 1, 0, 0), k2 - k1), ((1, 0, 1, 0), k3 - k1),
+                ((0, 1, 0, 1), k4 - k2), ((0, 0, 1, 1), k4 - k3)]
+    assert list(tau.terms.items()) == [(key, complex(val)) for key, val in expected]
+    assert [val for _, val in expected] == [1.0, 2.5, 4.0, 2.5]
 
 
 def test_o_type_tau_terms():
-    tau = build_tau(o_config())
-    k1, k2, k3, k4 = KO
-    expected = {
-        (1, 0, 1, 0): k3 - k1,
-        (1, 0, 0, 1): k4 - k1,
-        (0, 1, 1, 0): k3 - k2,
-        (0, 1, 0, 1): k4 - k2,
-    }
-    assert tau.terms.keys() == expected.keys()
-    for key, val in expected.items():
-        assert abs(tau.terms[key] - val) < 1e-14
+    """The report's O tau, keys in order and coefficients exact."""
+    tau = build_tau(SolitonConfig("o_type", REPORT_KAPPA_O))
+    k1, k2, k3, k4 = REPORT_KAPPA_O
+    expected = [((1, 0, 1, 0), k3 - k1), ((1, 0, 0, 1), k4 - k1),
+                ((0, 1, 1, 0), k3 - k2), ((0, 1, 0, 1), k4 - k2)]
+    assert list(tau.terms.items()) == [(key, complex(val)) for key, val in expected]
+    assert [val for _, val in expected] == [3.0, 4.0, 2.0, 3.0]
+
+
+# The P and O coefficient matrices written out by hand, P with its outer
+# line (1, 4) first: the reference the matchings must reproduce term for term.
+HAND_AMATRIX = {
+    "p_type": [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]],
+    "o_type": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-9.0, 9.0), min_size=4, max_size=4, unique=True),
+       st.sampled_from(["p_type", "o_type"]))
+def test_matching_taus_match_the_hand_matrices(raw, kind):
+    """For any increasing phases the matching builds the tau of the hand
+    matrix bit for bit: the same keys in the same order, the same numbers."""
+    kappa = tuple(sorted(raw))
+    assume(min(b - a for a, b in zip(kappa, kappa[1:])) >= 1e-3)
+    tau = build_tau(SolitonConfig(kind, kappa))
+    ref = wronskian_tau(kappa, HAND_AMATRIX[kind])
+    assert list(tau.terms.items()) == list(ref.terms.items())
+    assert tau.gens == ref.gens
+
+
+@pytest.mark.parametrize("cfg, amatrix, pairs, nested", [
+    (SolitonConfig("p_type", KP), [[0, -1], [1, 0], [1, 0], [0, 1]], ((2, 3), (1, 4)), True),
+    (SolitonConfig("o_type", KO), [[1, 0], [1, 0], [0, 1], [0, 1]], ((1, 2), (3, 4)), False),
+    (SolitonConfig("one_line", KP, pair=(2, 4)), [[0], [1], [0], [1]], ((2, 4),), False),
+    (SolitonConfig("vacuum", KP), np.zeros((4, 0)), (), False),
+    (SolitonConfig("vacuum", ()), np.zeros((0, 0)), (), False),
+], ids=["p_type", "o_type", "one_line", "vacuum", "vacuum_no_phases"])
+def test_matching_gives_columns_channels_and_nesting(cfg, amatrix, pairs, nested):
+    """Line (i, j, s) is the column s e_i + e_j and the channel (i, j)."""
+    assert np.array_equal(cfg.amatrix(), np.asarray(amatrix, dtype=float))
+    assert cfg.channel_pairs() == pairs
+    assert cfg.nested() is nested
+
+
+def test_matching_is_derived_not_given():
+    """The resolved matching takes no argument and leaves equality, hashing
+    and repr to kind, kappa and pair."""
+    cfg = SolitonConfig("one_line", [-1, 1], pair=[1, 2])
+    assert cfg.lines == ((1, 2, 1),)
+    assert cfg == SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2))
+    assert hash(cfg) == hash(SolitonConfig("one_line", (-1.0, 1.0), pair=(1, 2)))
+    assert repr(cfg) == "SolitonConfig(kind='one_line', kappa=(-1.0, 1.0), pair=(1, 2))"
+    with pytest.raises(TypeError):
+        SolitonConfig("vacuum", (), lines=())
 
 
 def test_one_line_field_matches_sech_formula():
@@ -76,8 +118,10 @@ def test_one_line_field_matches_sech_formula():
 
 
 def test_vacuum_is_flat():
+    """The vacuum is the empty matching: tau is the constant 1 on any phases."""
     for kappa in ((), (-1.0, 0.5, 2.0)):
         cfg = SolitonConfig("vacuum", kappa)
+        assert build_tau(cfg).terms == {(0,) * len(kappa): 1.0}
         assert np.max(np.abs(field_u(cfg, [-3.0, 0.0, 2.0], 1.0, 0.5))) < 1e-12
 
 
