@@ -30,6 +30,7 @@ enters any identity check.
 """
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property, lru_cache
 from operator import mul
 
@@ -695,12 +696,12 @@ class OneDimDarboux:
         self.alpha = float(alpha)
         self.branch = Branch(a=0.0, c=self.c)
         if window is None:
-            window = int(np.clip(np.ceil(38.0 / self.root), 12, 160))
+            window = min(max(math.ceil(38.0 / self.root), 12), 160)
         self.window = _whole(window, "channel window")
         if self.window < 2:
             raise ConfigMismatch(f"channel window must be at least 2, got {window}")
         self.grid = _window_grid(self.window)
-        self.psi = kink_profile(self.c)
+        self.psi = _hyperbolic(self.root)[3]  # kink_profile(c), without its checks
 
     @cached_property
     def node_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -818,24 +819,33 @@ def commutation_parts(c: float, eta: complex, drift: float,
             "minus": _equation_parts([lhs_minus], [rhs_minus])}
 
 
-def _tail(grid: PanelGrid, g: np.ndarray, q: complex, side: str) -> np.ndarray:
-    """exp_cumulative of g on one side, once |g| e^{Re(q) z} sits ~1e-12 below
-    its peak at that side's window edge; else the window truncates real mass.
-    The log mass is built in one array; a NaN or inf in g makes its peak not
-    finite, which raises ConfigMismatch."""
-    logmass = np.abs(g)
-    logmass += 1e-300
-    np.log(logmass, out=logmass)
-    logmass += q.real * grid.z
-    peak = logmass.max()
-    if not np.isfinite(peak):
-        raise ConfigMismatch(f"{side} tail integrand is not finite on the grid")
-    edge = logmass[:3].max() if side == "left" else logmass[-3:].max()
-    if edge > peak - 27.6:
-        raise RegionViolation(
-            f"{side} tail integrand has not decayed at the {side} window edge; "
-            "widen the window or revisit alpha")
-    return exp_cumulative(grid, g, q, side)
+def _tail(grid: PanelGrid, g: np.ndarray, *tails: tuple[complex, str],
+          halves: bool = False) -> list[np.ndarray]:
+    """exp_cumulative of g for each tail, a (rate q, side) pair, once
+    |g| e^{Re(q) z} sits ~1e-12 below its peak at that side's window edge;
+    else the window truncates real mass.  log |g| is formed once for all the
+    tails of g; a NaN or inf in g makes a peak not finite, which raises
+    ConfigMismatch.  With halves each tail sweeps only the panels on its own
+    side of the origin, the left tail those below it and the right tail
+    those above it, and returns those nodes only."""
+    logabs = np.abs(g)
+    logabs += 1e-300
+    np.log(logabs, out=logabs)
+    cut = round(-grid.lo) * grid.order  # the nodes below the origin
+    out = []
+    for q, side in tails:
+        logmass = logabs + q.real * grid.z
+        peak = logmass.max()
+        if not np.isfinite(peak):
+            raise ConfigMismatch(f"{side} tail integrand is not finite on the grid")
+        edge = logmass[:3].max() if side == "left" else logmass[-3:].max()
+        if edge > peak - 27.6:
+            raise RegionViolation(
+                f"{side} tail integrand has not decayed at the {side} window edge; "
+                "widen the window or revisit alpha")
+        run = g if not halves else g[:cut] if side == "left" else g[cut:]
+        out.append(exp_cumulative(grid, run, q, side))
+    return out
 
 
 def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
@@ -886,19 +896,19 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
                 "based minus inverse needs Re gamma > sqrt(c)-alpha; "
                 f"got Re gamma {gam.real:.6f}")
         gvals = np.asarray(coshv * fvals, dtype=complex)  # once, for both tails
-        right = _tail(grid, gvals, -gam, "right")
         if low:
+            right, = _tail(grid, gvals, (-gam, "right"))
             left = based_cumulative(grid, gvals, gam)
         else:
-            left = _tail(grid, gvals, gam, "left")
+            right, left = _tail(grid, gvals, (-gam, "right"), (gam, "left"))
         return ((-gam - stv) * sechv * left + (gam - stv) * sechv * right) / (2.0 * gam)
 
     # plus inverse
     g_right = (-gam - stv) * sechv * fvals
     g_left = (gam - stv) * sechv * fvals
-    right = _tail(grid, g_right, -gam, "right")
+    right, = _tail(grid, g_right, (-gam, "right"))
     if not low:
-        left = _tail(grid, g_left, gam, "left")
+        left, = _tail(grid, g_left, (gam, "left"))
         return coshv * (left + right) / (2.0 * gam)
 
     # low plus: secular compatibility of the two growth branches
@@ -910,10 +920,13 @@ def t1_apply(op: OneDimDarboux, sign: int, f, low: bool = False) -> np.ndarray:
         raise OrthogonalityViolation(
             f"secular pairing {abs(pairing):.3e} exceeds 1e-6 of scale "
             f"{pairing_scale:.3e}; the low plus inverse does not apply")
-    left = _tail(grid, g_left, gam, "left")
-    grown = _tail(grid, g_left, gam, "right")
-    piece = np.where(z < 0.0, left, -grown)
-    return coshv * (right + piece) / (2.0 * gam)
+    # the left tail for z < 0 and the grown one for z > 0: each sweeps only
+    # the panels on its own side of the origin, where the other is not read.
+    # Both halves span the window's w >= 2 panels, so neither is a one-row
+    # block, and the grown one stays a mirrored view; each keeps the bytes of
+    # its side of a whole-window sweep (see `tanhexp`)
+    left, grown = _tail(grid, g_left, (gam, "left"), (gam, "right"), halves=True)
+    return coshv * (right + np.concatenate((left, -grown))) / (2.0 * gam)
 
 
 def t1_roundtrip(op: OneDimDarboux, sign: int, f, low: bool = False) -> float:

@@ -702,12 +702,13 @@ def test_transform_sign_checked_everywhere():
 
 
 def _reference_sweep(grid, g, q):
-    """The cumulative sweep with the real per-grid basis and einsum contraction."""
+    """The cumulative sweep with the real per-grid basis and einsum contraction,
+    over the panels of g, which need not fill the window."""
     off, w = grid.offsets, grid.unit_w
     totals = g @ (w * np.exp(q * (off - 1.0)))
-    edge_acc = np.empty(grid.npan, dtype=complex)
+    edge_acc = np.empty(g.shape[0], dtype=complex)
     acc = 0j
-    for k in range(grid.npan):
+    for k in range(g.shape[0]):
         edge_acc[k] = acc
         acc = acc * np.exp(-q) + totals[k]
     carried = edge_acc[:, None] * np.exp(-q * off)[None, :]
@@ -755,6 +756,25 @@ def test_shared_rule_inverse_matches_per_grid_reference(c, eta, alpha_share, sig
         mp.setattr(tanhexp, "_left_sweep", _reference_sweep)
         want = t1_apply(ref_op, sign, f, low=low)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_low_inverses_sweep_each_half_of_the_window_once(monkeypatch, sign):
+    """The right tail over the whole window, and the two one-sided integrals
+    (the low plus piece, the based minus tail) over one half each."""
+    op = OneDimDarboux(CP, 0.0, alpha=0.3)
+    f = op.m_apply(1, bump_profile(CP)) if sign == 1 else bump_profile(CP)
+    swept = []
+    sweep = tanhexp._left_sweep
+
+    def spy(grid, g, q):
+        swept.append(len(g))
+        return sweep(grid, g, q)
+
+    monkeypatch.setattr(tanhexp, "_left_sweep", spy)
+    t1_apply(op, sign, f, low=True)
+    npan = op.grid.npan
+    assert sorted(swept) == [npan // 2, npan // 2, npan]
 
 
 def test_operators_of_one_channel_share_grid_and_nodes():
@@ -885,7 +905,7 @@ def test_tail_gate_rejects_a_non_finite_integrand(side, bad):
     g = np.exp(-grid.z ** 2).astype(complex)
     g[7] = bad
     with pytest.raises(ConfigMismatch):
-        _tail(grid, g, 0.5, side)
+        _tail(grid, g, (0.5, side))
 
 
 def test_kink_and_bump_profiles():

@@ -379,6 +379,15 @@ def test_only_evaluators_and_reducers_take_points():
 KP = (-2.0, -1.0, 0.5, 3.0)
 CP = 0.5625
 P = SolitonConfig("p_type", KP)
+GRID = PanelGrid(-4, 4, per_unit=8)
+
+
+def _with(bad) -> np.ndarray:
+    """Samples on GRID that are finite but at one node, inside a panel below
+    the origin."""
+    vals = np.ones(GRID.z.size, dtype=complex)
+    vals[13] = bad
+    return vals
 
 
 def test_integral_float_pairs_are_accepted():
@@ -500,6 +509,17 @@ def test_integral_float_pairs_are_accepted():
     # True equals 1 and hashes like it, so the wave kept for pole 1 would answer
     (lambda: [fam.phi_residue(j) for fam in [JostFamily(P)] for j in (1, True)],
      errors.PoleAtKappa),
+    # a NaN or inf sample makes a weighted panel total, or the integral, not finite
+    (lambda: exp_cumulative(GRID, _with(math.nan), 0.5, "left"), errors.ConfigMismatch),
+    (lambda: exp_cumulative(GRID, _with(math.inf), 0.5, "right"), errors.ConfigMismatch),
+    (lambda: exp_cumulative(GRID, _with(-math.inf), 0.5 + 0.3j, "left"), errors.ConfigMismatch),
+    (lambda: exp_cumulative(GRID, _with(math.inf), 0.0, "left"), errors.ConfigMismatch),
+    (lambda: based_cumulative(GRID, _with(math.nan), 0.5), errors.ConfigMismatch),
+    (lambda: based_cumulative(GRID, _with(complex(0.0, math.inf)), 0.5), errors.ConfigMismatch),
+    (lambda: GRID.antiderivative(_with(math.nan)), errors.ConfigMismatch),
+    (lambda: GRID.antiderivative(_with(math.inf)), errors.ConfigMismatch),
+    (lambda: GRID.integral(_with(math.nan)), errors.ConfigMismatch),
+    (lambda: GRID.integral(_with(math.inf)), errors.ConfigMismatch),
 ], ids=["kappa_inf", "kappa_minus_inf", "c_nan", "c_inf", "kernel_c_nan", "kernel_c_inf",
         "eta_nan", "eta_imag_nan", "kernel_eta_nan", "bump_c_nan", "bump_c_inf",
         "bump_c_negative", "kink_c_nan", "kink_c_inf", "kink_c_negative",
@@ -525,7 +545,11 @@ def test_integral_float_pairs_are_accepted():
         "branch_pair_reversed", "branch_pair_not_a_channel", "gamma_string", "gamma_bool",
         "gamma_nan", "gamma_inf", "gamma_array_nan", "branch_c_nan", "branch_c_zero",
         "branch_a_string", "cumulative_rate_string", "cumulative_rate_bool",
-        "based_rate_string", "residue_index_bool"])
+        "based_rate_string", "residue_index_bool", "cumulative_sample_nan",
+        "right_cumulative_sample_inf", "complex_rate_cumulative_sample_minus_inf",
+        "rate_zero_cumulative_sample_inf", "based_sample_nan", "based_sample_imag_inf",
+        "antiderivative_sample_nan", "antiderivative_sample_inf", "integral_sample_nan",
+        "integral_sample_inf"])
 def test_non_finite_parameters_raise_typed_errors(build, error):
     with pytest.raises(error):
         build()

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kplab.darboux import _exp_line, _hyperbolic, bump_profile, kink_profile
 from kplab.errors import ConfigMismatch, RegionViolation
 from kplab.expsum import Carried
 from kplab import tanhexp
-from kplab.tanhexp import (PanelGrid, _sweep_kernel, _unit_rule, based_cumulative,
-                           exp_cumulative)
+from kplab.tanhexp import (PanelGrid, _edge_carry, _sweep_kernel, _unit_rule,
+                           based_cumulative, exp_cumulative)
 
 ZS = np.linspace(-7.0, 7.0, 57)
 
@@ -305,3 +307,133 @@ def test_grid_arrays_are_read_only():
     for arr in (grid.edges, grid.z, grid.w):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+# ----- sweeps over only the panels they read -----
+
+
+def _samples(grid, seed):
+    """Random samples of one sign and a little phase, like the channel
+    integrands, so that the cumulatives do not cancel far below the size of
+    their terms."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 1.5, grid.z.size) * np.exp(0.5j * rng.random(grid.z.size))
+
+
+def _masked_based(grid, vals, q):
+    """based_cumulative as two whole-window sweeps, each of the samples with
+    the other side of the origin set to zero."""
+    above = grid.z >= 0.0
+    upper = exp_cumulative(grid, np.where(above, vals, 0.0), q, "left")
+    lower = exp_cumulative(grid, np.where(above, 0.0, vals), q, "right")
+    return np.where(above, upper, -lower)
+
+
+def _masked_edge_piece(grid, vals, q):
+    """The low plus inverse's piece as two whole-window sweeps: the left
+    integral below the origin, minus the right one above it."""
+    left = exp_cumulative(grid, vals, q, "left")
+    grown = exp_cumulative(grid, vals, q, "right")
+    return np.where(grid.z < 0.0, left, -grown)
+
+
+def _assert_close(got, want):
+    """Within 4 eps of want's peak.  The half sweeps keep the bytes of the
+    whole-window ones only where the BLAS kernel computes a row of a block
+    alike whatever the block's size; OpenBLAS's Haswell kernel moves some
+    rows by a few 1e-16 of the peak."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+RATES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0),
+                  st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lo=st.integers(-6, 0), hi=st.integers(0, 6),
+       per_unit=st.sampled_from([1, 2, 5, 16, 32]), q=RATES, seed=st.integers(0, 2**32 - 1))
+# one-panel sides, swept beside a zero panel
+@example(lo=-1, hi=5, per_unit=32, q=0.7, seed=1)
+@example(lo=-5, hi=1, per_unit=32, q=0.3 - 1.2j, seed=2)
+@example(lo=-1, hi=1, per_unit=5, q=0.0, seed=3)
+def test_based_cumulative_matches_the_masked_window(lo, hi, per_unit, q, seed):
+    assume(hi - lo >= 2)
+    grid = PanelGrid(lo, hi, per_unit)
+    vals = _samples(grid, seed)
+    _assert_close(based_cumulative(grid, vals, q), _masked_based(grid, vals, q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lo=st.integers(-6, -1), hi=st.integers(1, 6),
+       per_unit=st.sampled_from([1, 2, 5, 16, 32]), q=RATES, seed=st.integers(0, 2**32 - 1))
+@example(lo=-1, hi=5, per_unit=32, q=0.7, seed=1)
+@example(lo=-5, hi=1, per_unit=32, q=-0.0, seed=2)
+def test_edge_runs_match_the_masked_window(lo, hi, per_unit, q, seed):
+    """The low plus piece from runs of panels at the window edges: the left
+    integral over the panels below the origin, the right one over those
+    above it."""
+    grid = PanelGrid(lo, hi, per_unit)
+    vals = _samples(grid, seed)
+    cut = -lo * per_unit
+    got = np.concatenate((exp_cumulative(grid, vals[:cut], q, "left"),
+                          -exp_cumulative(grid, vals[cut:], q, "right")))
+    _assert_close(got, _masked_edge_piece(grid, vals, q))
+
+
+@pytest.mark.parametrize("lo, hi, swept", [
+    (-4, 6, [4, 6]), (-1, 5, [2, 5]), (-5, 1, [5, 2]), (-1, 1, [2, 2]), (0, 4, [4]),
+    (-3, 0, [3]),
+])
+def test_based_cumulative_sweeps_each_side_once(monkeypatch, lo, hi, swept):
+    """Below the origin, then above it; a lone panel with one zero panel, and
+    the side below as a mirrored view of the samples."""
+    grid = PanelGrid(lo, hi, per_unit=8)
+    blocks = []
+    sweep = tanhexp._left_sweep
+
+    def spy(grid, g, q):
+        blocks.append(g)
+        return sweep(grid, g, q)
+
+    monkeypatch.setattr(tanhexp, "_left_sweep", spy)
+    based_cumulative(grid, _samples(grid, 0), 0.5)
+    assert [len(g) for g in blocks] == swept
+    if lo < 0:
+        assert blocks[0].strides[0] < 0 and blocks[0].strides[1] < 0
+    if hi > 0:
+        assert blocks[-1].strides[0] > 0 and blocks[-1].strides[1] > 0
+
+
+def test_cumulative_of_a_panel_run():
+    grid = PanelGrid(-4, 4, per_unit=8)
+    vals = _samples(grid, 4)
+    whole = exp_cumulative(grid, vals, 0.6, "left")
+    assert exp_cumulative(grid, vals[:24], 0.6, "left").shape == (24,)
+    _assert_close(exp_cumulative(grid, vals[:24], 0.6, "left"), whole[:24])
+    for bad in (vals[:0], vals[:20], np.concatenate((vals, vals[:8]))):
+        with pytest.raises(ConfigMismatch):
+            exp_cumulative(grid, bad, 0.6, "left")
+    with pytest.raises(ConfigMismatch):  # based integrals read the whole window
+        based_cumulative(grid, vals[:24], 0.6)
+
+
+@pytest.mark.parametrize("step", [complex(1.0, 0.0), complex(1.0, -0.0)])
+def test_rate_zero_carry_is_the_sequential_loop_byte_for_byte(step):
+    rng = np.random.default_rng(9)
+    n = 600
+    parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-150, 150, (2, n))
+    zeros = rng.integers(0, 6, (2, n))  # a quarter of the parts a signed zero
+    parts[zeros == 0] = 0.0
+    parts[zeros == 1] = -0.0
+    parts[:, :4] = -0.0  # the first totals -0, as the carry starts from +0
+    totals = np.empty(n, dtype=complex)
+    totals.real, totals.imag = parts
+    assert np.signbit(totals.real).sum() > n // 4 and np.signbit(totals.imag).sum() > n // 4
+    acc, want = 0j, []
+    for t in totals.tolist():
+        want.append(acc)
+        acc = acc * step + t
+    got = _edge_carry(totals, 0j, step)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert _sweep_kernel(0.0, 8)[3] in (complex(1.0, 0.0), complex(1.0, -0.0))
